@@ -3,8 +3,10 @@ frequency set with long small-step progressions, and two block/shift
 assemblies that keep a certified lower Riesz bound while embedding
 progressions of step O(N) and step O(N^alpha), alpha > 1.
 
-Builders are sequential (each shift depends on the previous partial union);
-searches are deterministic with smallest-index tie-breaking throughout.
+Builders are sequential (each shift depends on the previous partial union)
+and share one placement step, whose shift scan decides each candidate by a
+Schur-complement Cholesky and whose certificate is a full-union eigensolve.
+Searches are deterministic with smallest-index tie-breaking throughout.
 """
 
 from __future__ import annotations
@@ -219,9 +221,6 @@ class BlockSpec:
     def frequencies(self) -> np.ndarray:
         return self.shift + self.step * np.arange(1, self.length + 1, dtype=np.int64)
 
-    def frequency_set(self) -> FrequencySet:
-        return FrequencySet(tuple(self.frequencies().tolist()))
-
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -280,24 +279,22 @@ def good_n_search(table: CoefficientTable, eps: float, n_range: tuple[int, int])
     return hits
 
 
-def block_offdiag_sum(table: CoefficientTable, spec: BlockSpec) -> float:
-    """sum over ordered pairs of distinct block frequencies of |c_hat(difference)|^2.
-
-    Differences within a progression repeat, so this collapses to
-    2 * sum_{l=1}^{length-1} (length - l) * |c_hat(l*step)|^2; the shift drops out.
-    """
-    span = spec.step * spec.length
-    if table.max_index < span:
-        raise TableTooSmall(f"table covers {table.max_index} < step*length = {span}")
-    if spec.length < 2:
-        return 0.0
-    powers = table.power_array()
-    l = np.arange(1, spec.length, dtype=np.int64)
-    return float(2.0 * np.sum((spec.length - l) * powers[l * spec.step]))
-
-
 def _lambda_min(s: IntervalSet, freqs: FrequencySet) -> float:
     return spectral.extreme_eigs(spectral.gram(s, freqs))[0]
+
+
+def _shifted_gram(s: IntervalSet, freqs: np.ndarray, target: float) -> np.ndarray:
+    """gram(S, freqs) - target*I for strictly increasing freqs."""
+    g = spectral.gram(s, FrequencySet(tuple(freqs.tolist())))
+    return g.entries - target * np.eye(g.size)
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of a, or None if a is not numerically positive definite."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def select_shift(
@@ -309,34 +306,59 @@ def select_shift(
 ) -> int:
     """Smallest scanned shift M keeping the enlarged union above the target bound.
 
-    Requires that the existing union and the unshifted block each already meet
-    the target (shift invariance makes the unshifted check valid); scans
-    deterministically and reports the best shift seen if the cap is hit.
+    Requires that the existing union E and the unshifted block B each already
+    meet the target t (shift invariance makes the unshifted check valid).  With
+    G_E - tI = L L^H factored once, M is accepted when the Schur complement
+    (G_B - tI) - W^H W, W = L^{-1} C(M), has a Cholesky factor; only the cross
+    block C(M)[i, j] = c_hat(b_j + M - e_i) depends on M.  A candidate costs
+    |E| n coefficients, an |E|^2 n product and an n^3/3 Cholesky.  The test is
+    lambda_min > t up to rounding, so a tie at exactly lambda_min = t may fall
+    either way.  If the cap is hit, an eigensolve rescan reports the best shift.
     """
-    base = newblock.frequency_set()
-    if _lambda_min(s, base) < target:
+    offsets = newblock.frequencies() - newblock.shift
+    inblock = _shifted_gram(s, offsets, target)
+    if _cholesky(inblock) is None:
         raise ValueError("new block alone is below the target bound")
     existing_freqs = existing.frequencies()
-    if existing.blocks and _lambda_min(s, frequency_set(existing_freqs.tolist())) < target:
+    factor = _cholesky(_shifted_gram(s, existing_freqs, target)) if existing.blocks else np.eye(0)
+    if factor is None:
         raise ValueError("existing partial union is below the target bound")
-    offsets = newblock.frequencies() - newblock.shift
-    best_shift, best_lam = None, -math.inf
-    m = scan.start
-    while m <= scan.cap:
-        cand = offsets + m
-        if not np.intersect1d(cand, existing_freqs).size:
-            combined = frequency_set(np.concatenate([existing_freqs, cand]).tolist())
-            lam = _lambda_min(s, combined)
-            if lam >= target:
-                return m
+    linv = np.linalg.inv(factor)  # once per placement; W = linv @ C(M) per candidate
+    # C(M) takes only the values c_hat(M + d) over the distinct differences d
+    diff = offsets[None, :] - existing_freqs[:, None]
+    diffs = np.unique(diff)
+    where = np.searchsorted(diffs, diff)
+    for m in range(scan.start, scan.cap + 1, scan.step):
+        if (diffs == -m).any():
+            continue  # the shifted block meets the union
+        w = linv @ torus.fourier_coeff_many(s, diffs + m)[where]
+        if _cholesky(inblock - w.conj().T @ w) is not None:
+            return m
+    best_shift, best_lam = None, -math.inf  # failure report: rescan by eigensolve
+    for m in range(scan.start, scan.cap + 1, scan.step):
+        if not (diffs == -m).any():
+            cand = np.concatenate([existing_freqs, offsets + m])
+            lam = _lambda_min(s, frequency_set(cand.tolist()))
             if lam > best_lam:
                 best_shift, best_lam = m, lam
-        m += scan.step
     raise ScanExhausted(
         f"no shift <= {scan.cap} reached target {target}; best {best_lam} at {best_shift}",
         best_shift=best_shift,
         best_lambda_min=best_lam,
     )
+
+
+def _place(
+    s: IntervalSet, build: LambdaBuild, candidate: BlockSpec, target: float, scan: ScanConfig
+) -> LambdaBuild | None:
+    """`build` plus `candidate` at its select_shift shift, or None if the block alone
+    misses `target`.  The new schedule entry is an eigensolve of the whole union."""
+    if _cholesky(_shifted_gram(s, candidate.frequencies(), target)) is None:
+        return None
+    shift = select_shift(s, build, candidate, target, scan)
+    grown = replace(build, blocks=build.blocks + (replace(candidate, shift=shift),))
+    cert = _lambda_min(s, frequency_set(grown.frequencies().tolist()))
+    return replace(grown, schedule=build.schedule + (cert,))
 
 
 def build_lambda_thm2(
@@ -365,28 +387,18 @@ def build_lambda_thm2(
     hits = good_n_search(table, eps, n_range)
     if len(hits) < count:
         raise NotEnoughBlocks(f"only {len(hits)} good block lengths in {n_range}")
-    gamma = s.measure / 2.0
-    digest = torus.set_digest(s)
-    blocks: list[BlockSpec] = []
-    schedule: list[float] = []
+    build = LambdaBuild((), s.measure / 2.0, (), torus.set_digest(s))
     for n in hits:
-        if len(blocks) == count:
+        if len(build.blocks) == count:
             break
-        target = (gamma / 2.0) * (1.0 + 1.0 / n)
-        candidate = BlockSpec(n=n, step=n, length=n, shift=0)
-        if _lambda_min(s, candidate.frequency_set()) < target:
-            continue  # good sum but the eigensolve disagrees at this scale
-        partial = LambdaBuild(tuple(blocks), gamma, tuple(schedule), digest)
-        shift = select_shift(s, partial, candidate, target, scan)
-        placed = replace(candidate, shift=shift)
-        blocks.append(placed)
-        cert = _lambda_min(s, LambdaBuild(tuple(blocks), gamma, (), digest).partial_frequency_set(len(blocks)))
-        schedule.append(cert)
-    if len(blocks) < count:
+        target = (build.gamma / 2.0) * (1.0 + 1.0 / n)
+        # None: good sum, but the block alone misses its target at this scale
+        build = _place(s, build, BlockSpec(n=n, step=n, length=n, shift=0), target, scan) or build
+    if len(build.blocks) < count:
         raise NotEnoughBlocks(
-            f"{len(blocks)} of {count} blocks met their targets over {n_range}"
+            f"{len(build.blocks)} of {count} blocks met their targets over {n_range}"
         )
-    return LambdaBuild(tuple(blocks), gamma, tuple(schedule), digest)
+    return build
 
 
 # -------------------------------------------------------------------------
@@ -402,15 +414,6 @@ class StepSearchResult:
     grid_sum: float         # sum over all steps l <= L of the above
     divisor_sum: float      # sum_{k<=L*N} d(k) |c_hat(k)|^2, the averaging majorant
     measured_exponent: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "total": self.total,
-            "grid_sum": self.grid_sum,
-            "divisor_sum": self.divisor_sum,
-            "measured_exponent": self.measured_exponent,
-        }
 
 
 def step_search_alpha(
@@ -507,29 +510,19 @@ def build_lambda_thm3(
                 raise ValueError(f"lengths must be positive, got {n}")
             jobs.append((alpha, n, strict_step_cap(n, alpha)))
     table = torus.fourier_table(s, max(cap * n for _, n, cap in jobs))
-    gamma = s.measure / 2.0
-    target = gamma / 2.0
-    digest = torus.set_digest(s)
-    blocks: list[BlockSpec] = []
-    schedule: list[float] = []
+    build = LambdaBuild((), s.measure / 2.0, (), torus.set_digest(s))
+    target = build.gamma / 2.0
     rows: list[Thm3Row] = []
     for alpha, n, cap in jobs:
         found = step_search_alpha(table, alpha, n, cap)
-        candidate = BlockSpec(n=n, step=found.ell, length=n, shift=0)
-        if _lambda_min(s, candidate.frequency_set()) < target:
+        build = _place(s, build, BlockSpec(n=n, step=found.ell, length=n, shift=0), target, scan)
+        if build is None:
             raise NotEnoughBlocks(
                 f"block of length {n} at step {found.ell} is below gamma/2 = {target}"
             )
-        partial = LambdaBuild(tuple(blocks), gamma, tuple(schedule), digest)
-        shift = select_shift(s, partial, candidate, target, scan)
-        placed = replace(candidate, shift=shift)
-        blocks.append(placed)
-        cert = _lambda_min(
-            s, LambdaBuild(tuple(blocks), gamma, (), digest).partial_frequency_set(len(blocks))
-        )
-        schedule.append(cert)
+        shift, cert = build.blocks[-1].shift, build.schedule[-1]
         rows.append(Thm3Row(alpha, n, found.ell, found.total, shift, cert))
-    return LambdaBuild(tuple(blocks), gamma, tuple(schedule), digest), tuple(rows)
+    return build, tuple(rows)
 
 
 # -------------------------------------------------------------------------

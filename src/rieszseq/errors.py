@@ -17,7 +17,8 @@ class EmptyInput(RieszSeqError):
 
 
 class InvalidArc(RieszSeqError):
-    """An arc reduces to a point, has negative length, or exceeds the circle."""
+    """An arc is malformed or non-finite, reduces to a point, has negative
+    length, or exceeds the circle."""
 
 
 class OverlapError(RieszSeqError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +49,18 @@ def sieve_primes(limit: int) -> PrimeTable:
 
 
 def sieve_divisors(limit: int) -> DivisorTable:
-    """Exact divisor counts d(1..limit) by multiple-marking."""
+    """Exact divisor counts d(1..limit) by multiple-marking.
+
+    Divisors of k pair up as i * (k/i) with i <= sqrt(k), so each i <= sqrt(limit)
+    marks its multiples from i^2 on twice, and the square i^2 once.
+    """
     limit = _check_limit(limit, 4)
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     counts = np.zeros(limit + 1, dtype=np.int32)
-    for i in range(1, limit + 1):
-        counts[i::i] += 1
+    for i in range(1, math.isqrt(limit) + 1):
+        counts[i * i :: i] += 2
+        counts[i * i] -= 1
     return DivisorTable(limit, counts)
 
 

@@ -108,12 +108,17 @@ def normalize(raw_arcs: Iterable[Sequence[float]]) -> IntervalSet:
     end, so its length is end - start and must lie in (0, 1].  Wrap-crossing
     pairs are split, overlapping or touching pairs are merged.
     """
-    pairs = [(float(a), float(b)) for a, b in raw_arcs]
+    try:
+        pairs = [(float(a), float(b)) for a, b in raw_arcs]
+    except (TypeError, ValueError) as exc:
+        raise InvalidArc(f"arcs must be (start, end) pairs of numbers: {exc}") from exc
     if not pairs:
         raise EmptyInput("no arcs given")
     total = 0.0
     pieces: list[tuple[float, float]] = []
     for a, b in pairs:
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise InvalidArc(f"arc ({a}, {b}) has a non-finite endpoint")
         length = b - a
         if length <= 0.0:
             raise InvalidArc(f"arc ({a}, {b}) reduces to a point or runs backwards")
@@ -275,6 +280,8 @@ def to_dict(s: IntervalSet) -> dict:
 
 
 def from_dict(d: dict) -> IntervalSet:
+    if not isinstance(d, dict) or "arcs" not in d:
+        raise InvalidArc('a set must be an object with an "arcs" list')
     return normalize(d["arcs"])
 
 

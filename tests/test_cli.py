@@ -74,6 +74,15 @@ def test_riesz_invalid_input(full_file, tmp_path):
     assert run(["riesz", full_file, "--freqs", "not-numbers"]) == 2
 
 
+
+@pytest.mark.parametrize("doc", ['[[0.1, 0.2]]', '{"sets": [[0.1, 0.2]]}', '{"arcs": [[0.1, NaN]]}',
+                                 '{"arcs": [[-Infinity, 0.2]]}', '{"arcs": [0.1, 0.2]}'])
+def test_riesz_malformed_set_file(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert run(["riesz", path, "--freqs", "1,2"]) == 2
+    assert "invalid input:" in capsys.readouterr().err
+
 def test_riesz_build_verify_and_tamper(arc03_file, tmp_path):
     build_path = tmp_path / "build.json"
     assert run(["thm2", arc03_file, "--count", 3, "--eps", 0.075,

@@ -1,4 +1,4 @@
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,33 +174,6 @@ def test_good_n_search_table_guard():
         con.good_n_search(table, 0.1, (1, 10))
 
 
-def brute_offdiag(table, spec):
-    freqs = spec.frequencies().tolist()
-    return math.fsum(
-        abs(table.get(int(b - a))) ** 2 for a in freqs for b in freqs if a != b
-    )
-
-
-def test_block_offdiag_sum_formula(rng=np.random.RandomState(31)):
-    table = torus.fourier_table(FULL, 50)
-    assert con.block_offdiag_sum(table, con.BlockSpec(6, 6, 6, 0)) == 0.0
-    for _ in range(15):
-        pts = np.sort(rng.uniform(0, 1, 4))
-        s = torus.normalize([(pts[0], pts[1]), (pts[2], pts[3])])
-        n = int(rng.randint(2, 7))
-        table = torus.fourier_table(s, n * n)
-        spec = con.BlockSpec(n=n, step=n, length=n, shift=int(rng.randint(-50, 50)))
-        assert con.block_offdiag_sum(table, spec) == pytest.approx(
-            brute_offdiag(table, spec), abs=1e-12
-        )
-    # one length-2 check: exactly one unordered difference pair
-    s = torus.normalize([(0.1, 0.45)])
-    table = torus.fourier_table(s, 20)
-    assert con.block_offdiag_sum(table, con.BlockSpec(3, 3, 2, 0)) == pytest.approx(
-        2 * table.power(3), abs=1e-15
-    )
-
-
 # --- shift selection --------------------------------------------------------------
 
 def empty_build(s):
@@ -223,6 +196,9 @@ def test_select_shift_arc03_frozen():
     assert shift == 2
     combined = spectral.frequency_set([1, 2 + shift, 4 + shift])
     assert lambda_min(ARC03, combined) >= 0.075
+    # a vacuous target accepts every disjoint shift, but never one meeting the union
+    scan = con.ScanConfig(-3, 1, 5)
+    assert con.select_shift(ARC03, partial, con.BlockSpec(2, 2, 2, 0), -1.0, scan) == -2
 
 
 def test_select_shift_scan_exhausted_reports_best():
@@ -235,6 +211,65 @@ def test_select_shift_scan_exhausted_reports_best():
         )
     assert info.value.best_shift is not None
     assert info.value.best_lambda_min < 0.12
+    # the report is the eigensolve scan's: largest lambda_min, first shift on ties,
+    # shifts -3 and -1 skipped because {2, 4} + m would meet {1}
+    scan = con.ScanConfig(-5, 1, 1)
+    lams = {
+        m: lambda_min(ARC03, spectral.frequency_set([1, 2 + m, 4 + m]))
+        for m in range(-5, 2) if m not in (-3, -1)
+    }
+    best = max(lams, key=lambda m: (lams[m], -m))
+    with pytest.raises(ScanExhausted) as info:
+        con.select_shift(ARC03, partial, con.BlockSpec(2, 2, 2, 0), 0.12, scan)
+    assert (info.value.best_shift, info.value.best_lambda_min) == (best, lams[best])
+
+
+def random_arc_set(rng):
+    k = rng.randint(1, 4)
+    pts = np.sort(rng.uniform(0.0, 1.0, 2 * k))
+    while np.min(np.diff(pts)) < 0.01:
+        pts = np.sort(rng.uniform(0.0, 1.0, 2 * k))
+    return torus.normalize([(pts[2 * i], pts[2 * i + 1]) for i in range(k)])
+
+
+def random_block(rng):
+    n = int(rng.randint(1, 9))
+    return con.BlockSpec(n=n, step=int(rng.randint(1, 12)), length=n, shift=int(rng.randint(-40, 40)))
+
+
+def test_select_shift_decision_matches_eigensolve(rng=np.random.RandomState(5)):
+    """Each candidate's Cholesky/Schur verdict is eigvalsh(G) >= t away from ties."""
+    verdicts = {True: 0, False: 0}
+    for _ in range(25):
+        s = random_arc_set(rng)
+        blocks = (random_block(rng),)
+        if rng.rand() < 0.5:
+            blocks += (random_block(rng),)
+        partial = con.LambdaBuild(blocks, s.measure / 2, (), torus.set_digest(s))
+        union = partial.frequencies()
+        if np.unique(union).size != union.size:
+            continue
+        newblock = replace(random_block(rng), shift=0)
+        lams = {}
+        for m in range(-20, 21):
+            cand = newblock.frequencies() + m
+            if not np.intersect1d(cand, union).size:
+                lams[m] = lambda_min(s, spectral.frequency_set(np.concatenate([union, cand]).tolist()))
+        floor = min(lambda_min(s, spectral.frequency_set(union.tolist())),
+                    lambda_min(s, spectral.frequency_set(newblock.frequencies().tolist())))
+        target = rng.uniform(min(lams.values()), max(lams.values()))
+        if target >= floor - 1e-8:
+            continue
+        for m, lam in lams.items():
+            if abs(lam - target) <= 1e-8:
+                continue
+            try:
+                accepted = con.select_shift(s, partial, newblock, target, con.ScanConfig(m, 1, m)) == m
+            except ScanExhausted:
+                accepted = False
+            assert accepted == (lam >= target), (s, blocks, newblock, target, m, lam)
+            verdicts[accepted] += 1
+    assert min(verdicts.values()) >= 100
 
 
 def test_select_shift_precondition():

@@ -28,6 +28,14 @@ def test_sieve_vs_trial_division_exact():
         assert int(counts[n]) == numtheory.divisor_count_naive(n)
 
 
+
+def test_sieve_divisors_whole_table_vs_trial_division():
+    # limits on both sides of perfect squares, where the sqrt loop changes length
+    for limit in (1, 2, 3, 4, 5, 8, 9, 10, 99, 100, 101, 2000):
+        counts = numtheory.sieve_divisors(limit).counts
+        assert counts.shape == (limit + 1,) and counts[0] == 0
+        assert counts[1:].tolist() == [numtheory.divisor_count_naive(n) for n in range(1, limit + 1)]
+
 def test_divisor_values():
     counts = numtheory.sieve_divisors(12).counts
     assert int(counts[12]) == 6

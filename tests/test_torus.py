@@ -53,6 +53,23 @@ def test_normalize_rejects_bad_input():
         torus.normalize([(0.0, 0.8), (0.1, 0.9)])  # total raw length 1.6
 
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_normalize_rejects_non_finite_endpoints(bad):
+    with pytest.raises(InvalidArc):
+        torus.normalize([(0.1, bad)])
+    with pytest.raises(InvalidArc):
+        torus.normalize([(bad, 1.0)])
+    with pytest.raises(InvalidArc):
+        torus.normalize([(0.0, 0.2), (bad, bad)])
+
+
+def test_set_file_shape_is_checked():
+    for doc in ([[0.1, 0.2]], {}, {"sets": [[0.1, 0.2]]}, {"arcs": 5}, {"arcs": [0.1, 0.2]},
+                {"arcs": [[None, 0.2]]}):
+        with pytest.raises(InvalidArc):
+            torus.from_dict(doc)
+
 # --- complement ------------------------------------------------------------
 
 def test_complement_basics():
