@@ -546,13 +546,35 @@ def build_to_dict(build: LambdaBuild, set_ref: str = "") -> dict:
     }
 
 
+def _block_from_dict(b: dict) -> BlockSpec:
+    """A BlockSpec from integer fields whose frequencies all lie strictly within
+    FREQ_LIMIT, so BlockSpec.frequencies and every Gram difference stay in int64."""
+    fields = {key: b[key] for key in ("n", "step", "length", "shift")}
+    for key, v in fields.items():
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"block {key} must be an integer, got {v!r}")
+    spec = BlockSpec(**fields)
+    if spec.step < 1 or spec.length < 1:
+        raise ValueError(f"block step and length must be positive, got {spec}")
+    first, last = spec.shift + spec.step, spec.shift + spec.step * spec.length
+    if any(abs(v) >= spectral.FREQ_LIMIT for v in (*fields.values(), first, last)):
+        raise ValueError(f"block {spec} has a value or frequency with |f| >= 2^62")
+    return spec
+
+
 def build_from_dict(d: dict) -> tuple[LambdaBuild, str]:
-    blocks = tuple(
-        BlockSpec(n=int(b["n"]), step=int(b["step"]), length=int(b["length"]), shift=int(b["shift"]))
-        for b in d["blocks"]
-    )
-    schedule = tuple(float(b["cert_lambda_min"]) for b in d["blocks"])
-    return LambdaBuild(blocks, float(d["gamma"]), schedule), str(d.get("set", ""))
+    """Parse a build object; anything but an object with a "blocks" list of
+    objects, or a block outside int64-safe range, raises ValueError."""
+    raw = d.get("blocks") if isinstance(d, dict) else None
+    if not isinstance(raw, list) or not all(isinstance(b, dict) for b in raw):
+        raise ValueError('a build must be an object with a "blocks" list of objects')
+    blocks = tuple(_block_from_dict(b) for b in raw)
+    try:
+        schedule = tuple(float(b["cert_lambda_min"]) for b in raw)
+        gamma = float(d["gamma"])
+    except TypeError as exc:
+        raise ValueError(f"gamma and cert_lambda_min must be numbers: {exc}") from exc
+    return LambdaBuild(blocks, gamma, schedule), str(d.get("set", ""))
 
 
 def save_build(build: LambdaBuild, path, set_ref: str = "") -> None:

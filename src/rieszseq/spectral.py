@@ -23,10 +23,13 @@ from .errors import (
 )
 from .torus import IntervalSet
 
+# every |frequency| stays below this, so all pairwise differences fit in int64
+FREQ_LIMIT = 2 ** 62
+
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """Strictly increasing, nonempty tuple of integer frequencies."""
+    """Strictly increasing, nonempty tuple of integer frequencies with |f| < FREQ_LIMIT."""
 
     freqs: tuple[int, ...]
 
@@ -35,6 +38,10 @@ class FrequencySet:
             raise ValueError("frequency set must be nonempty")
         if any(b <= a for a, b in zip(self.freqs, self.freqs[1:])):
             raise ValueError("frequencies must be strictly increasing")
+        if not -FREQ_LIMIT < self.freqs[0] <= self.freqs[-1] < FREQ_LIMIT:
+            raise ValueError(
+                f"frequencies must satisfy |f| < 2^62, got {self.freqs[0]}..{self.freqs[-1]}"
+            )
 
     def __len__(self) -> int:
         return len(self.freqs)
@@ -172,8 +179,12 @@ def uniform_rayleigh_ap(s: IntervalSet, step: int, length: int) -> float:
     """Rayleigh quotient of the all-ones vector on gram(S, {step, 2*step, ..., length*step}).
 
     Uses the Toeplitz structure: |S| + (2/N) * sum_{d=1}^{N-1} (N-d) Re c_hat(d*step),
-    so the cost is one coefficient evaluation per off-diagonal stripe instead of
-    materializing an N x N matrix.  Shift-invariant, so no shift argument.
+    so only the real part of one coefficient per off-diagonal stripe is needed,
+    never the N x N matrix.  Those N-1 values come from
+    torus.fourier_coeff_real_ap, which splits d = q*B + r with B = isqrt(N-1) + 1
+    and so needs about 2*sqrt(N) sine/cosine pairs per arc endpoint instead of
+    N complex exponentials; the endpoint sums and the stripe sum here are
+    numpy pairwise sums.  Shift-invariant, so no shift argument.
     """
     if s.measure <= 0.0:
         raise DegenerateSet("rayleigh quotient needs a set of positive measure")
@@ -183,8 +194,8 @@ def uniform_rayleigh_ap(s: IntervalSet, step: int, length: int) -> float:
     if length == 1:
         return float(s.measure)
     d = np.arange(1, length, dtype=np.int64)
-    coeffs = torus.fourier_coeff_many(s, d * step)
-    return float(s.measure + (2.0 / length) * np.sum((length - d) * coeffs.real))
+    re = torus.fourier_coeff_real_ap(s, step, length - 1)
+    return float(s.measure + (2.0 / length) * np.sum((length - d) * re))
 
 
 def dirichlet_tail(length: int, delta: float) -> float:

@@ -5,6 +5,12 @@ with e^{2*pi*i*k*x}.  Arcs are half-open [start, end); an arc crossing the
 wrap point is stored split, which makes the canonical form unique and set
 equality testable.  All values are immutable after construction and every
 operation is a pure function.
+
+Coefficients come from the closed form, one complex exponential per arc
+endpoint and frequency (`fourier_coeff_many`).  Where only Re c_hat along a
+progression d*step, d = 1..N, is needed, `fourier_coeff_real_ap` splits each
+phase as d = q*B + r with B ~ sqrt(N) and needs about 2*sqrt(N) sine/cosine
+pairs per endpoint, summing the products over endpoints pairwise.
 """
 
 from __future__ import annotations
@@ -24,6 +30,10 @@ MEASURE_TOL = 1e-12
 
 # largest coefficient table we will materialize (two dense arrays of this length)
 TABLE_INDEX_CAP = 2 ** 25
+
+# elements per product block of fourier_coeff_real_ap; small enough to stay
+# in cache, which makes the block's several passes cheap
+SPLIT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, order=True)
@@ -228,6 +238,52 @@ def fourier_coeff_many(s: IntervalSet, ks) -> np.ndarray:
                 res[i : i + chunk] = block.sum(axis=1) / (2j * np.pi * kc)
             out[~zero] = np.where(kk < 0, np.conj(res), res)
     return out
+
+
+def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
+    """Re c_hat(d*step) for d = 1..count, from a split-phase sine sum.
+
+    Re c_hat(k) = sum over endpoints x of w_x sin(2pi k x) / (2pi k), with
+    w = -1 at arc starts and +1 at arc ends.  Writing d = q*B + r with
+    B = isqrt(count) + 1 splits the phase: sin(2pi d step x) =
+    sin(2pi qB step x) cos(2pi r step x) + cos(2pi qB step x) sin(2pi r step x).
+    One table row per q and one per r, each phase reduced mod 1 before the
+    sine and cosine, costs about 2*sqrt(count) sin/cos pairs per endpoint
+    instead of count complex exponentials.  Each coefficient is then an
+    elementwise product of table entries, summed over each chunk of endpoints
+    by numpy's pairwise sum and accumulated across chunks.  There is no BLAS
+    call: a matmul or einsum would sum sequentially (less accurately) and,
+    threaded on a small machine, vary widely in time.  Work is chunked over
+    endpoints and table rows so no temporary exceeds about SPLIT_BLOCK doubles.
+    """
+    step, count = int(step), int(count)
+    if step < 1:
+        raise ValueError(f"step must be positive, got {step}")
+    if count < 1:
+        return np.empty(0, dtype=np.float64)
+    starts, ends = s._endpoints()
+    xs = np.concatenate([starts, ends])
+    ws = np.concatenate([-np.ones_like(starts), np.ones_like(ends)])
+    b = math.isqrt(count) + 1
+    rows = count // b + 1
+    hi = np.arange(rows, dtype=np.float64) * float(b * step)
+    lo = np.arange(b, dtype=np.float64) * float(step)
+    acc = np.zeros((rows, b), dtype=np.float64)
+    x_chunk = max(1, min(xs.size, SPLIT_BLOCK // b))
+    q_chunk = max(1, SPLIT_BLOCK // (b * x_chunk))
+    for j in range(0, xs.size, x_chunk):
+        x, w = xs[j : j + x_chunk], ws[j : j + x_chunk]
+        hi_ph = (2 * np.pi) * np.mod(hi[:, None] * x[None, :], 1.0)
+        lo_ph = (2 * np.pi) * np.mod(lo[:, None] * x[None, :], 1.0)
+        hi_sin, hi_cos = w * np.sin(hi_ph), w * np.cos(hi_ph)
+        lo_sin, lo_cos = np.sin(lo_ph), np.cos(lo_ph)
+        for i in range(0, rows, q_chunk):
+            sl = slice(i, i + q_chunk)
+            prod = hi_sin[sl, None, :] * lo_cos[None, :, :]
+            prod += hi_cos[sl, None, :] * lo_sin[None, :, :]
+            acc[sl] += prod.sum(axis=-1)
+    k = np.arange(1, count + 1, dtype=np.float64) * float(step)
+    return acc.ravel()[1 : count + 1] / ((2 * np.pi) * k)
 
 
 def fourier_coeff(s: IntervalSet, k: int) -> complex:

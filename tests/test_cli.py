@@ -183,3 +183,43 @@ def test_verify_divisors():
 def test_verify_schedule():
     assert run(["verify", "schedule", "--epsilon", 0.25]) == 0
     assert run(["verify", "schedule", "--epsilon", 2.0]) == 2
+
+
+# --- integer range and build-file shape ------------------------------------------
+
+def _build_doc(*blocks):
+    return {"gamma": 0.15, "set": "", "blocks": [
+        {"n": 1, "step": 1, "length": 1, "shift": 0, "cert_lambda_min": 0.3, **b} for b in blocks
+    ]}
+
+
+@pytest.mark.parametrize("doc", [
+    _build_doc({"step": 2 ** 62, "length": 4}),                 # would wrap in int64
+    _build_doc({"shift": 2 ** 63 + 5}),                         # beyond int64
+    _build_doc({"shift": 2 ** 63 - 2}, {"shift": -(2 ** 63 - 1)}),  # differences overflow
+    _build_doc({"step": 1.5}),
+    _build_doc({"length": 0}),
+    [],
+    {"gamma": 0.15, "blocks": 3},
+    {"gamma": 0.15, "blocks": [1]},
+    {"gamma": None, "blocks": []},
+])
+def test_riesz_rejects_bad_build_file(arc03_file, tmp_path, capsys, doc):
+    path = tmp_path / "build.json"
+    path.write_text(json.dumps(doc))
+    assert run(["riesz", arc03_file, "--build", path, "--verify", "--out", tmp_path / "r.json"]) == 2
+    assert "invalid input:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--ap", f"0,{2 ** 63 - 1},3"), ("--ap", f"{2 ** 62},1,1"),
+                                        ("--freqs", f"0,{-(2 ** 62)}")])
+def test_riesz_rejects_out_of_range_frequencies(full_file, capsys, flag, value):
+    assert run(["riesz", full_file, f"{flag}={value}"]) == 2
+    assert "invalid input:" in capsys.readouterr().err
+
+
+def test_riesz_accepts_frequencies_just_inside_range(full_file, capsys):
+    big = 2 ** 62 - 1
+    assert run(["riesz", full_file, f"--freqs={-big},{big}"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["size"] == 2

@@ -157,6 +157,30 @@ def test_rayleigh_uniform_matches_toeplitz_shortcut():
     assert abs(direct - spectral.uniform_rayleigh_ap(outside, 1, n)) < 1e-12
 
 
+def test_uniform_rayleigh_ap_longdouble_oracle():
+    # Toeplitz energy of {1..N} on the adversarial set, recomputed term by term in
+    # extended precision; the float64 pairwise sums must stay within rel 1e-10
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("np.longdouble is not wider than float64 here")
+    from rieszseq import constructions
+
+    s = constructions.build_adversarial_set(0.25, 64)
+    n = 4096
+    starts, ends = s._endpoints()
+    x = np.concatenate([starts, ends]).astype(np.longdouble)
+    w = np.concatenate([-np.ones_like(starts), np.ones_like(ends)]).astype(np.longdouble)
+    two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
+    total = np.longdouble(0)
+    for lo in range(1, n, 256):
+        d = np.arange(lo, min(n, lo + 256), dtype=np.longdouble)
+        phase = np.mod(d[:, None] * x[None, :], np.longdouble(1))
+        re = (w * np.sin(two_pi * phase)).sum(axis=1) / (two_pi * d)
+        total += ((n - d) * re).sum()
+    want = np.longdouble(s.measure) + 2 * total / n
+    got = spectral.uniform_rayleigh_ap(s, 1, n)
+    assert float(abs(got - want) / want) <= 1e-10
+
+
 # --- cross-block bound ----------------------------------------------------------
 
 def test_cross_block_examples():

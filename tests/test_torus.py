@@ -184,6 +184,30 @@ def test_closed_form_vs_quadrature(rng=np.random.RandomState(7)):
             assert abs(torus.fourier_coeff(s, k) - torus.quadrature_coeff(s, k, 10 ** 5)) < 1e-8
 
 
+def test_fourier_coeff_real_ap_matches_closed_form(rng=np.random.RandomState(11)):
+    # counts straddle B^2 for several split widths B = isqrt(count) + 1
+    counts = [1, 2, 3, 4, 5, 8, 9, 10, 99, 100, 101, 4899, 4900, 4901, 5000]
+    for count in counts:
+        n = rng.randint(1, 6)
+        pts = np.sort(rng.uniform(0.0, 1.0, 2 * n))
+        s = torus.normalize(list(zip(pts[0::2], pts[1::2])))
+        for step in (1, int(rng.randint(2, 60)), 60):
+            want = torus.fourier_coeff_many(s, step * np.arange(1, count + 1)).real
+            got = torus.fourier_coeff_real_ap(s, step, count)
+            assert got.shape == (count,)
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_fourier_coeff_real_ap_edges():
+    s = torus.normalize([(0.1, 0.35)])
+    full = torus.normalize([(0.0, 1.0)])
+    assert torus.fourier_coeff_real_ap(s, 3, 0).shape == (0,)
+    assert np.array_equal(torus.fourier_coeff_real_ap(torus.complement(full), 2, 7), np.zeros(7))
+    assert np.array_equal(torus.fourier_coeff_real_ap(full, 5, 40), np.zeros(40))
+    with pytest.raises(ValueError):
+        torus.fourier_coeff_real_ap(s, 0, 5)
+
+
 def test_quadrature_basics():
     s = torus.normalize([(0.13, 0.41), (0.6, 0.77)])
     assert abs(torus.quadrature_coeff(s, 0, 100) - s.measure) < 1e-12
