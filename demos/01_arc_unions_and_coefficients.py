@@ -33,9 +33,9 @@ for k in (0, 1, 2, 3):
     print(f"k={k}: closed {exact:.12f}   quadrature {approx:.12f}   |diff| {abs(exact - approx):.2e}")
 print("magnitude of c_hat(1) is 1/pi:", abs(torus.fourier_coeff(half, 1)), "=", 1 / np.pi)
 
-print("\n== coefficient table invariants ==")
-table = torus.fourier_table(s, 16)
-print("c_hat(0) equals the measure:", table.get(0))
-print("conjugate symmetry at k=7:", table.get(-7), "=conj=", table.get(7).conjugate())
-energy = table.power(0) + 2 * sum(table.power(k) for k in range(1, 17))
+print("\n== coefficient invariants ==")
+c = dict(zip(range(-16, 17), torus.fourier_coeff_many(s, np.arange(-16, 17))))
+print("c_hat(0) equals the measure:", c[0])
+print("conjugate symmetry at k=7:", c[-7], "=conj=", c[7].conjugate())
+energy = abs(c[0]) ** 2 + 2 * sum(abs(c[k]) ** 2 for k in range(1, 17))
 print(f"partial coefficient energy {energy:.6f} <= measure {s.measure:.6f}")

@@ -23,8 +23,6 @@ from .spectral import (
     GramMatrix,
     RieszReport,
     arithmetic_progression,
-    cross_block_bound,
-    cs_lower_bound,
     dirichlet_tail,
     dirichlet_tail_bound,
     extreme_eigs,
@@ -36,12 +34,10 @@ from .spectral import (
 )
 from .torus import (
     Arc,
-    CoefficientTable,
     IntervalSet,
     complement,
     contains,
     fourier_coeff,
-    fourier_table,
     load_set,
     normalize,
     quadrature_coeff,

@@ -95,11 +95,12 @@ def _cmd_set_build(args) -> int:
 
 
 def _cmd_set_info(args) -> int:
+    if args.coeffs < 0:
+        raise ValueError(f"--coeffs must be >= 0, got {args.coeffs}")
     s = torus.load_set(args.setfile)
     print(f"measure={s.measure!r} arcs={len(s.arcs)}")
-    table = torus.fourier_table(s, args.coeffs)
     for k in range(args.coeffs + 1):
-        print(f"c_hat({k}) = {table.get(k)!r}")
+        print(f"c_hat({k}) = {torus.fourier_coeff(s, k)!r}")
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     TableTooSmall,
 )
 from .spectral import FrequencySet, frequency_set
-from .torus import CoefficientTable, IntervalSet
+from .torus import IntervalSet
 
 SUBSTITUTION_TOL = 1e-9
 
@@ -224,11 +224,18 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Deterministic shift scan: start, start + step, ... up to cap."""
+    """Deterministic shift scan: start, start + step, ... up to cap; never empty."""
 
     start: int = 0
     step: int = 1
     cap: int = 200_000
+
+    def __post_init__(self):
+        if self.step < 1 or self.start > self.cap:
+            raise ValueError(
+                f"shift scan needs step >= 1 and start <= cap, "
+                f"got start {self.start}, step {self.step}, cap {self.cap}"
+            )
 
 
 @dataclass(frozen=True)
@@ -255,10 +262,13 @@ class LambdaBuild:
         return frequency_set(np.concatenate(arrs).tolist())
 
 
-def good_n_search(table: CoefficientTable, eps: float, n_range: tuple[int, int]) -> list[int]:
-    """All n in [n_lo, n_hi] with sum_{l=1}^{n} |c_hat(l*n)|^2 < eps/n, ascending.
+def good_n_search(s: IntervalSet, eps: float, n_range: tuple[int, int]) -> Iterator[int]:
+    """Lazily yield each n in [n_lo, n_hi] with sum_{l=1}^{n} |c_hat(l*n)|^2 < eps/n, ascending.
 
-    Exhaustive scan; an empty result is a legitimate outcome of truncating an
+    Arguments are checked when called; each length n then costs only its n
+    coefficients c_hat(n), c_hat(2n), ..., c_hat(n^2), evaluated when the
+    caller asks for the next hit, so n_hi bounds how far the scan may go, not
+    what it costs.  An exhausted scan is a legitimate outcome of truncating an
     infinitary statement, so callers decide whether it is fatal.
     """
     if eps <= 0.0:
@@ -266,17 +276,11 @@ def good_n_search(table: CoefficientTable, eps: float, n_range: tuple[int, int])
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"bad range {n_range}")
-    if table.max_index < n_hi * n_hi:
-        raise TableTooSmall(
-            f"table covers {table.max_index} < n_hi^2 = {n_hi * n_hi}"
-        )
-    powers = table.power_array()
-    hits = []
-    for n in range(n_lo, n_hi + 1):
-        total = float(powers[n * np.arange(1, n + 1)].sum())
-        if total < eps / n:
-            hits.append(n)
-    return hits
+
+    def energy(n: int) -> float:
+        return float((np.abs(torus.fourier_coeff_many(s, n * np.arange(1, n + 1))) ** 2).sum())
+
+    return (n for n in range(n_lo, n_hi + 1) if energy(n) < eps / n)
 
 
 def _lambda_min(s: IntervalSet, freqs: FrequencySet) -> float:
@@ -373,7 +377,8 @@ def build_lambda_thm2(
     Good block lengths n keep the in-block coefficient energy below eps/n, so
     each block alone clears gamma = |S|/2; shifts are then chosen so the k-th
     partial union stays above (gamma/2) * (1 + 1/n_k).  Every schedule entry
-    is an actual eigensolve of the partial union.
+    is an actual eigensolve of the partial union.  Good lengths come from the
+    lazy good_n_search, which stops as soon as `count` blocks are placed.
     """
     if s.measure <= 0.0:
         raise DegenerateSet("build needs a set of positive measure")
@@ -383,22 +388,17 @@ def build_lambda_thm2(
         eps = s.measure / 4.0
     if not (0.0 < eps <= s.measure / 4.0):
         raise ValueError(f"eps must lie in (0, |S|/4], got {eps}")
-    table = torus.fourier_table(s, n_range[1] * n_range[1])
-    hits = good_n_search(table, eps, n_range)
-    if len(hits) < count:
-        raise NotEnoughBlocks(f"only {len(hits)} good block lengths in {n_range}")
+    hits = good_n_search(s, eps, n_range)  # checks eps and n_range now, searches lazily
     build = LambdaBuild((), s.measure / 2.0, (), torus.set_digest(s))
     for n in hits:
-        if len(build.blocks) == count:
-            break
         target = (build.gamma / 2.0) * (1.0 + 1.0 / n)
         # None: good sum, but the block alone misses its target at this scale
         build = _place(s, build, BlockSpec(n=n, step=n, length=n, shift=0), target, scan) or build
-    if len(build.blocks) < count:
-        raise NotEnoughBlocks(
-            f"{len(build.blocks)} of {count} blocks met their targets over {n_range}"
-        )
-    return build
+        if len(build.blocks) == count:
+            return build
+    raise NotEnoughBlocks(
+        f"{len(build.blocks)} of {count} blocks met their targets over {n_range}"
+    )
 
 
 # -------------------------------------------------------------------------
@@ -417,10 +417,12 @@ class StepSearchResult:
 
 
 def step_search_alpha(
-    table: CoefficientTable, alpha: float, length: int, l_cap: int | None = None
+    powers: np.ndarray, alpha: float, length: int, l_cap: int | None = None
 ) -> StepSearchResult:
     """Step l <= L minimizing sum_{n<=N} |c_hat(n*l)|^2 (ties to the smallest l).
 
+    powers[k] = |c_hat(k)|^2 for k = 0..K, with K >= L*N; a caller running
+    several searches computes it once at the largest L*N.
     Each integer k = n*l is hit at most d(k) times across the whole grid, so
     the grid total is bounded by the divisor-weighted coefficient energy; the
     certificate records both sides and fails loudly if the inequality breaks.
@@ -438,9 +440,8 @@ def step_search_alpha(
     if l_cap < 1:
         raise ValueError(f"step cap must be >= 1, got {l_cap}")
     span = l_cap * length
-    if table.max_index < span:
-        raise TableTooSmall(f"table covers {table.max_index} < L*N = {span}")
-    powers = table.power_array()
+    if powers.shape[0] <= span:
+        raise TableTooSmall(f"powers cover k <= {powers.shape[0] - 1} < L*N = {span}")
     n = np.arange(1, length + 1, dtype=np.int64)
     sums = np.empty(l_cap, dtype=np.float64)
     for ell in range(1, l_cap + 1):
@@ -509,12 +510,14 @@ def build_lambda_thm3(
             if n < 1:
                 raise ValueError(f"lengths must be positive, got {n}")
             jobs.append((alpha, n, strict_step_cap(n, alpha)))
-    table = torus.fourier_table(s, max(cap * n for _, n, cap in jobs))
+    # every search's divisor sieve covers at most this span; check it before any coefficient
+    span = numtheory.check_limit(max(cap * n for _, n, cap in jobs), 4)
+    powers = np.abs(torus.fourier_coeff_many(s, np.arange(span + 1))) ** 2
     build = LambdaBuild((), s.measure / 2.0, (), torus.set_digest(s))
     target = build.gamma / 2.0
     rows: list[Thm3Row] = []
     for alpha, n, cap in jobs:
-        found = step_search_alpha(table, alpha, n, cap)
+        found = step_search_alpha(powers, alpha, n, cap)
         build = _place(s, build, BlockSpec(n=n, step=found.ell, length=n, shift=0), target, scan)
         if build is None:
             raise NotEnoughBlocks(

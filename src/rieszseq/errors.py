@@ -50,7 +50,7 @@ class ScheduleError(RieszSeqError):
 
 
 class TableTooSmall(RieszSeqError):
-    """Coefficient table does not cover the indices a search needs."""
+    """Precomputed coefficient powers do not cover the indices a search needs."""
 
 
 class ScanExhausted(RieszSeqError):

@@ -25,7 +25,8 @@ class DivisorTable:
     counts: np.ndarray  # counts[k] = number of divisors of k; counts[0] unused
 
 
-def _check_limit(limit: int, bytes_per_entry: int) -> int:
+def check_limit(limit: int, bytes_per_entry: int) -> int:
+    """limit as an int, or RieszSeqError if a sieve of that size exceeds SIEVE_LIMIT."""
     limit = int(limit)
     if limit > SIEVE_LIMIT:
         raise RieszSeqError(
@@ -37,7 +38,7 @@ def _check_limit(limit: int, bytes_per_entry: int) -> int:
 
 def sieve_primes(limit: int) -> PrimeTable:
     """All primes <= limit by the classic sieve."""
-    limit = _check_limit(limit, 1)
+    limit = check_limit(limit, 1)
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     flags = np.ones(limit + 1, dtype=bool)
@@ -54,7 +55,7 @@ def sieve_divisors(limit: int) -> DivisorTable:
     Divisors of k pair up as i * (k/i) with i <= sqrt(k), so each i <= sqrt(limit)
     marks its multiples from i^2 on twice, and the square i^2 once.
     """
-    limit = _check_limit(limit, 4)
+    limit = check_limit(limit, 4)
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     counts = np.zeros(limit + 1, dtype=np.int32)

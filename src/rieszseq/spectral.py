@@ -19,7 +19,6 @@ from .errors import (
     ConvergenceError,
     DegenerateSet,
     DimensionMismatch,
-    OverlapError,
 )
 from .torus import IntervalSet
 
@@ -140,12 +139,6 @@ def rayleigh(g: GramMatrix, c) -> float:
     return num.real / den
 
 
-def cs_lower_bound(s: IntervalSet, freqs: FrequencySet) -> float:
-    """|S| - sqrt(sum of squared off-diagonal coefficients); may be vacuous (< 0)."""
-    g = gram(s, freqs)
-    return s.measure - math.sqrt(offdiag_energy(g))
-
-
 def riesz_report(s: IntervalSet, freqs: FrequencySet) -> RieszReport:
     g = gram(s, freqs)
     lo, hi = extreme_eigs(g)
@@ -157,22 +150,6 @@ def riesz_report(s: IntervalSet, freqs: FrequencySet) -> RieszReport:
         offdiag_energy=energy,
         size=g.size,
     )
-
-
-def cross_block_bound(s: IntervalSet, f1: FrequencySet, f2: FrequencySet) -> float:
-    """Frobenius norm of the cross-Gram block between two disjoint frequency sets.
-
-    Upper bounds the operator norm of the block, hence the orthogonality
-    defect between the two exponential subsystems on S.
-    """
-    a1, a2 = f1.array(), f2.array()
-    if np.intersect1d(a1, a2).size:
-        raise OverlapError("frequency sets must be disjoint")
-    diff = np.abs(a2[None, :] - a1[:, None])
-    pos = np.unique(diff)
-    mags = np.abs(torus.fourier_coeff_many(s, pos))
-    idx = np.searchsorted(pos, diff)
-    return float(math.sqrt(np.sum(mags[idx] ** 2)))
 
 
 def uniform_rayleigh_ap(s: IntervalSet, step: int, length: int) -> float:

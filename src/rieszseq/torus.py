@@ -6,11 +6,13 @@ wrap point is stored split, which makes the canonical form unique and set
 equality testable.  All values are immutable after construction and every
 operation is a pure function.
 
-Coefficients come from the closed form, one complex exponential per arc
-endpoint and frequency (`fourier_coeff_many`).  Where only Re c_hat along a
-progression d*step, d = 1..N, is needed, `fourier_coeff_real_ap` splits each
-phase as d = q*B + r with B ~ sqrt(N) and needs about 2*sqrt(N) sine/cosine
-pairs per endpoint, summing the products over endpoints pairwise.
+Every coefficient comes from the closed form, one complex exponential per
+arc endpoint and frequency (`fourier_coeff_many`), evaluated at exactly the
+frequencies a caller asks for; no coefficient is kept between calls.  Where
+only Re c_hat along a progression d*step, d = 1..N, is needed,
+`fourier_coeff_real_ap` splits each phase as d = q*B + r with B ~ sqrt(N)
+and needs about 2*sqrt(N) sine/cosine pairs per endpoint, summing the
+products over endpoints pairwise.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ import numpy as np
 from .errors import EmptyInput, InvalidArc, OverlapError, ResolutionError
 
 MEASURE_TOL = 1e-12
-
-# largest coefficient table we will materialize (two dense arrays of this length)
-TABLE_INDEX_CAP = 2 ** 25
 
 # elements per product block of fourier_coeff_real_ap; small enough to stay
 # in cache, which makes the block's several passes cheap
@@ -78,36 +77,6 @@ class IntervalSet:
             ends = np.array([a.end for a in self.arcs], dtype=np.float64)
             cached = (starts, ends)
             object.__setattr__(self, "_eps_cache", cached)
-        return cached
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Fourier coefficients c_hat(k) of an indicator for 0 <= k <= max_index.
-
-    Negative indices resolve through conjugate symmetry, so the table behaves
-    as a map on |k| <= max_index.  ``power(k)`` is |c_hat(k)|^2.
-    """
-
-    max_index: int
-    values: np.ndarray
-
-    def get(self, k: int) -> complex:
-        kk = abs(int(k))
-        if kk > self.max_index:
-            raise IndexError(f"|k| = {kk} exceeds table limit {self.max_index}")
-        v = complex(self.values[kk])
-        return v.conjugate() if k < 0 else v
-
-    def power(self, k: int) -> float:
-        return abs(self.get(k)) ** 2
-
-    def power_array(self) -> np.ndarray:
-        """|c_hat(k)|^2 for 0 <= k <= max_index (cached)."""
-        cached = self.__dict__.get("_pow_cache")
-        if cached is None:
-            cached = np.abs(self.values) ** 2
-            object.__setattr__(self, "_pow_cache", cached)
         return cached
 
 
@@ -289,19 +258,6 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
 def fourier_coeff(s: IntervalSet, k: int) -> complex:
     """Closed-form indicator coefficient c_hat(k) for a single integer k."""
     return complex(fourier_coeff_many(s, [int(k)])[0])
-
-
-def fourier_table(s: IntervalSet, max_index: int) -> CoefficientTable:
-    """Table of c_hat(k) for |k| <= max_index (stored for k >= 0)."""
-    max_index = int(max_index)
-    if max_index < 0:
-        raise InvalidArc(f"max_index must be >= 0, got {max_index}")
-    if max_index > TABLE_INDEX_CAP:
-        raise InvalidArc(
-            f"max_index {max_index} exceeds cap {TABLE_INDEX_CAP} "
-            f"(~{16 * max_index / 1e9:.1f} GB of coefficients)"
-        )
-    return CoefficientTable(max_index, fourier_coeff_many(s, np.arange(max_index + 1)))
 
 
 def quadrature_coeff(s: IntervalSet, k: int, points_per_unit: int) -> complex:

@@ -104,8 +104,7 @@ def test_criterion_3_small_step_decay_demo():
 def test_criterion_4_step_linear_build(tmp_path):
     t0 = time.perf_counter()
     s = torus.normalize([(0.0, 0.3)])
-    table = torus.fourier_table(s, 2000 * 2000)
-    hits = con.good_n_search(table, 0.075, (1, 2000))
+    hits = list(con.good_n_search(s, 0.075, (1, 2000)))
     assert len(hits) >= 3
     build = con.build_lambda_thm2(s, 3, eps=0.075, n_range=(1, 2000))
     assert len(build.blocks) == 3
@@ -131,10 +130,11 @@ def test_criterion_5_step_polynomial_build():
     s = torus.normalize([(0.0, 0.3)])
     build, rows = con.build_lambda_thm3(s, [1.5], [[16, 32]])
     assert len(rows) == 2
-    table = torus.fourier_table(s, max(con.strict_step_cap(n, 1.5) * n for n in (16, 32)))
+    span = max(con.strict_step_cap(n, 1.5) * n for n in (16, 32))
+    powers = np.abs(torus.fourier_coeff_many(s, np.arange(span + 1))) ** 2
     for row in rows:
         assert row.ell < row.length ** 1.5
-        search = con.step_search_alpha(table, 1.5, row.length, con.strict_step_cap(row.length, 1.5))
+        search = con.step_search_alpha(powers, 1.5, row.length, con.strict_step_cap(row.length, 1.5))
         assert search.grid_sum <= search.divisor_sum + 1e-12  # averaging certificate
         assert row.cert_lambda_min >= 0.075
     _announce(5, "steps below N^1.5 with exact averaging certificates; certs >= 0.075", t0, 60)

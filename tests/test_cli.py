@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rieszseq import cli, torus
+from rieszseq import cli, constructions, numtheory, torus
 
 
 def run(argv):
@@ -43,6 +43,21 @@ def test_set_build_invalid_epsilon(tmp_path):
 def test_set_info_full_circle(full_file, capsys):
     assert run(["set", "info", full_file, "--coeffs", 1]) == 0
     assert "measure=1.0 arcs=1" in capsys.readouterr().out
+
+
+SET_INFO_ARC03 = """measure=0.3 arcs=1
+c_hat(0) = (0.3+0j)
+c_hat(1) = (0.15136534572813143-0.20833652524606866j)
+c_hat(2) = (-0.046774464189431944-0.14395699839600817j)
+c_hat(3) = (-0.031182976126288016-0.010131963130591492j)
+"""
+
+
+def test_set_info_coefficients_frozen(arc03_file, capsys):
+    assert run(["set", "info", arc03_file, "--coeffs", 3]) == 0
+    assert capsys.readouterr().out == SET_INFO_ARC03
+    assert run(["set", "info", arc03_file, "--coeffs", -1]) == 2
+    assert "--coeffs must be >= 0" in capsys.readouterr().err
 
 
 # --- riesz -------------------------------------------------------------------
@@ -141,6 +156,21 @@ def test_thm2_csv(arc03_file, tmp_path):
         assert float(cert) >= float(target) - 1e-12
 
 
+def test_thm2_n_max_bounds_only_the_search(arc03_file, tmp_path):
+    small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+    args = ["thm2", arc03_file, "--count", 3, "--eps", 0.075]
+    assert run(args + ["--n-max", 2000, "--out", small]) == 0
+    assert run(args + ["--n-max", 100000, "--out", large]) == 0
+    assert large.read_bytes() == small.read_bytes()
+
+
+@pytest.mark.parametrize("scan", [["--scan-step", -1], ["--scan-step", 0],
+                                  ["--scan-start", 5, "--scan-cap", 4]])
+def test_thm2_rejects_empty_shift_scan(arc03_file, capsys, scan):
+    assert run(["thm2", arc03_file, "--count", 3, "--eps", 0.075, "--n-max", 50, *scan]) == 2
+    assert "shift scan needs step >= 1 and start <= cap" in capsys.readouterr().err
+
+
 def test_thm2_full_circle_certs(full_file, tmp_path, capsys):
     assert run(["thm2", full_file, "--count", 3, "--n-max", 10]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -159,6 +189,16 @@ def test_thm3_csv_and_empty_range(arc03_file, tmp_path):
         assert float(cert) >= 0.075
     assert run(["thm3", arc03_file, "--alphas", "1.5", "--n-ranges", "",
                 "--out", tmp_path / "x.csv"]) == 2
+
+
+def test_thm3_sieve_cap_checked_before_coefficients(arc03_file, tmp_path, monkeypatch, capsys):
+    assert constructions.strict_step_cap(272, 2.0) * 272 > numtheory.SIEVE_LIMIT
+    calls = []
+    monkeypatch.setattr(torus, "fourier_coeff_many", lambda *args: calls.append(args))
+    assert run(["thm3", arc03_file, "--alphas", "2.0", "--n-ranges", "272",
+                "--out", tmp_path / "x.csv"]) == 2
+    assert calls == []
+    assert f"exceeds cap {numtheory.SIEVE_LIMIT}" in capsys.readouterr().err
 
 
 def test_thm3_span_syntax(full_file, tmp_path):

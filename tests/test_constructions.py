@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -14,6 +15,11 @@ from rieszseq.errors import (
 
 FULL = torus.normalize([(0.0, 1.0)])
 ARC03 = torus.normalize([(0.0, 0.3)])
+
+
+def coeff_powers(s, max_k):
+    """|c_hat(k)|^2 for k = 0..max_k."""
+    return np.abs(torus.fourier_coeff_many(s, np.arange(max_k + 1))) ** 2
 
 
 def lambda_min(s, freqs):
@@ -146,32 +152,41 @@ def test_block_examples():
 
 
 def test_good_n_search_full_circle():
-    table = torus.fourier_table(FULL, 100)
-    assert con.good_n_search(table, 1e-9, (1, 10)) == list(range(1, 11))
+    assert list(con.good_n_search(FULL, 1e-9, (1, 10))) == list(range(1, 11))
 
 
 def test_good_n_search_half_circle_even_lengths():
     # even n make every sampled coefficient an even index, which vanishes
-    table = torus.fourier_table(torus.normalize([(0.0, 0.5)]), 400)
-    hits = con.good_n_search(table, 1e-12, (1, 20))
+    hits = con.good_n_search(torus.normalize([(0.0, 0.5)]), 1e-12, (1, 20))
     assert set(range(2, 21, 2)) <= set(hits)
 
 
 def test_good_n_search_arc03_frozen():
-    # sums from the exhaustive scan with closed-form coefficients
-    table = torus.fourier_table(ARC03, 100)
-    hits = con.good_n_search(table, 0.075, (1, 10))
+    # sums from the scan with closed-form coefficients
+    hits = list(con.good_n_search(ARC03, 0.075, (1, 10)))
     assert hits[:3] == [1, 2, 3]
-    powers = table.power_array()
+    powers = coeff_powers(ARC03, 9)
     assert float(powers[[1]].sum()) == pytest.approx(0.06631557563900257, rel=1e-12)
     assert float(powers[[2, 4]].sum()) == pytest.approx(0.025099318387605207, rel=1e-12)
     assert float(powers[[3, 6, 9]].sum()) == pytest.approx(0.002866123487423018, rel=1e-12)
 
 
-def test_good_n_search_table_guard():
-    table = torus.fourier_table(ARC03, 50)
-    with pytest.raises(TableTooSmall):
-        con.good_n_search(table, 0.1, (1, 10))
+def test_good_n_search_is_lazy(monkeypatch):
+    evaluated, coeff = [], torus.fourier_coeff_many
+
+    def spy(s, ks):
+        evaluated.extend(np.atleast_1d(ks).tolist())
+        return coeff(s, ks)
+
+    monkeypatch.setattr(torus, "fourier_coeff_many", spy)
+    hits = con.good_n_search(ARC03, 0.075, (1, 10 ** 6))
+    assert evaluated == []
+    assert list(islice(hits, 3)) == [1, 2, 3]
+    assert evaluated == [1, 2, 4, 3, 6, 9]  # each length n evaluates only l*n, l <= n
+    with pytest.raises(ValueError):  # arguments are checked before any iteration
+        con.good_n_search(ARC03, 0.0, (1, 10))
+    with pytest.raises(ValueError):
+        con.good_n_search(ARC03, 0.075, (5, 4))
 
 
 # --- shift selection --------------------------------------------------------------
@@ -322,18 +337,22 @@ def test_build_thm2_not_enough_blocks():
         con.build_lambda_thm2(ARC03, 5, eps=0.075, n_range=(1, 2))
 
 
+def test_build_thm2_range_bounds_only_the_search():
+    # the build stops at the third placed block, so a far larger n_range costs nothing
+    wide = con.build_lambda_thm2(ARC03, 3, eps=0.075, n_range=(1, 10 ** 6))
+    assert wide == con.build_lambda_thm2(ARC03, 3, eps=0.075, n_range=(1, 50))
+
+
 # --- divisor-averaged step search ----------------------------------------------------
 
 def test_step_search_full_circle():
-    table = torus.fourier_table(FULL, 200)
-    res = con.step_search_alpha(table, 1.5, 4)
+    res = con.step_search_alpha(coeff_powers(FULL, 200), 1.5, 4)
     assert res.ell == 1 and res.total == 0.0
 
 
 def test_step_search_arc03_certificate_frozen():
     # both sides of the averaging inequality, evaluated directly
-    table = torus.fourier_table(ARC03, 63 * 16)
-    res = con.step_search_alpha(table, 1.5, 16, l_cap=63)
+    res = con.step_search_alpha(coeff_powers(ARC03, 63 * 16), 1.5, 16, l_cap=63)
     assert res.ell == 10 and res.total == 0.0
     assert res.grid_sum == pytest.approx(0.15829500586637213, rel=1e-12)
     assert res.divisor_sum == pytest.approx(0.1640554668213454, rel=1e-12)
@@ -341,17 +360,16 @@ def test_step_search_arc03_certificate_frozen():
 
 
 def test_step_search_min_below_mean():
-    table = torus.fourier_table(ARC03, 20 * 8)
-    res = con.step_search_alpha(table, 1.2, 8, l_cap=20)
+    res = con.step_search_alpha(coeff_powers(ARC03, 20 * 8), 1.2, 8, l_cap=20)
     assert res.total <= res.grid_sum / 20 + 1e-15
 
 
 def test_step_search_guards():
-    table = torus.fourier_table(ARC03, 100)
+    powers = coeff_powers(ARC03, 100)
     with pytest.raises(TableTooSmall):
-        con.step_search_alpha(table, 1.5, 32)
+        con.step_search_alpha(powers, 1.5, 32)
     with pytest.raises(ValueError):
-        con.step_search_alpha(table, 0.9, 4)
+        con.step_search_alpha(powers, 0.9, 4)
 
 
 def test_strict_step_cap():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rieszseq import spectral, torus
-from rieszseq.errors import DegenerateSet, DimensionMismatch, OverlapError
+from rieszseq.errors import DegenerateSet, DimensionMismatch
 
 HALF = torus.normalize([(0.0, 0.5)])
 FULL = torus.normalize([(0.0, 1.0)])
@@ -104,10 +104,10 @@ def test_riesz_report_examples():
 
 
 def test_cs_lower_bound_examples():
-    assert spectral.cs_lower_bound(FULL, spectral.frequency_set([1, 4, 9])) == 1.0
-    got = spectral.cs_lower_bound(HALF, spectral.frequency_set([0, 1]))
+    assert spectral.riesz_report(FULL, spectral.frequency_set([1, 4, 9])).cs_lower == 1.0
+    got = spectral.riesz_report(HALF, spectral.frequency_set([0, 1])).cs_lower
     assert got == pytest.approx(0.5 - math.sqrt(2) / math.pi, abs=1e-12)
-    assert spectral.cs_lower_bound(HALF, spectral.frequency_set([42])) == 0.5
+    assert spectral.riesz_report(HALF, spectral.frequency_set([42])).cs_lower == 0.5
 
 
 def test_random_instance_invariants(rng=np.random.RandomState(22)):
@@ -181,20 +181,11 @@ def test_uniform_rayleigh_ap_longdouble_oracle():
     assert float(abs(got - want) / want) <= 1e-10
 
 
-# --- cross-block bound ----------------------------------------------------------
-
-def test_cross_block_examples():
-    f1 = spectral.frequency_set([0, 5])
-    f2 = spectral.frequency_set([1, 7])
-    assert spectral.cross_block_bound(FULL, f1, f2) == 0.0
-    got = spectral.cross_block_bound(HALF, spectral.frequency_set([0]), spectral.frequency_set([1]))
-    assert got == pytest.approx(1.0 / math.pi, abs=1e-15)
-    with pytest.raises(OverlapError):
-        spectral.cross_block_bound(HALF, f1, spectral.frequency_set([5]))
-
+# --- cross-block perturbation ----------------------------------------------------
 
 def test_cross_block_perturbation_bound(rng=np.random.RandomState(23)):
-    """lambda_min of the union dips below the blockwise minimum by at most the bound."""
+    """lambda_min of the union dips below the blockwise minimum by at most the
+    Frobenius norm of the cross block between the two frequency sets."""
     for _ in range(40):
         s = random_set(rng)
         all_freqs = rng.choice(np.arange(-60, 61), size=12, replace=False)
@@ -203,8 +194,11 @@ def test_cross_block_perturbation_bound(rng=np.random.RandomState(23)):
         lo1, _ = spectral.extreme_eigs(spectral.gram(s, f1))
         lo2, _ = spectral.extreme_eigs(spectral.gram(s, f2))
         union = spectral.frequency_set(all_freqs.tolist())
-        lo, _ = spectral.extreme_eigs(spectral.gram(s, union))
-        assert lo >= min(lo1, lo2) - spectral.cross_block_bound(s, f1, f2) - 1e-9
+        g = spectral.gram(s, union)
+        in1 = np.isin(union.array(), f1.array())
+        cross = np.linalg.norm(g.entries[np.ix_(in1, ~in1)])
+        lo, _ = spectral.extreme_eigs(g)
+        assert lo >= min(lo1, lo2) - cross - 1e-9
 
 
 # --- dirichlet tail --------------------------------------------------------------

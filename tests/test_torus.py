@@ -217,34 +217,35 @@ def test_quadrature_basics():
         torus.quadrature_coeff(s, 64, 100)
 
 
-# --- coefficient table -----------------------------------------------------
+# --- coefficients over a range of k -------------------------------------------
 
-def test_fourier_table_examples():
+def test_fourier_coeff_many_examples():
     full = torus.normalize([(0.0, 1.0)])
-    t = torus.fourier_table(full, 4)
-    assert t.get(0) == 1.0 and all(t.get(k) == 0.0 for k in (1, 2, 3, 4))
+    c = torus.fourier_coeff_many(full, np.arange(5))
+    assert c[0] == 1.0 and all(c[k] == 0.0 for k in (1, 2, 3, 4))
 
     s = torus.normalize([(0.0, 0.5)])
-    t = torus.fourier_table(s, 2)
-    assert t.get(0) == pytest.approx(0.5)
-    assert abs(t.get(1)) == pytest.approx(1.0 / math.pi, abs=1e-15)
-    assert abs(t.get(-1)) == pytest.approx(1.0 / math.pi, abs=1e-15)
-    assert t.get(2) == 0.0
+    c = dict(zip(range(-1, 3), torus.fourier_coeff_many(s, [-1, 0, 1, 2])))
+    assert c[0] == pytest.approx(0.5)
+    assert abs(c[1]) == pytest.approx(1.0 / math.pi, abs=1e-15)
+    assert abs(c[-1]) == pytest.approx(1.0 / math.pi, abs=1e-15)
+    assert c[2] == 0.0
 
-    t0 = torus.fourier_table(s, 0)
-    assert t0.max_index == 0 and t0.get(0) == pytest.approx(s.measure)
+    c0 = torus.fourier_coeff_many(s, 0)
+    assert c0.shape == (1,) and c0[0] == pytest.approx(s.measure)
 
 
 def test_table_invariants(rng=np.random.RandomState(8)):
     s = random_three_arc_set(rng)
-    table = torus.fourier_table(s, 64)
-    assert table.get(0).imag == 0.0
-    assert table.get(0).real == pytest.approx(s.measure)
+    ks = np.arange(-64, 65)
+    c = dict(zip(ks.tolist(), torus.fourier_coeff_many(s, ks)))
+    assert c[0].imag == 0.0
+    assert c[0].real == pytest.approx(s.measure)
     for k in range(-64, 65):
-        assert table.get(-k) == table.get(k).conjugate()
-        assert abs(table.get(k)) <= s.measure + 1e-15
+        assert c[-k] == c[k].conjugate()
+        assert abs(c[k]) <= s.measure + 1e-15
     # Bessel: partial sums of |c_hat|^2 are nondecreasing and bounded by |S|
-    powers = table.power_array()
+    powers = [abs(c[k]) ** 2 for k in range(65)]
     partial = powers[0]
     for k in range(1, 65):
         nxt = partial + 2 * powers[k]
