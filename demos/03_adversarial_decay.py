@@ -20,7 +20,7 @@ print(f"summability: certified total {bound:.6f} < eps/2 = {budget}")
 for alpha, (start, vals, inc) in con.schedule_condition_b(sched).items():
     print(f"growth of delta(ell)*ell^(1/{alpha}): sampled from {start}, increasing = {inc}")
 
-s = con.build_adversarial_set(EPSILON, L_MAX, sched)
+s = con.build_adversarial_set(EPSILON, L_MAX)
 print(f"\nadversarial set: {len(s.arcs)} arcs, measure {s.measure:.6f} > {1 - EPSILON}")
 
 print("\nuniform-vector energy of {ell, 2 ell, ..., N ell} on S, with its bound:")

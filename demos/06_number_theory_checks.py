@@ -15,7 +15,7 @@ print("all primes up to 100:", "disjoint" if ok else f"violation {witness}")
 print("primality is necessary: B_2 & B_4 =", numtheory.block_intersection(2, 4))
 
 print("\n== divisor counts ==")
-counts = numtheory.sieve_divisors(10 ** 4).counts
+counts = numtheory.sieve_divisors(10 ** 4)
 sample = [1, 12, 64, 720, 1000, 1024, 5040, 9240]
 print({n: int(counts[n]) for n in sample})
 mismatches = sum(

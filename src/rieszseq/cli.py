@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import constructions, numtheory, spectral, torus
 from .errors import (
@@ -104,43 +103,39 @@ def _cmd_set_info(args) -> int:
     return EXIT_OK
 
 
-def _frequencies_from_args(args) -> spectral.FrequencySet:
-    if args.freqs:
-        return spectral.frequency_set(_parse_int_list(args.freqs))
-    if args.ap:
-        shift, step, length = _parse_int_list(args.ap)
-        return spectral.arithmetic_progression(shift, step, length)
-    build, _ = constructions.load_build(args.build)
-    return spectral.frequency_set(build.frequencies().tolist())
-
-
 def _cmd_riesz(args) -> int:
     s = torus.load_set(args.setfile)
-    if args.verify:
-        if not args.build:
-            raise ValueError("--verify needs --build")
+    if args.build is not None:
         build, _ = constructions.load_build(args.build)
-        rows = constructions.verify_build(s, build)
-        for row in rows:
-            print(
-                f"block {row.index}: stated={row.stated!r} "
-                f"recomputed={row.recomputed!r} {'ok' if row.ok else 'MISMATCH'}"
-            )
-        if not all(row.ok for row in rows):
-            raise CertificateMismatch("stored certificates do not match recomputation")
-    freqs = _frequencies_from_args(args)
-    report = spectral.riesz_report(s, freqs)
-    header = ["lower", "upper", "cs_lower", "offdiag_energy", "size"]
-    row = [report.lower, report.upper, report.cs_lower, report.offdiag_energy, report.size]
-    _emit(args, header, [row], report.to_dict())
+        if args.verify:
+            rows = constructions.verify_build(s, build)
+            for row in rows:
+                print(
+                    f"block {row.index}: stated={row.stated!r} "
+                    f"recomputed={row.recomputed!r} {'ok' if row.ok else 'MISMATCH'}"
+                )
+            if not all(row.ok for row in rows):
+                raise CertificateMismatch("stored certificates do not match recomputation")
+        freqs = spectral.frequency_set(build.frequencies().tolist())
+    elif args.verify:
+        raise ValueError("--verify needs --build")
+    elif args.freqs is not None:
+        freqs = spectral.frequency_set(_parse_int_list(args.freqs))
+    else:
+        shift, step, length = _parse_int_list(args.ap)
+        freqs = spectral.arithmetic_progression(shift, step, length)
+    payload = dataclasses.asdict(spectral.riesz_report(s, freqs))
+    _emit(args, list(payload), [list(payload.values())], payload)
     return EXIT_OK
 
 
 def _cmd_thm1(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     ells = _parse_int_list(args.ells)
     lengths = _parse_int_list(args.enns)
     sched = constructions.delta_schedule(args.epsilon)
-    s = constructions.build_adversarial_set(args.epsilon, args.lmax, sched)
+    s = constructions.build_adversarial_set(args.epsilon, args.lmax)
     cells = [(ell, n) for ell in ells for n in lengths]
 
     def run(cell):
@@ -155,20 +150,9 @@ def _cmd_thm1(args) -> int:
     else:
         results = [run(c) for c in cells]
     results.sort(key=lambda c: (c.ell, c.length))
-    rows = [
-        [c.ell, c.length, c.delta, c.rayleigh_uniform, c.tail_bound] for c in results
-    ]
-    payload = [
-        {
-            "ell": c.ell,
-            "N": c.length,
-            "delta": c.delta,
-            "rayleigh_uniform": c.rayleigh_uniform,
-            "tail_bound": c.tail_bound,
-        }
-        for c in results
-    ]
-    _emit(args, ["ell", "N", "delta", "rayleigh_uniform", "tail_bound"], rows, payload)
+    header = ["ell", "N", "delta", "rayleigh_uniform", "tail_bound"]
+    rows = [[c.ell, c.length, c.delta, c.rayleigh_uniform, c.tail_bound] for c in results]
+    _emit(args, header, rows, [dict(zip(header, row)) for row in rows])
     if args.plot:
         _decay_plot(args.plot, results)
     return EXIT_OK
@@ -219,8 +203,8 @@ def _cmd_verify(args) -> int:
         if composite != [4]:
             failures.append("composite counterexample not detected")
     elif args.what == "divisors":
-        primes = set(numtheory.sieve_primes(args.limit).primes.tolist())
-        counts = numtheory.sieve_divisors(args.limit).counts
+        primes = set(numtheory.sieve_primes(args.limit).tolist())
+        counts = numtheory.sieve_divisors(args.limit)
         for n in range(1, args.limit + 1):
             if (n in primes) != numtheory.is_prime_naive(n):
                 failures.append(f"primality mismatch at {n}")
@@ -362,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--count", type=int, default=3)
     p2.add_argument("--eps", type=float, default=None)
     p2.add_argument("--n-max", type=int, default=2000)
-    p2.add_argument("--workers", type=int, default=1)  # builders are sequential
     p2.add_argument("--build-out", default=None)
     _add_scan_flags(p2)
     _add_output_flags(p2)
@@ -372,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p3.add_argument("setfile")
     p3.add_argument("--alphas", required=True, help="decreasing list, e.g. 2.0,1.5")
     p3.add_argument("--n-ranges", required=True, help="per-alpha lengths, e.g. '4:5;6:7'")
-    p3.add_argument("--workers", type=int, default=1)  # builders are sequential
     p3.add_argument("--build-out", default=None)
     _add_scan_flags(p3)
     _add_output_flags(p3)

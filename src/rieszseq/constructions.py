@@ -11,6 +11,7 @@ Searches are deterministic with smallest-index tie-breaking throughout.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -37,22 +38,19 @@ SUBSTITUTION_TOL = 1e-9
 # -------------------------------------------------------------------------
 
 _SCHEDULE_PARTIAL_TERMS = 10 ** 6
-_C0_CACHE: float | None = None
 
 
+@functools.cache
 def _weight_sum_bound() -> float:
     """Certified upper bound for sum_{ell>=1} 1/(ell * log^2(ell+1)).
 
     Partial sum plus the integral tail bound 1/log(L), padded by 1e-3 so the
     summability check below stays strictly inside the budget.
     """
-    global _C0_CACHE
-    if _C0_CACHE is None:
-        ell = np.arange(1, _SCHEDULE_PARTIAL_TERMS + 1, dtype=np.float64)
-        partial = float(np.sum(1.0 / (ell * np.log(ell + 1.0) ** 2)))
-        tail = 1.0 / math.log(_SCHEDULE_PARTIAL_TERMS)
-        _C0_CACHE = partial + tail + 1e-3
-    return _C0_CACHE
+    ell = np.arange(1, _SCHEDULE_PARTIAL_TERMS + 1, dtype=np.float64)
+    partial = float(np.sum(1.0 / (ell * np.log(ell + 1.0) ** 2)))
+    tail = 1.0 / math.log(_SCHEDULE_PARTIAL_TERMS)
+    return partial + tail + 1e-3
 
 
 @dataclass(frozen=True)
@@ -136,8 +134,9 @@ def schedule_widths_ok(sched: DeltaSchedule, upto: int = 10 ** 5) -> bool:
 # adversarial set and the small-step decay demo
 # -------------------------------------------------------------------------
 
-def build_adversarial_set(epsilon: float, l_max: int, sched: DeltaSchedule | None = None) -> IntervalSet:
-    """Complement of the union over ell <= l_max of periodized width-delta(ell) arcs.
+def build_adversarial_set(epsilon: float, l_max: int) -> IntervalSet:
+    """Complement of the union over ell <= l_max of periodized width-delta(ell) arcs,
+    delta from delta_schedule(epsilon).
 
     Measure exceeds 1 - epsilon because the removed arcs total less than
     2 * sum delta(ell) < epsilon.
@@ -145,8 +144,7 @@ def build_adversarial_set(epsilon: float, l_max: int, sched: DeltaSchedule | Non
     l_max = int(l_max)
     if l_max < 1:
         raise ScheduleError(f"l_max must be >= 1, got {l_max}")
-    if sched is None:
-        sched = delta_schedule(epsilon)
+    sched = delta_schedule(epsilon)
     if sched.delta(l_max) >= 1.0 / (2 * l_max):
         raise ScheduleError(f"delta({l_max}) too wide for disjoint periodization")
     raw = []
@@ -196,7 +194,7 @@ def theorem1_demo(epsilon: float, l_max: int, ell: int, length: int) -> Thm1Cell
     if not (1 <= ell <= int(l_max)):
         raise ScheduleError(f"ell must lie in [1, l_max], got {ell}")
     sched = delta_schedule(epsilon)
-    s = build_adversarial_set(epsilon, l_max, sched)
+    s = build_adversarial_set(epsilon, l_max)
     return thm1_cell(s, sched, ell, length)
 
 
@@ -224,7 +222,8 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Deterministic shift scan: start, start + step, ... up to cap; never empty."""
+    """Deterministic shift scan: start, start + step, ... up to cap; never empty,
+    and every shift is below FREQ_LIMIT in absolute value."""
 
     start: int = 0
     step: int = 1
@@ -235,6 +234,11 @@ class ScanConfig:
             raise ValueError(
                 f"shift scan needs step >= 1 and start <= cap, "
                 f"got start {self.start}, step {self.step}, cap {self.cap}"
+            )
+        if max(abs(self.start), abs(self.cap)) >= spectral.FREQ_LIMIT:
+            raise ValueError(
+                f"shift scan bounds must satisfy |start|, |cap| < 2^62, "
+                f"got start {self.start}, cap {self.cap}"
             )
 
 
@@ -413,7 +417,6 @@ class StepSearchResult:
     total: float            # sum_{n<=N} |c_hat(n*ell)|^2 at the chosen step
     grid_sum: float         # sum over all steps l <= L of the above
     divisor_sum: float      # sum_{k<=L*N} d(k) |c_hat(k)|^2, the averaging majorant
-    measured_exponent: float
 
 
 def step_search_alpha(
@@ -421,6 +424,7 @@ def step_search_alpha(
 ) -> StepSearchResult:
     """Step l <= L minimizing sum_{n<=N} |c_hat(n*l)|^2 (ties to the smallest l).
 
+    L is l_cap, by default strict_step_cap(N, alpha), the largest step below N^alpha.
     powers[k] = |c_hat(k)|^2 for k = 0..K, with K >= L*N; a caller running
     several searches computes it once at the largest L*N.
     Each integer k = n*l is hit at most d(k) times across the whole grid, so
@@ -435,7 +439,7 @@ def step_search_alpha(
     if alpha <= 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     if l_cap is None:
-        l_cap = int(math.ceil(length ** alpha))
+        l_cap = strict_step_cap(length, alpha)
     l_cap = int(l_cap)
     if l_cap < 1:
         raise ValueError(f"step cap must be >= 1, got {l_cap}")
@@ -449,14 +453,13 @@ def step_search_alpha(
     best = int(np.argmin(sums))  # first minimum, so smallest step wins ties
     total = float(sums[best])
     grid_sum = float(sums.sum())
-    counts = numtheory.sieve_divisors(span).counts
+    counts = numtheory.sieve_divisors(span)
     divisor_sum = float(np.sum(counts[1 : span + 1] * powers[1 : span + 1]))
     if grid_sum > divisor_sum + 1e-12:
         raise PropertyViolation(
             f"averaging certificate failed: {grid_sum} > {divisor_sum}"
         )
-    measured = (-math.log(total) / math.log(length) - 1.0) if (total > 0.0 and length > 1) else math.inf
-    return StepSearchResult(best + 1, total, grid_sum, divisor_sum, measured)
+    return StepSearchResult(best + 1, total, grid_sum, divisor_sum)
 
 
 def strict_step_cap(length: int, alpha: float) -> int:

@@ -13,18 +13,6 @@ from .errors import RieszSeqError
 SIEVE_LIMIT = 10 ** 7
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    limit: int
-    primes: np.ndarray
-
-
-@dataclass(frozen=True)
-class DivisorTable:
-    limit: int
-    counts: np.ndarray  # counts[k] = number of divisors of k; counts[0] unused
-
-
 def check_limit(limit: int, bytes_per_entry: int) -> int:
     """limit as an int, or RieszSeqError if a sieve of that size exceeds SIEVE_LIMIT."""
     limit = int(limit)
@@ -36,8 +24,8 @@ def check_limit(limit: int, bytes_per_entry: int) -> int:
     return limit
 
 
-def sieve_primes(limit: int) -> PrimeTable:
-    """All primes <= limit by the classic sieve."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, by the classic sieve."""
     limit = check_limit(limit, 1)
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -46,11 +34,11 @@ def sieve_primes(limit: int) -> PrimeTable:
     for p in range(2, int(limit ** 0.5) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return PrimeTable(limit, np.flatnonzero(flags).astype(np.int64))
+    return np.flatnonzero(flags).astype(np.int64)
 
 
-def sieve_divisors(limit: int) -> DivisorTable:
-    """Exact divisor counts d(1..limit) by multiple-marking.
+def sieve_divisors(limit: int) -> np.ndarray:
+    """counts[k] = d(k), the exact divisor count, for k <= limit (counts[0] = 0).
 
     Divisors of k pair up as i * (k/i) with i <= sqrt(k), so each i <= sqrt(limit)
     marks its multiples from i^2 on twice, and the square i^2 once.
@@ -62,7 +50,7 @@ def sieve_divisors(limit: int) -> DivisorTable:
     for i in range(1, math.isqrt(limit) + 1):
         counts[i * i :: i] += 2
         counts[i * i] -= 1
-    return DivisorTable(limit, counts)
+    return counts
 
 
 def is_prime_naive(n: int) -> bool:
@@ -110,7 +98,7 @@ def prime_blocks_disjoint(limit: int):
     """
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
-    primes = sieve_primes(limit).primes.tolist()
+    primes = sieve_primes(limit).tolist()
     blocks = {p: set(multiples_block(p).tolist()) for p in primes}
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:
@@ -138,7 +126,7 @@ def divisor_growth_report(limit: int, exponent: float, lo: int = 1) -> GrowthRep
     lo = max(1, int(lo))
     if lo > limit:
         raise ValueError(f"lo = {lo} exceeds limit = {limit}")
-    counts = sieve_divisors(limit).counts
+    counts = sieve_divisors(limit)
     n = np.arange(lo, limit + 1, dtype=np.float64)
     ratios = counts[lo:] / n ** exponent
     i = int(np.argmax(ratios))
@@ -147,7 +135,7 @@ def divisor_growth_report(limit: int, exponent: float, lo: int = 1) -> GrowthRep
 
 def divisor_sum_identity(limit: int) -> tuple[int, int]:
     """Both sides of sum_{k<=K} d(k) = sum_{l<=K} floor(K/l); exact integers."""
-    counts = sieve_divisors(limit).counts
+    counts = sieve_divisors(limit)
     lhs = int(counts[1:].sum())
     rhs = sum(limit // ell for ell in range(1, limit + 1))
     return lhs, rhs

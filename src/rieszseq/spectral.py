@@ -64,7 +64,6 @@ def arithmetic_progression(shift: int, step: int, length: int) -> FrequencySet:
 @dataclass(frozen=True)
 class GramMatrix:
     entries: np.ndarray
-    freqs: FrequencySet
     set_digest: str
 
     @property
@@ -81,15 +80,6 @@ class RieszReport:
     cs_lower: float
     offdiag_energy: float
     size: int
-
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "cs_lower": self.cs_lower,
-            "offdiag_energy": self.offdiag_energy,
-            "size": self.size,
-        }
 
 
 def gram(s: IntervalSet, freqs: FrequencySet) -> GramMatrix:
@@ -108,7 +98,7 @@ def gram(s: IntervalSet, freqs: FrequencySet) -> GramMatrix:
         coeff = vals[idx]
         entries = np.where(diff > 0, coeff, np.conj(coeff))
     np.fill_diagonal(entries, s.measure)
-    return GramMatrix(entries, freqs, torus.set_digest(s))
+    return GramMatrix(entries, torus.set_digest(s))
 
 
 def extreme_eigs(g: GramMatrix) -> tuple[float, float]:

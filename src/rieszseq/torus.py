@@ -17,6 +17,7 @@ products over endpoints pairwise.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -70,14 +71,11 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.arcs
 
+    @functools.cached_property
     def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        cached = self.__dict__.get("_eps_cache")
-        if cached is None:
-            starts = np.array([a.start for a in self.arcs], dtype=np.float64)
-            ends = np.array([a.end for a in self.arcs], dtype=np.float64)
-            cached = (starts, ends)
-            object.__setattr__(self, "_eps_cache", cached)
-        return cached
+        starts = np.array([a.start for a in self.arcs], dtype=np.float64)
+        ends = np.array([a.end for a in self.arcs], dtype=np.float64)
+        return starts, ends
 
 
 def normalize(raw_arcs: Iterable[Sequence[float]]) -> IntervalSet:
@@ -169,7 +167,7 @@ def contains(s: IntervalSet, x: float) -> bool:
     xm = x - math.floor(x)
     if xm >= 1.0:
         xm = 0.0
-    starts, ends = s._endpoints()
+    starts, ends = s._endpoints
     if starts.size == 0:
         return False
     i = bisect_right(starts, xm) - 1
@@ -186,7 +184,7 @@ def fourier_coeff_many(s: IntervalSet, ks) -> np.ndarray:
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
     out = np.empty(ks.shape[0], dtype=np.complex128)
-    starts, ends = s._endpoints()
+    starts, ends = s._endpoints
     zero = ks == 0
     out[zero] = s.measure
     kk = ks[~zero].astype(np.float64)
@@ -230,7 +228,7 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
         raise ValueError(f"step must be positive, got {step}")
     if count < 1:
         return np.empty(0, dtype=np.float64)
-    starts, ends = s._endpoints()
+    starts, ends = s._endpoints
     xs = np.concatenate([starts, ends])
     ws = np.concatenate([-np.ones_like(starts), np.ones_like(ends)])
     b = math.isqrt(count) + 1

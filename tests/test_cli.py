@@ -87,6 +87,8 @@ def test_riesz_ap_and_csv(full_file, tmp_path):
 def test_riesz_invalid_input(full_file, tmp_path):
     assert run(["riesz", tmp_path / "missing.json", "--freqs", "1"]) == 2
     assert run(["riesz", full_file, "--freqs", "not-numbers"]) == 2
+    assert run(["riesz", full_file, "--freqs="]) == 2
+    assert run(["riesz", full_file, "--ap="]) == 2
 
 
 
@@ -112,6 +114,18 @@ def test_riesz_build_verify_and_tamper(arc03_file, tmp_path):
                 "--out", tmp_path / "rep2.json"]) == 3
 
 
+def test_riesz_build_verify_reads_build_once(arc03_file, tmp_path, monkeypatch):
+    build_path = tmp_path / "build.json"
+    assert run(["thm2", arc03_file, "--count", 2, "--eps", 0.075,
+                "--out", tmp_path / "t2.csv", "--build-out", build_path]) == 0
+    calls = []
+    load = constructions.load_build
+    monkeypatch.setattr(constructions, "load_build", lambda path: calls.append(path) or load(path))
+    assert run(["riesz", arc03_file, "--build", build_path, "--verify",
+                "--out", tmp_path / "rep.json"]) == 0
+    assert calls == [str(build_path)]
+
+
 # --- theorem drivers ------------------------------------------------------------
 
 def test_thm1_csv_grid(tmp_path):
@@ -134,6 +148,14 @@ def test_thm1_workers_byte_identical(tmp_path):
     assert run(args + ["--workers", 1, "--out", a]) == 0
     assert run(args + ["--workers", 8, "--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_thm1_rejects_workers_below_one(tmp_path, capsys, workers):
+    assert run(["thm1", "--lmax", 8, "--ells", "2", "--enns", "64", "--workers", workers,
+                "--out", tmp_path / "t1.csv"]) == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "t1.csv").exists()
 
 
 def test_thm1_plot(tmp_path):
@@ -164,11 +186,44 @@ def test_thm2_n_max_bounds_only_the_search(arc03_file, tmp_path):
     assert large.read_bytes() == small.read_bytes()
 
 
-@pytest.mark.parametrize("scan", [["--scan-step", -1], ["--scan-step", 0],
-                                  ["--scan-start", 5, "--scan-cap", 4]])
-def test_thm2_rejects_empty_shift_scan(arc03_file, capsys, scan):
+EMPTY_SCAN = "shift scan needs step >= 1 and start <= cap"
+SCAN_RANGE = "shift scan bounds must satisfy |start|, |cap| < 2^62"
+
+
+@pytest.mark.parametrize("scan,message", [
+    pytest.param(scan, message, id=f"scan{i}") for i, (scan, message) in enumerate([
+        (["--scan-step", -1], EMPTY_SCAN),
+        (["--scan-step", 0], EMPTY_SCAN),
+        (["--scan-start", 5, "--scan-cap", 4], EMPTY_SCAN),
+        (["--scan-start", 2 ** 63 + 2, "--scan-cap", 2 ** 63 + 12], SCAN_RANGE),
+        (["--scan-start", 2 ** 62, "--scan-cap", 2 ** 62 + 1], SCAN_RANGE),
+        (["--scan-start", -(2 ** 62), "--scan-cap", 0], SCAN_RANGE),
+        (["--scan-cap", 2 ** 62], SCAN_RANGE),
+    ])
+])
+def test_thm2_rejects_empty_shift_scan(arc03_file, capsys, scan, message):
     assert run(["thm2", arc03_file, "--count", 3, "--eps", 0.075, "--n-max", 50, *scan]) == 2
-    assert "shift scan needs step >= 1 and start <= cap" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_thm3_rejects_out_of_range_shift_scan(arc03_file, capsys):
+    assert run(["thm3", arc03_file, "--alphas", "1.5", "--n-ranges", "16",
+                "--scan-start", 2 ** 63 - 8, "--scan-cap", 2 ** 63 + 2]) == 2
+    assert SCAN_RANGE in capsys.readouterr().err
+
+
+def test_thm2_accepts_shift_scan_just_inside_range(arc03_file, capsys):
+    assert run(["thm2", arc03_file, "--count", 1, "--eps", 0.075,
+                "--scan-start", -(2 ** 62 - 1), "--scan-cap", 2 ** 62 - 1]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[2] == str(-(2 ** 62 - 1))
+
+
+@pytest.mark.parametrize("command", [["thm2"], ["thm3", "--alphas", "1.5", "--n-ranges", "16"]])
+def test_thm2_thm3_have_no_workers_option(arc03_file, command):
+    # thm2/thm3 place blocks one after another, so a worker count has nothing to split
+    with pytest.raises(SystemExit) as exc:
+        run([command[0], arc03_file, *command[1:], "--workers", 2])
+    assert exc.value.code == 2
 
 
 def test_thm2_full_circle_certs(full_file, tmp_path, capsys):

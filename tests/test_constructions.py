@@ -82,7 +82,7 @@ def test_schedule_widths():
 
 def test_adversarial_single_term():
     sched = con.delta_schedule(0.25)
-    s = con.build_adversarial_set(0.25, 1, sched)
+    s = con.build_adversarial_set(0.25, 1)
     assert s.measure == pytest.approx(1 - 2 * sched.delta(1), abs=1e-12)
 
 
@@ -101,7 +101,7 @@ def test_adversarial_monotone_in_lmax():
 
 def test_adversarial_omits_periodized_arcs():
     sched = con.delta_schedule(0.25)
-    s = con.build_adversarial_set(0.25, 8, sched)
+    s = con.build_adversarial_set(0.25, 8)
     for ell in (1, 2, 5, 8):
         for j in range(ell):
             assert not torus.contains(s, j / ell)  # arc centers removed
@@ -119,7 +119,7 @@ def test_theorem1_demo_trivial_cell():
 def test_theorem1_chain_small_grid():
     """Uniform energy <= exact Dirichlet tail <= cotangent bound, per cell."""
     sched = con.delta_schedule(0.25)
-    s = con.build_adversarial_set(0.25, 8, sched)
+    s = con.build_adversarial_set(0.25, 8)
     for ell in (1, 2, 4, 8):
         for n in (16, 64, 256):
             cell = con.thm1_cell(s, sched, ell, n)  # raises on violation
@@ -130,7 +130,7 @@ def test_theorem1_chain_small_grid():
 
 def test_theorem1_doubling_decay():
     sched = con.delta_schedule(0.25)
-    s = con.build_adversarial_set(0.25, 8, sched)
+    s = con.build_adversarial_set(0.25, 8)
     for ell in (2, 4):
         a = con.thm1_cell(s, sched, ell, 512)
         b = con.thm1_cell(s, sched, ell, 1024)
@@ -370,6 +370,16 @@ def test_step_search_guards():
         con.step_search_alpha(powers, 1.5, 32)
     with pytest.raises(ValueError):
         con.step_search_alpha(powers, 0.9, 4)
+
+
+@pytest.mark.parametrize("n,alpha,step", [(32, 1.5, 182), (4, 1.5, 8)])
+def test_step_search_default_cap_is_strict(n, alpha, step):
+    # only `step` >= N^alpha has zero sum, so a cap of ceil(N^alpha) would return it
+    assert step >= n ** alpha and step - 1 < n ** alpha
+    powers = np.ones(step * n + 1)
+    powers[step * np.arange(1, n + 1)] = 0.0
+    res = con.step_search_alpha(powers, alpha, n)
+    assert res.ell < n ** alpha and res.total > 0.0
 
 
 def test_strict_step_cap():

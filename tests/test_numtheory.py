@@ -6,23 +6,23 @@ from rieszseq.errors import RieszSeqError
 
 
 def test_sieve_primes_small():
-    assert numtheory.sieve_primes(10).primes.tolist() == [2, 3, 5, 7]
-    assert numtheory.sieve_primes(2).primes.tolist() == [2]
+    assert numtheory.sieve_primes(10).tolist() == [2, 3, 5, 7]
+    assert numtheory.sieve_primes(2).tolist() == [2]
 
 
 def test_prime_count_to_a_million():
     # well-known count, re-checked below against trial division on a sample
-    table = numtheory.sieve_primes(10 ** 6)
-    assert len(table.primes) == 78498
+    primes = numtheory.sieve_primes(10 ** 6)
+    assert len(primes) == 78498
     rng = np.random.RandomState(0)
-    prime_set = set(table.primes.tolist())
+    prime_set = set(primes.tolist())
     for n in rng.randint(2, 10 ** 6, 200):
         assert (int(n) in prime_set) == numtheory.is_prime_naive(int(n))
 
 
 def test_sieve_vs_trial_division_exact():
-    primes = set(numtheory.sieve_primes(10 ** 4).primes.tolist())
-    counts = numtheory.sieve_divisors(10 ** 4).counts
+    primes = set(numtheory.sieve_primes(10 ** 4).tolist())
+    counts = numtheory.sieve_divisors(10 ** 4)
     for n in range(1, 10 ** 4 + 1):
         assert (n in primes) == numtheory.is_prime_naive(n)
         assert int(counts[n]) == numtheory.divisor_count_naive(n)
@@ -32,17 +32,17 @@ def test_sieve_vs_trial_division_exact():
 def test_sieve_divisors_whole_table_vs_trial_division():
     # limits on both sides of perfect squares, where the sqrt loop changes length
     for limit in (1, 2, 3, 4, 5, 8, 9, 10, 99, 100, 101, 2000):
-        counts = numtheory.sieve_divisors(limit).counts
+        counts = numtheory.sieve_divisors(limit)
         assert counts.shape == (limit + 1,) and counts[0] == 0
         assert counts[1:].tolist() == [numtheory.divisor_count_naive(n) for n in range(1, limit + 1)]
 
 def test_divisor_values():
-    counts = numtheory.sieve_divisors(12).counts
+    counts = numtheory.sieve_divisors(12)
     assert int(counts[12]) == 6
     assert int(counts[1]) == 1
     # 720720 = 2^4 * 3^2 * 5 * 7 * 11 * 13 -> 5*3*2*2*2*2 = 240 divisors
     assert numtheory.divisor_count_naive(720720) == 240
-    assert int(numtheory.sieve_divisors(720720).counts[720720]) == 240
+    assert int(numtheory.sieve_divisors(720720)[720720]) == 240
 
 
 def test_hyperbola_identity():

@@ -166,7 +166,7 @@ def test_uniform_rayleigh_ap_longdouble_oracle():
 
     s = constructions.build_adversarial_set(0.25, 64)
     n = 4096
-    starts, ends = s._endpoints()
+    starts, ends = s._endpoints
     x = np.concatenate([starts, ends]).astype(np.longdouble)
     w = np.concatenate([-np.ones_like(starts), np.ones_like(ends)]).astype(np.longdouble)
     two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
