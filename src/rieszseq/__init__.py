@@ -7,7 +7,6 @@ from .constructions import (
     DeltaSchedule,
     LambdaBuild,
     ScanConfig,
-    block,
     build_adversarial_set,
     build_lambda_thm2,
     build_lambda_thm3,
@@ -15,7 +14,6 @@ from .constructions import (
     good_n_search,
     select_shift,
     step_search_alpha,
-    theorem1_demo,
     verify_build,
 )
 from .spectral import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -47,36 +48,43 @@ def _write_rows(path, header, rows) -> None:
 
 
 def _emit(args, header, rows, json_payload) -> None:
-    if getattr(args, "format", "csv") == "json":
+    if args.format == "json":
         text = json.dumps(json_payload, sort_keys=True, indent=1) + "\n"
-        if getattr(args, "out", None):
+        if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
     else:
-        _write_rows(getattr(args, "out", None), header, rows)
+        _write_rows(args.out, header, rows)
 
 
 def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_length_ranges(text: str) -> list[list[int]]:
-    """Per-alpha length lists, ';'-separated; items are ints or a:b spans."""
+@dataclasses.dataclass(frozen=True)
+class _Lengths:
+    """One alpha's lengths, kept as ranges: iterating never builds a list."""
+
+    ranges: tuple[range, ...]
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.ranges)
+
+
+def _parse_length_ranges(text: str) -> list[_Lengths]:
+    """Per-alpha lengths, ';'-separated; items are ints or a:b spans."""
     groups = []
     for seg in text.split(";"):
-        lengths: list[int] = []
+        ranges = []
         for item in seg.split(","):
             item = item.strip()
             if not item:
                 continue
-            if ":" in item:
-                a, b = item.split(":")
-                lengths.extend(range(int(a), int(b) + 1))
-            else:
-                lengths.append(int(item))
-        groups.append(lengths)
+            a, b = item.split(":") if ":" in item else (item, item)
+            ranges.append(range(int(a), int(b) + 1))
+        groups.append(_Lengths(tuple(ranges)))
     return groups
 
 
@@ -85,8 +93,6 @@ def _parse_length_ranges(text: str) -> list[list[int]]:
 # -------------------------------------------------------------------------
 
 def _cmd_set_build(args) -> int:
-    if not args.adversarial:
-        raise ValueError("only --adversarial builds are supported")
     s = constructions.build_adversarial_set(args.epsilon, args.lmax)
     torus.save_set(s, args.out)
     print(f"wrote {args.out}: measure={s.measure!r} arcs={len(s.arcs)}")
@@ -160,7 +166,7 @@ def _cmd_thm1(args) -> int:
 
 def _cmd_thm2(args) -> int:
     s = torus.load_set(args.setfile)
-    scan = constructions.ScanConfig(args.scan_start, args.scan_step, args.scan_cap)
+    scan = constructions.ScanConfig(start=args.scan_start, cap=args.scan_cap)
     build = constructions.build_lambda_thm2(
         s, args.count, eps=args.eps, n_range=(1, args.n_max), scan=scan
     )
@@ -168,8 +174,7 @@ def _cmd_thm2(args) -> int:
     for k, (b, cert) in enumerate(zip(build.blocks, build.schedule), start=1):
         target = (build.gamma / 2.0) * (1.0 + 1.0 / b.n)
         rows.append([k, b.n, b.shift, cert, target])
-    payload = constructions.build_to_dict(build, args.setfile)
-    _emit(args, ["k", "n", "shift", "cert_lambda_min", "schedule_target"], rows, payload)
+    _write_rows(args.out, ["k", "n", "shift", "cert_lambda_min", "schedule_target"], rows)
     if args.build_out:
         constructions.save_build(build, args.build_out, args.setfile)
     return EXIT_OK
@@ -179,13 +184,12 @@ def _cmd_thm3(args) -> int:
     s = torus.load_set(args.setfile)
     alphas = [float(tok) for tok in args.alphas.split(",") if tok.strip()]
     ranges = _parse_length_ranges(args.n_ranges)
-    scan = constructions.ScanConfig(args.scan_start, args.scan_step, args.scan_cap)
+    scan = constructions.ScanConfig(start=args.scan_start, cap=args.scan_cap)
     build, records = constructions.build_lambda_thm3(s, alphas, ranges, scan=scan)
     rows = [
         [r.alpha, r.length, r.ell, r.total, r.shift, r.cert_lambda_min] for r in records
     ]
-    payload = constructions.build_to_dict(build, args.setfile)
-    _emit(args, ["alpha", "N", "ell", "sum", "shift", "cert_lambda_min"], rows, payload)
+    _write_rows(args.out, ["alpha", "N", "ell", "sum", "shift", "cert_lambda_min"], rows)
     if args.build_out:
         constructions.save_build(build, args.build_out, args.setfile)
     return EXIT_OK
@@ -295,9 +299,10 @@ def _add_output_flags(p, default_format="csv"):
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
 
 
-def _add_scan_flags(p):
+def _add_assembly_flags(p):
+    p.add_argument("--out", default=None, help="CSV report path (stdout if omitted)")
+    p.add_argument("--build-out", default=None, help="build file path")
     p.add_argument("--scan-start", type=int, default=0)
-    p.add_argument("--scan-step", type=int, default=1)
     p.add_argument("--scan-cap", type=int, default=200_000)
 
 
@@ -311,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_set = sub.add_parser("set", help="build or inspect set files")
     set_sub = p_set.add_subparsers(dest="set_command", required=True)
     p_build = set_sub.add_parser("build", help="write an adversarial set file")
-    p_build.add_argument("--adversarial", action="store_true")
     p_build.add_argument("--epsilon", type=float, required=True)
     p_build.add_argument("--lmax", type=int, required=True)
     p_build.add_argument("--out", required=True)
@@ -346,18 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--count", type=int, default=3)
     p2.add_argument("--eps", type=float, default=None)
     p2.add_argument("--n-max", type=int, default=2000)
-    p2.add_argument("--build-out", default=None)
-    _add_scan_flags(p2)
-    _add_output_flags(p2)
+    _add_assembly_flags(p2)
     p2.set_defaults(func=_cmd_thm2)
 
     p3 = sub.add_parser("thm3", help="step-O(N^alpha) diagonal assembly")
     p3.add_argument("setfile")
     p3.add_argument("--alphas", required=True, help="decreasing list, e.g. 2.0,1.5")
     p3.add_argument("--n-ranges", required=True, help="per-alpha lengths, e.g. '4:5;6:7'")
-    p3.add_argument("--build-out", default=None)
-    _add_scan_flags(p3)
-    _add_output_flags(p3)
+    _add_assembly_flags(p3)
     p3.set_defaults(func=_cmd_thm3)
 
     pv = sub.add_parser("verify", help="brute-force property suites")

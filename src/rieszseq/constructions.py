@@ -188,24 +188,9 @@ def thm1_cell(s: IntervalSet, sched: DeltaSchedule, ell: int, length: int) -> Th
     return Thm1Cell(int(ell), int(length), d, value, bound)
 
 
-def theorem1_demo(epsilon: float, l_max: int, ell: int, length: int) -> Thm1Cell:
-    """Build the adversarial set and evaluate one (ell, N) decay cell on it."""
-    ell = int(ell)
-    if not (1 <= ell <= int(l_max)):
-        raise ScheduleError(f"ell must lie in [1, l_max], got {ell}")
-    sched = delta_schedule(epsilon)
-    s = build_adversarial_set(epsilon, l_max)
-    return thm1_cell(s, sched, ell, length)
-
-
 # -------------------------------------------------------------------------
 # multiple blocks, good lengths, and the step-O(N) assembly
 # -------------------------------------------------------------------------
-
-def block(n: int) -> FrequencySet:
-    """The frequency block {n, 2n, ..., n^2} of length n and step n."""
-    return FrequencySet(tuple(numtheory.multiples_block(n).tolist()))
-
 
 @dataclass(frozen=True)
 class BlockSpec:
@@ -220,20 +205,18 @@ class BlockSpec:
         return self.shift + self.step * np.arange(1, self.length + 1, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScanConfig:
-    """Deterministic shift scan: start, start + step, ... up to cap; never empty,
-    and every shift is below FREQ_LIMIT in absolute value."""
+    """Deterministic shift scan over the consecutive shifts start, start + 1, ..., cap;
+    never empty, and every shift is below FREQ_LIMIT in absolute value."""
 
     start: int = 0
-    step: int = 1
     cap: int = 200_000
 
     def __post_init__(self):
-        if self.step < 1 or self.start > self.cap:
+        if self.start > self.cap:
             raise ValueError(
-                f"shift scan needs step >= 1 and start <= cap, "
-                f"got start {self.start}, step {self.step}, cap {self.cap}"
+                f"shift scan needs start <= cap, got start {self.start}, cap {self.cap}"
             )
         if max(abs(self.start), abs(self.cap)) >= spectral.FREQ_LIMIT:
             raise ValueError(
@@ -334,16 +317,16 @@ def select_shift(
     linv = np.linalg.inv(factor)  # once per placement; W = linv @ C(M) per candidate
     # C(M) takes only the values c_hat(M + d) over the distinct differences d
     diff = offsets[None, :] - existing_freqs[:, None]
-    diffs = np.unique(diff)
-    where = np.searchsorted(diffs, diff)
-    for m in range(scan.start, scan.cap + 1, scan.step):
+    diffs, where = np.unique(diff, return_inverse=True)
+    where = where.reshape(diff.shape)  # numpy 1.x returns the inverse flat
+    for m in range(scan.start, scan.cap + 1):
         if (diffs == -m).any():
             continue  # the shifted block meets the union
         w = linv @ torus.fourier_coeff_many(s, diffs + m)[where]
         if _cholesky(inblock - w.conj().T @ w) is not None:
             return m
     best_shift, best_lam = None, -math.inf  # failure report: rescan by eigensolve
-    for m in range(scan.start, scan.cap + 1, scan.step):
+    for m in range(scan.start, scan.cap + 1):
         if not (diffs == -m).any():
             cand = np.concatenate([existing_freqs, offsets + m])
             lam = _lambda_min(s, frequency_set(cand.tolist()))
@@ -447,9 +430,7 @@ def step_search_alpha(
     if powers.shape[0] <= span:
         raise TableTooSmall(f"powers cover k <= {powers.shape[0] - 1} < L*N = {span}")
     n = np.arange(1, length + 1, dtype=np.int64)
-    sums = np.empty(l_cap, dtype=np.float64)
-    for ell in range(1, l_cap + 1):
-        sums[ell - 1] = powers[ell * n].sum()
+    sums = powers[np.arange(1, l_cap + 1, dtype=np.int64)[:, None] * n].sum(axis=1)
     best = int(np.argmin(sums))  # first minimum, so smallest step wins ties
     total = float(sums[best])
     grid_sum = float(sums.sum())
@@ -493,6 +474,9 @@ def build_lambda_thm3(
     of length N whose step is the divisor-averaged search winner below N^alpha_k,
     shifted to keep every partial union above gamma/2 with gamma = |S|/2.
 
+    Each n_ranges[k] holds lengths in any collection that can be iterated more
+    than once (a list, a range); only its extremes are read before the sieve
+    cap is checked, so an oversized range fails without being expanded.
     Returns the build plus per-block search records for reporting.
     """
     if s.measure <= 0.0:
@@ -504,17 +488,22 @@ def build_lambda_thm3(
         raise ValueError("every alpha must exceed 1")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly decreasing")
-    jobs = []
+    spans = []
     for alpha, lengths in zip(alphas, n_ranges):
-        lengths = [int(x) for x in lengths]
-        if not lengths:
+        longest = max(lengths, default=None)
+        if longest is None:
             raise ValueError(f"empty length range for alpha={alpha}")
-        for n in lengths:
-            if n < 1:
-                raise ValueError(f"lengths must be positive, got {n}")
-            jobs.append((alpha, n, strict_step_cap(n, alpha)))
-    # every search's divisor sieve covers at most this span; check it before any coefficient
-    span = numtheory.check_limit(max(cap * n for _, n, cap in jobs), 4)
+        if (shortest := min(lengths)) < 1:
+            raise ValueError(f"lengths must be positive, got {shortest}")
+        spans.append(strict_step_cap(int(longest), alpha) * int(longest))
+    # every search's divisor sieve covers at most this span (cap(N) * N grows with N);
+    # check it before any job, table or coefficient is built
+    span = numtheory.check_limit(max(spans), 4)
+    jobs = [
+        (alpha, int(n), strict_step_cap(int(n), alpha))
+        for alpha, lengths in zip(alphas, n_ranges)
+        for n in lengths
+    ]
     powers = np.abs(torus.fourier_coeff_many(s, np.arange(span + 1))) ** 2
     build = LambdaBuild((), s.measure / 2.0, (), torus.set_digest(s))
     target = build.gamma / 2.0
@@ -570,7 +559,8 @@ def _block_from_dict(b: dict) -> BlockSpec:
 
 def build_from_dict(d: dict) -> tuple[LambdaBuild, str]:
     """Parse a build object; anything but an object with a "blocks" list of
-    objects, or a block outside int64-safe range, raises ValueError."""
+    objects, a block outside int64-safe range, or blocks sharing a frequency
+    raises ValueError."""
     raw = d.get("blocks") if isinstance(d, dict) else None
     if not isinstance(raw, list) or not all(isinstance(b, dict) for b in raw):
         raise ValueError('a build must be an object with a "blocks" list of objects')
@@ -580,7 +570,13 @@ def build_from_dict(d: dict) -> tuple[LambdaBuild, str]:
         gamma = float(d["gamma"])
     except TypeError as exc:
         raise ValueError(f"gamma and cert_lambda_min must be numbers: {exc}") from exc
-    return LambdaBuild(blocks, gamma, schedule), str(d.get("set", ""))
+    build = LambdaBuild(blocks, gamma, schedule)
+    freqs = build.frequencies()  # sorted, so a shared frequency repeats in place
+    if (repeats := np.flatnonzero(np.diff(freqs) == 0)).size:
+        raise ValueError(
+            f"build blocks overlap: frequency {freqs[repeats[0]]} is in more than one block"
+        )
+    return build, str(d.get("set", ""))
 
 
 def save_build(build: LambdaBuild, path, set_ref: str = "") -> None:
@@ -605,8 +601,9 @@ class VerifyRow:
 def verify_build(s: IntervalSet, build: LambdaBuild, tol: float = 1e-9) -> list[VerifyRow]:
     """Re-derive every partial-union certificate by a fresh eigensolve.
 
-    Also re-checks block disjointness and the schedule shape, so a tampered
-    build file cannot pass on structure alone.
+    Also re-checks block disjointness and the schedule shape, so a build made
+    in code cannot pass on structure alone (build_from_dict already rejects
+    overlapping blocks in a file).
     """
     freqs = build.frequencies()
     if np.unique(freqs).size != freqs.size:

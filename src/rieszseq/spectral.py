@@ -87,17 +87,13 @@ def gram(s: IntervalSet, freqs: FrequencySet) -> GramMatrix:
     if s.measure <= 0.0:
         raise DegenerateSet("gram matrix needs a set of positive measure")
     f = freqs.array()
-    m = f.shape[0]
-    entries = np.zeros((m, m), dtype=np.complex128)
     diff = f[None, :] - f[:, None]
-    pos = np.unique(diff[diff > 0])
-    if pos.size:
-        vals = torus.fourier_coeff_many(s, pos)
-        idx = np.searchsorted(pos, np.abs(diff))
-        idx[diff == 0] = 0  # placeholder; diagonal overwritten below
-        coeff = vals[idx]
-        entries = np.where(diff > 0, coeff, np.conj(coeff))
-    np.fill_diagonal(entries, s.measure)
+    # one lookup per matrix: ks[0] == 0 is the diagonal, |S|; ks[1:] are the
+    # distinct positive differences, each evaluated once
+    ks, where = np.unique(np.abs(diff), return_inverse=True)
+    vals = np.concatenate(([s.measure], torus.fourier_coeff_many(s, ks[1:])))
+    coeff = vals[where.reshape(diff.shape)]  # numpy 1.x returns the inverse flat
+    entries = np.where(diff >= 0, coeff, np.conj(coeff))
     return GramMatrix(entries, torus.set_digest(s))
 
 

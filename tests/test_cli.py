@@ -27,7 +27,7 @@ def full_file(tmp_path):
 
 def test_set_build_and_info(tmp_path, capsys):
     out = tmp_path / "adv.json"
-    assert run(["set", "build", "--adversarial", "--epsilon", 0.25, "--lmax", 8, "--out", out]) == 0
+    assert run(["set", "build", "--epsilon", 0.25, "--lmax", 8, "--out", out]) == 0
     s = torus.load_set(out)
     assert s.measure > 0.75
     assert run(["set", "info", out, "--coeffs", 2]) == 0
@@ -36,7 +36,7 @@ def test_set_build_and_info(tmp_path, capsys):
 
 
 def test_set_build_invalid_epsilon(tmp_path):
-    assert run(["set", "build", "--adversarial", "--epsilon", 1.5, "--lmax", 8,
+    assert run(["set", "build", "--epsilon", 1.5, "--lmax", 8,
                 "--out", tmp_path / "x.json"]) == 2
 
 
@@ -158,6 +158,12 @@ def test_thm1_rejects_workers_below_one(tmp_path, capsys, workers):
     assert not (tmp_path / "t1.csv").exists()
 
 
+def test_thm1_rejects_ell_beyond_lmax(tmp_path, capsys):
+    assert run(["thm1", "--lmax", 4, "--ells", 5, "--enns", 16, "--out", tmp_path / "t1.csv"]) == 2
+    assert "ell = 5 exceeds lmax = 4" in capsys.readouterr().err
+    assert not (tmp_path / "t1.csv").exists()
+
+
 def test_thm1_plot(tmp_path):
     out = tmp_path / "t1.csv"
     svg = tmp_path / "decay.svg"
@@ -186,20 +192,19 @@ def test_thm2_n_max_bounds_only_the_search(arc03_file, tmp_path):
     assert large.read_bytes() == small.read_bytes()
 
 
-EMPTY_SCAN = "shift scan needs step >= 1 and start <= cap"
+EMPTY_SCAN = "shift scan needs start <= cap"
 SCAN_RANGE = "shift scan bounds must satisfy |start|, |cap| < 2^62"
 
 
+# start=2 keeps each case's id stable across edits of this list
 @pytest.mark.parametrize("scan,message", [
     pytest.param(scan, message, id=f"scan{i}") for i, (scan, message) in enumerate([
-        (["--scan-step", -1], EMPTY_SCAN),
-        (["--scan-step", 0], EMPTY_SCAN),
         (["--scan-start", 5, "--scan-cap", 4], EMPTY_SCAN),
         (["--scan-start", 2 ** 63 + 2, "--scan-cap", 2 ** 63 + 12], SCAN_RANGE),
         (["--scan-start", 2 ** 62, "--scan-cap", 2 ** 62 + 1], SCAN_RANGE),
         (["--scan-start", -(2 ** 62), "--scan-cap", 0], SCAN_RANGE),
         (["--scan-cap", 2 ** 62], SCAN_RANGE),
-    ])
+    ], start=2)
 ])
 def test_thm2_rejects_empty_shift_scan(arc03_file, capsys, scan, message):
     assert run(["thm2", arc03_file, "--count", 3, "--eps", 0.075, "--n-max", 50, *scan]) == 2
@@ -216,6 +221,28 @@ def test_thm2_accepts_shift_scan_just_inside_range(arc03_file, capsys):
     assert run(["thm2", arc03_file, "--count", 1, "--eps", 0.075,
                 "--scan-start", -(2 ** 62 - 1), "--scan-cap", 2 ** 62 - 1]) == 0
     assert capsys.readouterr().out.splitlines()[1].split(",")[2] == str(-(2 ** 62 - 1))
+
+
+THM3 = ["thm3", "SET", "--alphas", "1.5", "--n-ranges", "16"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["thm2", "SET", "--scan-step", -1], id="thm2-scan-step-minus-1"),
+    pytest.param(["thm2", "SET", "--scan-step", 0], id="thm2-scan-step-0"),
+    pytest.param([*THM3, "--scan-step", 1], id="thm3-scan-step"),
+    pytest.param(["thm2", "SET", "--format", "json"], id="thm2-format"),
+    pytest.param([*THM3, "--format", "csv"], id="thm3-format"),
+    pytest.param(["set", "build", "--adversarial", "--epsilon", 0.25, "--lmax", 8, "--out", "OUT"],
+                 id="set-build-adversarial"),
+])
+def test_removed_options_exit_2(arc03_file, tmp_path, argv):
+    # one scan policy (consecutive shifts), one build artifact (--build-out),
+    # and one kind of set for `set build`: these options had nothing to select
+    argv = [{"SET": arc03_file, "OUT": tmp_path / "adv.json"}.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == [arc03_file]
 
 
 @pytest.mark.parametrize("command", [["thm2"], ["thm3", "--alphas", "1.5", "--n-ranges", "16"]])
@@ -253,6 +280,17 @@ def test_thm3_sieve_cap_checked_before_coefficients(arc03_file, tmp_path, monkey
     assert run(["thm3", arc03_file, "--alphas", "2.0", "--n-ranges", "272",
                 "--out", tmp_path / "x.csv"]) == 2
     assert calls == []
+    assert f"exceeds cap {numtheory.SIEVE_LIMIT}" in capsys.readouterr().err
+
+
+def test_thm3_range_checked_before_expansion(arc03_file, monkeypatch, capsys):
+    # cap(N) * N grows with N, so the longest length per alpha settles the sieve cap
+    calls = []
+    cap = constructions.strict_step_cap
+    monkeypatch.setattr(constructions, "strict_step_cap", lambda n, a: calls.append(n) or cap(n, a))
+    assert run(["thm3", arc03_file, "--alphas", "2.0,1.5",
+                "--n-ranges", "2:3000000;5,2:3000000,7"]) == 2
+    assert calls == [3000000, 3000000]
     assert f"exceeds cap {numtheory.SIEVE_LIMIT}" in capsys.readouterr().err
 
 
@@ -304,6 +342,16 @@ def test_riesz_rejects_bad_build_file(arc03_file, tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert run(["riesz", arc03_file, "--build", path, "--verify", "--out", tmp_path / "r.json"]) == 2
     assert "invalid input:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_riesz_rejects_overlapping_build_blocks(arc03_file, tmp_path, capsys, verify):
+    # {1, 2, 3} and {2, 3, 4} share 2 and 3; the set they would dedupe to is not the build
+    path = tmp_path / "build.json"
+    path.write_text(json.dumps(_build_doc({"length": 3}, {"length": 3, "shift": 1})))
+    assert run(["riesz", arc03_file, "--build", path, *verify, "--out", tmp_path / "r.json"]) == 2
+    assert "build blocks overlap: frequency 2" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--ap", f"0,{2 ** 63 - 1},3"), ("--ap", f"{2 ** 62},1,1"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rieszseq import constructions as con
-from rieszseq import spectral, torus
+from rieszseq import numtheory, spectral, torus
 from rieszseq.errors import (
     NotEnoughBlocks,
     ScanExhausted,
@@ -109,9 +109,9 @@ def test_adversarial_omits_periodized_arcs():
 
 # --- small-step decay demo -----------------------------------------------------
 
-def test_theorem1_demo_trivial_cell():
-    cell = con.theorem1_demo(0.25, 4, 1, 1)
+def test_thm1_cell_trivial_cell():
     s = con.build_adversarial_set(0.25, 4)
+    cell = con.thm1_cell(s, con.delta_schedule(0.25), 1, 1)
     assert cell.rayleigh_uniform == pytest.approx(s.measure, abs=1e-12)
     assert cell.rayleigh_uniform <= 1.0
 
@@ -138,17 +138,12 @@ def test_theorem1_doubling_decay():
         assert b.rayleigh_uniform <= 0.75 * a.rayleigh_uniform
 
 
-def test_theorem1_demo_validation():
-    with pytest.raises(ScheduleError):
-        con.theorem1_demo(0.25, 4, 5, 16)  # ell beyond l_max
-
-
 # --- multiple blocks and the good-length search ---------------------------------
 
 def test_block_examples():
-    assert con.block(1).freqs == (1,)
-    assert con.block(2).freqs == (2, 4)
-    assert con.block(5).freqs == (5, 10, 15, 20, 25)
+    assert numtheory.multiples_block(1).tolist() == [1]
+    assert numtheory.multiples_block(2).tolist() == [2, 4]
+    assert numtheory.multiples_block(5).tolist() == [5, 10, 15, 20, 25]
 
 
 def test_good_n_search_full_circle():
@@ -198,8 +193,15 @@ def empty_build(s):
 def test_select_shift_full_circle_takes_scan_start():
     nb = con.BlockSpec(3, 3, 3, 0)
     assert con.select_shift(FULL, empty_build(FULL), nb, 0.9) == 0
-    scan = con.ScanConfig(start=17, step=5, cap=100)
+    scan = con.ScanConfig(start=17, cap=100)
     assert con.select_shift(FULL, empty_build(FULL), nb, 0.9, scan) == 17
+
+
+def test_scan_config_is_keyword_only():
+    # positional fields are refused, so a (start, step, cap) call cannot be read as (start, cap)
+    with pytest.raises(TypeError):
+        con.ScanConfig(0, 1, 1000)
+    assert con.ScanConfig() == con.ScanConfig(start=0, cap=200_000)
 
 
 def test_select_shift_arc03_frozen():
@@ -212,7 +214,7 @@ def test_select_shift_arc03_frozen():
     combined = spectral.frequency_set([1, 2 + shift, 4 + shift])
     assert lambda_min(ARC03, combined) >= 0.075
     # a vacuous target accepts every disjoint shift, but never one meeting the union
-    scan = con.ScanConfig(-3, 1, 5)
+    scan = con.ScanConfig(start=-3, cap=5)
     assert con.select_shift(ARC03, partial, con.BlockSpec(2, 2, 2, 0), -1.0, scan) == -2
 
 
@@ -222,13 +224,13 @@ def test_select_shift_scan_exhausted_reports_best():
     )
     with pytest.raises(ScanExhausted) as info:
         con.select_shift(
-            ARC03, partial, con.BlockSpec(2, 2, 2, 0), 0.12, con.ScanConfig(0, 1, 1)
+            ARC03, partial, con.BlockSpec(2, 2, 2, 0), 0.12, con.ScanConfig(start=0, cap=1)
         )
     assert info.value.best_shift is not None
     assert info.value.best_lambda_min < 0.12
     # the report is the eigensolve scan's: largest lambda_min, first shift on ties,
     # shifts -3 and -1 skipped because {2, 4} + m would meet {1}
-    scan = con.ScanConfig(-5, 1, 1)
+    scan = con.ScanConfig(start=-5, cap=1)
     lams = {
         m: lambda_min(ARC03, spectral.frequency_set([1, 2 + m, 4 + m]))
         for m in range(-5, 2) if m not in (-3, -1)
@@ -279,7 +281,7 @@ def test_select_shift_decision_matches_eigensolve(rng=np.random.RandomState(5)):
             if abs(lam - target) <= 1e-8:
                 continue
             try:
-                accepted = con.select_shift(s, partial, newblock, target, con.ScanConfig(m, 1, m)) == m
+                accepted = con.select_shift(s, partial, newblock, target, con.ScanConfig(start=m, cap=m)) == m
             except ScanExhausted:
                 accepted = False
             assert accepted == (lam >= target), (s, blocks, newblock, target, m, lam)
@@ -364,6 +366,16 @@ def test_step_search_min_below_mean():
     assert res.total <= res.grid_sum / 20 + 1e-15
 
 
+def test_step_search_grid_equals_per_step_sums():
+    # the L x N grid is summed row by row, bitwise as one sum per step would be
+    powers = coeff_powers(ARC03, 200 * 40)
+    for length in (1, 9, 40):
+        res = con.step_search_alpha(powers, 1.5, length, l_cap=200)
+        sums = np.array([powers[ell * np.arange(1, length + 1)].sum() for ell in range(1, 201)])
+        assert (res.ell, res.total) == (int(np.argmin(sums)) + 1, sums.min())
+        assert res.grid_sum == sums.sum()
+
+
 def test_step_search_guards():
     powers = coeff_powers(ARC03, 100)
     with pytest.raises(TableTooSmall):
@@ -395,6 +407,7 @@ def test_build_thm3_full_circle():
     assert len(build.blocks) == 4
     assert build.schedule == (1.0, 1.0, 1.0, 1.0)
     assert [r.ell for r in rows] == [1, 1, 1, 1]
+    assert con.build_lambda_thm3(FULL, [2.0, 1.5], [range(4, 6), range(6, 8)]) == (build, rows)
 
 
 def test_build_thm3_arc03_frozen():

@@ -59,6 +59,14 @@ def test_gram_half_circle_two_by_two():
     assert g.entries[1, 0] == g.entries[0, 1].conjugate()
 
 
+@pytest.mark.parametrize("freqs", [[5], [-9, -4, 0, 3, 11, 12], [-(2 ** 61), 7, 2 ** 40 + 3, 2 ** 61]])
+def test_gram_equals_per_entry_coefficients_bitwise(freqs):
+    # the one-lookup assembly must equal G[j][k] = c_hat(l_k - l_j) evaluated entry by entry
+    s = torus.normalize([(0.05, 0.17), (0.33, 0.41), (0.6, 0.78)])
+    want = np.array([[torus.fourier_coeff_many(s, [k - j])[0] for k in freqs] for j in freqs])
+    assert spectral.gram(s, spectral.frequency_set(freqs)).entries.tobytes() == want.tobytes()
+
+
 def test_gram_translation_invariance(rng=np.random.RandomState(21)):
     for _ in range(20):
         s = random_set(rng)
