@@ -36,10 +36,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_rows(path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+def _write(path, text: str) -> None:
     if path:
         with open(path, "w", newline="") as fh:
             fh.write(text)
@@ -47,16 +44,10 @@ def _write_rows(path, header, rows) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, header, rows, json_payload) -> None:
-    if args.format == "json":
-        text = json.dumps(json_payload, sort_keys=True, indent=1) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        _write_rows(args.out, header, rows)
+def _write_rows(path, header, rows) -> None:
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -74,7 +65,7 @@ class _Lengths:
 
 
 def _parse_length_ranges(text: str) -> list[_Lengths]:
-    """Per-alpha lengths, ';'-separated; items are ints or a:b spans."""
+    """Per-alpha lengths, ';'-separated; items are ints or ascending a:b spans."""
     groups = []
     for seg in text.split(";"):
         ranges = []
@@ -83,6 +74,8 @@ def _parse_length_ranges(text: str) -> list[_Lengths]:
             if not item:
                 continue
             a, b = item.split(":") if ":" in item else (item, item)
+            if int(b) < int(a):
+                raise ValueError(f"length span {item} runs backwards")
             ranges.append(range(int(a), int(b) + 1))
         groups.append(_Lengths(tuple(ranges)))
     return groups
@@ -131,7 +124,7 @@ def _cmd_riesz(args) -> int:
         shift, step, length = _parse_int_list(args.ap)
         freqs = spectral.arithmetic_progression(shift, step, length)
     payload = dataclasses.asdict(spectral.riesz_report(s, freqs))
-    _emit(args, list(payload), [list(payload.values())], payload)
+    _write(args.out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return EXIT_OK
 
 
@@ -156,9 +149,8 @@ def _cmd_thm1(args) -> int:
     else:
         results = [run(c) for c in cells]
     results.sort(key=lambda c: (c.ell, c.length))
-    header = ["ell", "N", "delta", "rayleigh_uniform", "tail_bound"]
     rows = [[c.ell, c.length, c.delta, c.rayleigh_uniform, c.tail_bound] for c in results]
-    _emit(args, header, rows, [dict(zip(header, row)) for row in rows])
+    _write_rows(args.out, ["ell", "N", "delta", "rayleigh_uniform", "tail_bound"], rows)
     if args.plot:
         _decay_plot(args.plot, results)
     return EXIT_OK
@@ -294,11 +286,6 @@ def _decay_plot(path, cells) -> None:
 # argument parsing and dispatch
 # -------------------------------------------------------------------------
 
-def _add_output_flags(p, default_format="csv"):
-    p.add_argument("--format", choices=("csv", "json"), default=default_format)
-    p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-
-
 def _add_assembly_flags(p):
     p.add_argument("--out", default=None, help="CSV report path (stdout if omitted)")
     p.add_argument("--build-out", default=None, help="build file path")
@@ -332,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--ap", help="shift,step,length")
     group.add_argument("--build", help="path to a saved build")
     p_riesz.add_argument("--verify", action="store_true", help="re-check build certificates")
-    _add_output_flags(p_riesz, default_format="json")
+    p_riesz.add_argument("--out", default=None, help="JSON report path (stdout if omitted)")
     p_riesz.set_defaults(func=_cmd_riesz)
 
     p1 = sub.add_parser("thm1", help="small-step decay grid on the adversarial set")
@@ -342,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p1.add_argument("--enns", default="256,1024,4096")
     p1.add_argument("--workers", type=int, default=1)
     p1.add_argument("--plot", default=None, help="optional SVG decay plot path")
-    _add_output_flags(p1)
+    p1.add_argument("--out", default=None, help="CSV report path (stdout if omitted)")
     p1.set_defaults(func=_cmd_thm1)
 
     p2 = sub.add_parser("thm2", help="step-O(N) block assembly with certificates")

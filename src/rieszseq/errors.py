@@ -56,11 +56,6 @@ class TableTooSmall(RieszSeqError):
 class ScanExhausted(RieszSeqError):
     """Shift scan hit its cap without meeting the target bound."""
 
-    def __init__(self, message, best_shift=None, best_lambda_min=None):
-        super().__init__(message)
-        self.best_shift = best_shift
-        self.best_lambda_min = best_lambda_min
-
 
 class NotEnoughBlocks(RieszSeqError):
     """Fewer usable blocks were found than the build requested."""

@@ -180,30 +180,29 @@ def fourier_coeff_many(s: IntervalSet, ks) -> np.ndarray:
     Exact closed form, no quadrature; c_hat(0) is the measure.  The phase
     k*x is reduced mod 1 before exponentiating, so endpoints at exact
     rationals (full circle, half circle) yield exact zeros.  Evaluation is
-    chunked over k so large requests stay within a bounded working set.
+    chunked over k, so no temporary but the result grows with len(ks).
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
     out = np.empty(ks.shape[0], dtype=np.complex128)
     starts, ends = s._endpoints
-    zero = ks == 0
-    out[zero] = s.measure
-    kk = ks[~zero].astype(np.float64)
-    if kk.size:
-        if starts.size == 0:
-            out[~zero] = 0.0
-        else:
-            # evaluate at |k| and conjugate, so c_hat(-k) == conj(c_hat(k)) bitwise
-            kk_abs = np.abs(kk)
-            res = np.empty(kk.shape[0], dtype=np.complex128)
-            chunk = max(1, (1 << 21) // starts.size)
-            for i in range(0, kk_abs.shape[0], chunk):
-                kc = kk_abs[i : i + chunk]
-                frac_a = np.mod(kc[:, None] * starts[None, :], 1.0)
-                frac_b = np.mod(kc[:, None] * ends[None, :], 1.0)
-                block = np.exp((-2j * np.pi) * frac_a)
-                block -= np.exp((-2j * np.pi) * frac_b)
-                res[i : i + chunk] = block.sum(axis=1) / (2j * np.pi * kc)
-            out[~zero] = np.where(kk < 0, np.conj(res), res)
+    if starts.size == 0:
+        out.fill(0.0)
+        out[ks == 0] = s.measure
+        return out
+    chunk = max(1, (1 << 21) // starts.size)
+    for i in range(0, ks.shape[0], chunk):
+        kc = ks[i : i + chunk]
+        k_abs = np.abs(kc.astype(np.float64))
+        frac_a = np.mod(k_abs[:, None] * starts[None, :], 1.0)
+        frac_b = np.mod(k_abs[:, None] * ends[None, :], 1.0)
+        block = np.exp((-2j * np.pi) * frac_a)
+        block -= np.exp((-2j * np.pi) * frac_b)
+        res = out[i : i + chunk]
+        with np.errstate(divide="ignore", invalid="ignore"):  # k = 0 is set below
+            np.divide(block.sum(axis=1), 2j * np.pi * k_abs, out=res)
+        # evaluated at |k| and conjugated, so c_hat(-k) == conj(c_hat(k)) bitwise
+        np.conjugate(res, out=res, where=kc < 0)
+        res[kc == 0] = s.measure
     return out
 
 

@@ -76,12 +76,10 @@ def test_riesz_half_circle_fixture(tmp_path, capsys):
     assert payload["lower"] == pytest.approx(0.1816901138162093, abs=1e-12)
 
 
-def test_riesz_ap_and_csv(full_file, tmp_path):
-    out = tmp_path / "r.csv"
-    assert run(["riesz", full_file, "--ap", "5,3,4", "--format", "csv", "--out", out]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "lower,upper,cs_lower,offdiag_energy,size"
-    assert lines[1].split(",")[-1] == "4"
+def test_riesz_ap_json_size(full_file, tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["riesz", full_file, "--ap", "5,3,4", "--out", out]) == 0
+    assert json.loads(out.read_text())["size"] == 4
 
 
 def test_riesz_invalid_input(full_file, tmp_path):
@@ -232,12 +230,16 @@ THM3 = ["thm3", "SET", "--alphas", "1.5", "--n-ranges", "16"]
     pytest.param([*THM3, "--scan-step", 1], id="thm3-scan-step"),
     pytest.param(["thm2", "SET", "--format", "json"], id="thm2-format"),
     pytest.param([*THM3, "--format", "csv"], id="thm3-format"),
+    pytest.param(["riesz", "SET", "--freqs", "1,2", "--format", "csv"], id="riesz-format"),
+    pytest.param(["thm1", "--lmax", 8, "--ells", 2, "--enns", 16, "--format", "json"],
+                 id="thm1-format"),
     pytest.param(["set", "build", "--adversarial", "--epsilon", 0.25, "--lmax", 8, "--out", "OUT"],
                  id="set-build-adversarial"),
 ])
 def test_removed_options_exit_2(arc03_file, tmp_path, argv):
     # one scan policy (consecutive shifts), one build artifact (--build-out),
-    # and one kind of set for `set build`: these options had nothing to select
+    # one report format per command, and one kind of set for `set build`:
+    # these options had nothing to select
     argv = [{"SET": arc03_file, "OUT": tmp_path / "adv.json"}.get(a, a) for a in argv]
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -299,6 +301,26 @@ def test_thm3_span_syntax(full_file, tmp_path):
     assert run(["thm3", full_file, "--alphas", "2.0,1.5", "--n-ranges", "4:5;6:7",
                 "--out", out]) == 0
     assert len(out.read_text().splitlines()) == 5
+
+
+def test_thm3_rejects_reversed_span(arc03_file, tmp_path, capsys):
+    # 40:20 names no length; read as empty, it would drop out of the report unseen
+    out = tmp_path / "t3.csv"
+    assert run(["thm3", arc03_file, "--alphas", "1.5", "--n-ranges", "16,40:20",
+                "--out", out]) == 2
+    assert "length span 40:20 runs backwards" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_thm2_scan_exhausted_exits_3(arc03_file, tmp_path, capsys):
+    # the second block (n = 2) first clears its target at shift 2, past the cap
+    out = tmp_path / "t2.csv"
+    assert run(["thm2", arc03_file, "--count", 3, "--eps", 0.075, "--scan-cap", 1,
+                "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "search failed: no shift in [0, 1] reached target" in err
+    assert "2 decided by Cholesky, 0 skipped for meeting the union" in err
+    assert not out.exists()
 
 
 # --- verify ----------------------------------------------------------------------

@@ -218,27 +218,35 @@ def test_select_shift_arc03_frozen():
     assert con.select_shift(ARC03, partial, con.BlockSpec(2, 2, 2, 0), -1.0, scan) == -2
 
 
-def test_select_shift_scan_exhausted_reports_best():
+def test_select_shift_scan_exhausted_reports_counts():
     partial = con.LambdaBuild(
         (con.BlockSpec(1, 1, 1, 0),), 0.15, (0.3,), torus.set_digest(ARC03)
     )
+    # shifts -3 and -1 are skipped because {2, 4} + m would meet {1}; the other
+    # five are decided, and none reaches 0.12
     with pytest.raises(ScanExhausted) as info:
         con.select_shift(
-            ARC03, partial, con.BlockSpec(2, 2, 2, 0), 0.12, con.ScanConfig(start=0, cap=1)
+            ARC03, partial, con.BlockSpec(2, 2, 2, 0), 0.12, con.ScanConfig(start=-5, cap=1)
         )
-    assert info.value.best_shift is not None
-    assert info.value.best_lambda_min < 0.12
-    # the report is the eigensolve scan's: largest lambda_min, first shift on ties,
-    # shifts -3 and -1 skipped because {2, 4} + m would meet {1}
-    scan = con.ScanConfig(start=-5, cap=1)
-    lams = {
-        m: lambda_min(ARC03, spectral.frequency_set([1, 2 + m, 4 + m]))
-        for m in range(-5, 2) if m not in (-3, -1)
-    }
-    best = max(lams, key=lambda m: (lams[m], -m))
+    assert str(info.value) == (
+        "no shift in [-5, 1] reached target 0.12: "
+        "5 decided by Cholesky, 2 skipped for meeting the union"
+    )
+
+
+def test_select_shift_scan_exhausted_when_every_shift_meets_the_union():
+    # {2, 4} + m meets {1, 2, 3} for every m in [-3, 1], so nothing is decided
+    partial = con.LambdaBuild(
+        (con.BlockSpec(3, 1, 3, 0),), 0.15, (0.1,), torus.set_digest(ARC03)
+    )
     with pytest.raises(ScanExhausted) as info:
-        con.select_shift(ARC03, partial, con.BlockSpec(2, 2, 2, 0), 0.12, scan)
-    assert (info.value.best_shift, info.value.best_lambda_min) == (best, lams[best])
+        con.select_shift(
+            ARC03, partial, con.BlockSpec(2, 2, 2, 0), -1.0, con.ScanConfig(start=-3, cap=1)
+        )
+    message = str(info.value)
+    assert "[-3, 1]" in message
+    assert "0 decided by Cholesky, 5 skipped for meeting the union" in message
+    assert "inf" not in message and "None" not in message
 
 
 def random_arc_set(rng):
@@ -262,10 +270,11 @@ def test_select_shift_decision_matches_eigensolve(rng=np.random.RandomState(5)):
         blocks = (random_block(rng),)
         if rng.rand() < 0.5:
             blocks += (random_block(rng),)
-        partial = con.LambdaBuild(blocks, s.measure / 2, (), torus.set_digest(s))
-        union = partial.frequencies()
-        if np.unique(union).size != union.size:
+        try:
+            partial = con.LambdaBuild(blocks, s.measure / 2, (), torus.set_digest(s))
+        except ValueError:  # the two blocks share a frequency
             continue
+        union = partial.frequencies()
         newblock = replace(random_block(rng), shift=0)
         lams = {}
         for m in range(-20, 21):
@@ -443,6 +452,16 @@ def test_build_round_trip(tmp_path):
     assert loaded.blocks == build.blocks
     assert loaded.schedule == build.schedule
     assert loaded.gamma == build.gamma
+
+
+def test_lambda_build_rejects_overlapping_blocks():
+    # {1, 2, 3} and {3, 5} share 3
+    message = "^build blocks overlap: frequency 3 is in more than one block$"
+    with pytest.raises(ValueError, match=message):
+        con.LambdaBuild((con.BlockSpec(3, 1, 3, 0), con.BlockSpec(2, 2, 2, 1)), 0.15, (0.1, 0.1))
+    build = con.build_lambda_thm2(ARC03, 3, eps=0.075, n_range=(1, 50))
+    with pytest.raises(ValueError, match="frequency 4 is in more than one block"):
+        replace(build, blocks=build.blocks + (con.BlockSpec(2, 2, 2, 0),))
 
 
 def test_verify_build_detects_tampering():
