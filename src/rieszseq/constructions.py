@@ -309,10 +309,18 @@ def select_shift(
     G_E - tI = L L^H factored once, M is accepted when the Schur complement
     (G_B - tI) - W^H W, W = L^{-1} C(M), has a Cholesky factor; only the cross
     block C(M)[i, j] = c_hat(b_j + M - e_i) depends on M.  A candidate costs
-    |E| n coefficients, an |E|^2 n product and an n^3/3 Cholesky.  The test is
-    lambda_min > t up to rounding, so a tie at exactly lambda_min = t may fall
-    either way.  An exhausted scan reports how many shifts it decided and how
-    many it skipped because they met the union.
+    an |E|^2 n product and an n^3/3 Cholesky.  The test is lambda_min > t up
+    to rounding, so a tie at exactly lambda_min = t may fall either way.
+
+    Candidates are taken in windows of consecutive shifts, one shift wide at
+    first and doubling after each window, and each window evaluates every
+    coefficient it needs once: c_hat(d + M) over the distinct differences d
+    and the shifts M in the window.  A scan that accepts its first candidate
+    thus evaluates exactly the |D| coefficients of that candidate, and the
+    unused tail of the last window bounds the waste.  Each coefficient is
+    evaluated on its own, so the values, and hence the decisions, are those
+    of a per-candidate evaluation.  An exhausted scan reports how many shifts
+    it decided and how many it skipped because they met the union.
     """
     offsets = newblock.frequencies() - newblock.shift
     inblock = _shifted_gram(s, offsets, target)
@@ -323,16 +331,30 @@ def select_shift(
     if factor is None:
         raise ValueError("existing partial union is below the target bound")
     linv = np.linalg.inv(factor)  # once per placement; W = linv @ C(M) per candidate
-    # C(M) takes only the values c_hat(M + d) over the distinct differences d
+    # C(M) takes only the values c_hat(d + M) over the distinct differences d, sorted
     diff = offsets[None, :] - existing_freqs[:, None]
     diffs, where = np.unique(diff, return_inverse=True)
     where = where.reshape(diff.shape)  # numpy 1.x returns the inverse flat
-    for m in range(scan.start, scan.cap + 1):
-        if (diffs == -m).any():
-            continue  # the shifted block meets the union
-        w = linv @ torus.fourier_coeff_many(s, diffs + m)[where]
-        if _cholesky(inblock - w.conj().T @ w) is not None:
-            return m
+    m, width = scan.start, 1
+    while m <= scan.cap:  # the window is m, m + 1, ..., m + width - 1
+        width = min(width, scan.cap - m + 1)
+        # the block shifted by M meets the union exactly when M = -d for some d
+        meets = np.zeros(width, dtype=bool)
+        meets[-diffs[(-diffs >= m) & (-diffs < m + width)] - m] = True
+        if not meets.all():
+            # run i holds c_hat(d_i + M) for M = m, m + 1, ... within the window, cut
+            # short where d_i + M reaches d_{i+1} + m, the first key of run i + 1; so
+            # c_hat(d_i + M) sits at at[i] + M - m for every M, and no key repeats
+            runs = np.minimum(np.diff(diffs, append=diffs[-1:] + width), width)
+            at = np.cumsum(runs) - runs
+            keys = np.repeat(diffs + m - at, runs) + np.arange(runs.sum())
+            vals = torus.fourier_coeff_many(s, keys)
+            at = at[where]
+            for t in np.flatnonzero(~meets).tolist():
+                w = linv @ vals[at + t]
+                if _cholesky(inblock - w.conj().T @ w) is not None:
+                    return m + t
+        m, width = m + width, 2 * width
     # diffs are distinct, so each -d in range is one shift that meets the union
     met = int(np.count_nonzero((-diffs >= scan.start) & (-diffs <= scan.cap)))
     raise ScanExhausted(

@@ -26,6 +26,11 @@ from .torus import IntervalSet
 FREQ_LIMIT = 2 ** 62
 
 
+def _check_range(lowest: int, highest: int) -> None:
+    if not -FREQ_LIMIT < lowest <= highest < FREQ_LIMIT:
+        raise ValueError(f"frequencies must satisfy |f| < 2^62, got {lowest}..{highest}")
+
+
 @dataclass(frozen=True)
 class FrequencySet:
     """Strictly increasing, nonempty tuple of integer frequencies with |f| < FREQ_LIMIT."""
@@ -37,10 +42,7 @@ class FrequencySet:
             raise ValueError("frequency set must be nonempty")
         if any(b <= a for a, b in zip(self.freqs, self.freqs[1:])):
             raise ValueError("frequencies must be strictly increasing")
-        if not -FREQ_LIMIT < self.freqs[0] <= self.freqs[-1] < FREQ_LIMIT:
-            raise ValueError(
-                f"frequencies must satisfy |f| < 2^62, got {self.freqs[0]}..{self.freqs[-1]}"
-            )
+        _check_range(self.freqs[0], self.freqs[-1])
 
     def __len__(self) -> int:
         return len(self.freqs)
@@ -55,9 +57,15 @@ def frequency_set(values: Iterable[int]) -> FrequencySet:
 
 
 def arithmetic_progression(shift: int, step: int, length: int) -> FrequencySet:
-    """The progression {shift + step, shift + 2*step, ..., shift + length*step}."""
+    """The progression {shift + step, shift + 2*step, ..., shift + length*step}.
+
+    Its extremes are range-checked before any element is built, so an
+    out-of-range progression fails at once however long it is.
+    """
+    shift, step, length = int(shift), int(step), int(length)  # exact, never int64
     if step < 1 or length < 1:
         raise ValueError("step and length must be positive")
+    _check_range(shift + step, shift + step * length)
     return FrequencySet(tuple(shift + step * k for k in range(1, length + 1)))
 
 

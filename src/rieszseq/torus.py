@@ -31,6 +31,10 @@ from .errors import EmptyInput, InvalidArc, OverlapError, ResolutionError
 
 MEASURE_TOL = 1e-12
 
+# rows times arcs per chunk of fourier_coeff_many; each row is reduced on its
+# own, so the chunk bounds the temporaries (about 1 MB each) and not the values
+COEFF_BLOCK = 1 << 16
+
 # elements per product block of fourier_coeff_real_ap; small enough to stay
 # in cache, which makes the block's several passes cheap
 SPLIT_BLOCK = 1 << 16
@@ -189,7 +193,7 @@ def fourier_coeff_many(s: IntervalSet, ks) -> np.ndarray:
         out.fill(0.0)
         out[ks == 0] = s.measure
         return out
-    chunk = max(1, (1 << 21) // starts.size)
+    chunk = max(1, COEFF_BLOCK // starts.size)
     for i in range(0, ks.shape[0], chunk):
         kc = ks[i : i + chunk]
         k_abs = np.abs(kc.astype(np.float64))

@@ -377,6 +377,7 @@ def test_riesz_rejects_overlapping_build_blocks(arc03_file, tmp_path, capsys, ve
 
 
 @pytest.mark.parametrize("flag,value", [("--ap", f"0,{2 ** 63 - 1},3"), ("--ap", f"{2 ** 62},1,1"),
+                                        ("--ap", f"0,1,{2 ** 62}"),  # checked before it is built
                                         ("--freqs", f"0,{-(2 ** 62)}")])
 def test_riesz_rejects_out_of_range_frequencies(full_file, capsys, flag, value):
     assert run(["riesz", full_file, f"{flag}={value}"]) == 2

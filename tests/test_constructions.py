@@ -298,6 +298,127 @@ def test_select_shift_decision_matches_eigensolve(rng=np.random.RandomState(5)):
     assert min(verdicts.values()) >= 100
 
 
+def per_candidate_select_shift(s, existing, newblock, target, scan):
+    """Reference scan: one fourier_coeff_many call and one overlap test per candidate."""
+    offsets = newblock.frequencies() - newblock.shift
+    inblock = con._shifted_gram(s, offsets, target)
+    existing_freqs = existing.frequencies()
+    factor = con._cholesky(con._shifted_gram(s, existing_freqs, target)) if existing.blocks else np.eye(0)
+    linv = np.linalg.inv(factor)
+    diff = offsets[None, :] - existing_freqs[:, None]
+    diffs, where = np.unique(diff, return_inverse=True)
+    where = where.reshape(diff.shape)
+    for m in range(scan.start, scan.cap + 1):
+        if (diffs == -m).any():
+            continue
+        w = linv @ torus.fourier_coeff_many(s, diffs + m)[where]
+        if con._cholesky(inblock - w.conj().T @ w) is not None:
+            return m
+    met = int(np.count_nonzero((-diffs >= scan.start) & (-diffs <= scan.cap)))
+    raise ScanExhausted(
+        f"no shift in [{scan.start}, {scan.cap}] reached target {target}: "
+        f"{scan.cap - scan.start + 1 - met} decided by Cholesky, "
+        f"{met} skipped for meeting the union"
+    )
+
+
+def scan_outcome(scan_fn, s, existing, newblock, target, scan):
+    try:
+        return scan_fn(s, existing, newblock, target, scan)
+    except ScanExhausted as exc:
+        return str(exc)
+
+
+def window_position(start, shift):
+    """'first' or 'last' when shift opens or closes a window wider than one shift.
+    Windows from start are [start + 2^k - 1, start + 2^(k+1) - 2], k = 0, 1, ..."""
+    k = (shift - start + 1).bit_length() - 1
+    if k >= 1 and shift - start == 2 ** k - 1:
+        return "first"
+    if k >= 1 and shift - start == 2 ** (k + 1) - 2:
+        return "last"
+    return None
+
+
+def test_select_shift_matches_per_candidate_scan(rng=np.random.RandomState(3)):
+    """The windowed scan returns the per-candidate scan's shift, or its exhaustion message."""
+    covered = set()
+    for case in range(12):
+        s = random_arc_set(rng)
+        n1, n2 = (int(v) for v in rng.randint(3, 9, 2))
+        if case % 2 == 0:  # dense differences: multiple blocks {n, 2n, ..., n^2}
+            kind = "dense"
+            old, new = con.BlockSpec(n1, n1, n1, 0), con.BlockSpec(n2 + 9, n2 + 9, n2 + 9, 0)
+        else:  # sparse differences: Theorem-3 steps far above the length
+            kind = "sparse"
+            old = con.BlockSpec(n1, int(rng.randint(10, 40)), n1, 0)
+            new = con.BlockSpec(n2, int(rng.randint(10, 40)), n2, 0)
+        partial = con.LambdaBuild((old,), s.measure / 2, (), torus.set_digest(s))
+        floor = min(lambda_min(s, partial.partial_frequency_set(1)),
+                    lambda_min(s, spectral.frequency_set(new.frequencies().tolist())))
+        target = 0.97 * floor
+        wide = con.ScanConfig(start=-30, cap=400)
+        expected = scan_outcome(per_candidate_select_shift, s, partial, new, target, wide)
+        assert scan_outcome(con.select_shift, s, partial, new, target, wide) == expected
+        covered.add((kind, "negative start"))
+        # a start on a shift whose block meets the union
+        meeting = [m for m in (old.frequencies()[:, None] - new.frequencies()[None, :]).ravel().tolist()
+                   if -30 <= m <= 400]
+        if meeting:
+            start = min(meeting)
+            scan = con.ScanConfig(start=start, cap=400)
+            assert scan_outcome(con.select_shift, s, partial, new, target, scan) == scan_outcome(
+                per_candidate_select_shift, s, partial, new, target, scan)
+            covered.add((kind, "start meets the union"))
+        if isinstance(expected, str):
+            continue
+        # every start in [-30, expected] has the same smallest accepted shift
+        for k in range(1, 9):
+            for offset in (2 ** k - 1, 2 ** (k + 1) - 2):
+                if expected - offset >= -30:
+                    scan = con.ScanConfig(start=expected - offset, cap=400)
+                    assert con.select_shift(s, partial, new, target, scan) == expected
+                    covered.add((kind, window_position(scan.start, expected)))
+        # a cap one short of the accepted shift, and one on it, inside their windows
+        for cap in (expected - 1, expected):
+            if cap >= -30 and window_position(-30, cap) != "last":
+                scan = con.ScanConfig(start=-30, cap=cap)
+                assert scan_outcome(con.select_shift, s, partial, new, target, scan) == scan_outcome(
+                    per_candidate_select_shift, s, partial, new, target, scan)
+                covered.add((kind, "cap inside a window"))
+    assert covered == {
+        (kind, what)
+        for kind in ("dense", "sparse")
+        for what in ("negative start", "start meets the union", "first", "last", "cap inside a window")
+    }
+
+
+def test_select_shift_coefficient_work(monkeypatch):
+    # the scan evaluates each coefficient once per window of consecutive shifts;
+    # one call per candidate requested 273,062 values in 133 calls on this build
+    requested, coeff, scan = [], torus.fourier_coeff_many, con.select_shift
+    inside = [False]
+
+    def counting(s, ks):
+        values = coeff(s, ks)
+        if inside[0]:
+            requested.append(values.shape[0])
+        return values
+
+    def scanning(*args):
+        inside[0] = True
+        try:
+            return scan(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(torus, "fourier_coeff_many", counting)
+    monkeypatch.setattr(con, "select_shift", scanning)
+    build = con.build_lambda_thm2(ARC03, 3, n_range=(40, 2000))
+    assert [b.shift for b in build.blocks] == [0, 81, 920]
+    assert sum(requested) <= 70_000
+
+
 def test_select_shift_precondition():
     with pytest.raises(ValueError):
         con.select_shift(ARC03, empty_build(ARC03), con.BlockSpec(2, 2, 2, 0), 0.29)

@@ -45,6 +45,17 @@ def test_arithmetic_progression():
         spectral.arithmetic_progression(0, 0, 4)
 
 
+@pytest.mark.parametrize("shift,step,length", [
+    (0, 1, 2 ** 62),               # the last element is 2^62; building it would not end
+    (2 ** 62 - 2, 1, 2),
+    (-(2 ** 62) - 1, 1, 10 ** 18),  # the first element is -2^62
+    (np.int64(0), np.int64(2 ** 61), np.int64(4)),  # numpy ints do not wrap
+])
+def test_arithmetic_progression_checks_range_first(shift, step, length):
+    with pytest.raises(ValueError, match=r"\|f\| < 2\^62"):
+        spectral.arithmetic_progression(shift, step, length)
+
+
 # --- gram ---------------------------------------------------------------------
 
 def test_gram_full_circle_is_identity():

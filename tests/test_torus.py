@@ -235,6 +235,18 @@ def test_fourier_coeff_many_examples():
     assert c0.shape == (1,) and c0[0] == pytest.approx(s.measure)
 
 
+def test_fourier_coeff_many_values_do_not_depend_on_chunking(monkeypatch, rng=np.random.RandomState(12)):
+    ks = np.concatenate([rng.randint(-10 ** 6, 10 ** 6, 3000), np.zeros(5, dtype=np.int64),
+                         [2 ** 61, -(2 ** 61), 2 ** 61 - 1]])
+    rng.shuffle(ks)
+    sets = [torus.normalize([(0.1, 0.37)]), random_three_arc_set(rng),
+            torus.complement(torus.normalize([(0.0, 1.0)]))]
+    whole = [torus.fourier_coeff_many(s, ks) for s in sets]
+    monkeypatch.setattr(torus, "COEFF_BLOCK", 5)  # one or a few rows per chunk
+    for s, want in zip(sets, whole):
+        assert torus.fourier_coeff_many(s, ks).tobytes() == want.tobytes()
+
+
 def test_table_invariants(rng=np.random.RandomState(8)):
     s = random_three_arc_set(rng)
     ks = np.arange(-64, 65)
