@@ -107,7 +107,8 @@ def _cmd_riesz(args) -> int:
     if args.build is not None:
         build, _ = constructions.load_build(args.build)
         if args.verify:
-            rows = constructions.verify_build(s, build)
+            # every partial union from one Gram; the report reuses the last eigensolve
+            rows, report = constructions._verify(s, build)
             for row in rows:
                 print(
                     f"block {row.index}: stated={row.stated!r} "
@@ -115,15 +116,19 @@ def _cmd_riesz(args) -> int:
                 )
             if not all(row.ok for row in rows):
                 raise CertificateMismatch("stored certificates do not match recomputation")
-        freqs = spectral.frequency_set(build.frequencies().tolist())
+        else:
+            freqs = spectral.frequency_set(build.frequencies().tolist())
+            report = spectral.riesz_report(s, freqs)
     elif args.verify:
         raise ValueError("--verify needs --build")
-    elif args.freqs is not None:
-        freqs = spectral.frequency_set(_parse_int_list(args.freqs))
     else:
-        shift, step, length = _parse_int_list(args.ap)
-        freqs = spectral.arithmetic_progression(shift, step, length)
-    payload = dataclasses.asdict(spectral.riesz_report(s, freqs))
+        if args.freqs is not None:
+            freqs = spectral.frequency_set(_parse_int_list(args.freqs))
+        else:
+            shift, step, length = _parse_int_list(args.ap)
+            freqs = spectral.arithmetic_progression(shift, step, length)
+        report = spectral.riesz_report(s, freqs)
+    payload = dataclasses.asdict(report)
     _write(args.out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return EXIT_OK
 

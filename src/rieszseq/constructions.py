@@ -6,6 +6,11 @@ progressions of step O(N) and step O(N^alpha), alpha > 1.
 Builders are sequential (each shift depends on the previous partial union)
 and share one placement step, whose shift scan decides each candidate by a
 Schur-complement Cholesky and whose certificate is a full-union eigensolve.
+A builder carries the union's Gram from one placement to the next: each
+placement builds only the new block's Gram, takes the accepted shift's cross
+block from the scan, and assembles the grown union's Gram from the three.
+Verification builds the full union's Gram once and cuts every partial
+union's Gram from it.  Both give, entry for entry, the matrices gram() builds.
 Searches are deterministic with smallest-index tie-breaking throughout.
 """
 
@@ -281,10 +286,15 @@ def _lambda_min(s: IntervalSet, freqs: FrequencySet) -> float:
     return spectral.extreme_eigs(spectral.gram(s, freqs))[0]
 
 
+def _gram(s: IntervalSet, freqs: np.ndarray) -> np.ndarray:
+    """gram(S, freqs).entries for strictly increasing freqs."""
+    return spectral.gram(s, FrequencySet(tuple(freqs.tolist()))).entries
+
+
 def _shifted_gram(s: IntervalSet, freqs: np.ndarray, target: float) -> np.ndarray:
     """gram(S, freqs) - target*I for strictly increasing freqs."""
-    g = spectral.gram(s, FrequencySet(tuple(freqs.tolist())))
-    return g.entries - target * np.eye(g.size)
+    g = _gram(s, freqs)
+    return g - target * np.eye(g.shape[0])
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray | None:
@@ -321,13 +331,31 @@ def select_shift(
     evaluated on its own, so the values, and hence the decisions, are those
     of a per-candidate evaluation.  An exhausted scan reports how many shifts
     it decided and how many it skipped because they met the union.
+
+    This entry point builds G_B and G_E itself; the builders run the same scan
+    on the Grams they carry.
     """
     offsets = newblock.frequencies() - newblock.shift
     inblock = _shifted_gram(s, offsets, target)
     if _cholesky(inblock) is None:
         raise ValueError("new block alone is below the target bound")
     existing_freqs = existing.frequencies()
-    factor = _cholesky(_shifted_gram(s, existing_freqs, target)) if existing.blocks else np.eye(0)
+    shifted = _shifted_gram(s, existing_freqs, target) if existing.blocks else np.eye(0)
+    return _scan(s, existing_freqs, shifted, offsets, inblock, target, scan)[0]
+
+
+def _scan(
+    s: IntervalSet,
+    existing_freqs: np.ndarray,
+    shifted: np.ndarray,
+    offsets: np.ndarray,
+    inblock: np.ndarray,
+    target: float,
+    scan: ScanConfig,
+) -> tuple[int, np.ndarray]:
+    """select_shift's scan on shifted = G_E - tI and inblock = G_B - tI, the
+    block already checked; returns the accepted shift M and its cross block C(M)."""
+    factor = _cholesky(shifted)
     if factor is None:
         raise ValueError("existing partial union is below the target bound")
     linv = np.linalg.inv(factor)  # once per placement; W = linv @ C(M) per candidate
@@ -351,9 +379,10 @@ def select_shift(
             vals = torus.fourier_coeff_many(s, keys)
             at = at[where]
             for t in np.flatnonzero(~meets).tolist():
-                w = linv @ vals[at + t]
+                cross = vals[at + t]
+                w = linv @ cross
                 if _cholesky(inblock - w.conj().T @ w) is not None:
-                    return m + t
+                    return m + t, cross
         m, width = m + width, 2 * width
     # diffs are distinct, so each -d in range is one shift that meets the union
     met = int(np.count_nonzero((-diffs >= scan.start) & (-diffs <= scan.cap)))
@@ -365,16 +394,42 @@ def select_shift(
 
 
 def _place(
-    s: IntervalSet, build: LambdaBuild, candidate: BlockSpec, target: float, scan: ScanConfig
-) -> LambdaBuild | None:
-    """`build` plus `candidate` at its select_shift shift, or None if the block alone
-    misses `target`.  The new schedule entry is an eigensolve of the whole union."""
-    if _cholesky(_shifted_gram(s, candidate.frequencies(), target)) is None:
+    s: IntervalSet,
+    build: LambdaBuild,
+    union: np.ndarray,
+    candidate: BlockSpec,
+    target: float,
+    scan: ScanConfig,
+) -> tuple[LambdaBuild, np.ndarray] | None:
+    """`build` plus the unshifted `candidate` at the shift select_shift would
+    pick, with the grown union's Gram; None if the block alone misses `target`.
+
+    `union` is gram(S, build.frequencies()).entries, carried over from the
+    previous placement, so a placement builds only the block's Gram G_B.  The
+    grown union's Gram is [[G_E, C(M)], [C(M)^H, G_B]] with its rows and
+    columns put in frequency order: every entry is the value, or the exact
+    conjugate, that gram() would compute, so the new schedule entry, an
+    eigensolve of that matrix, is the eigensolve of gram() of the whole union.
+    """
+    offsets = candidate.frequencies()
+    block = _gram(s, offsets)
+    inblock = block - target * np.eye(block.shape[0])
+    if _cholesky(inblock) is None:
         return None
-    shift = select_shift(s, build, candidate, target, scan)
-    grown = replace(build, blocks=build.blocks + (replace(candidate, shift=shift),))
-    cert = _lambda_min(s, frequency_set(grown.frequencies().tolist()))
-    return replace(grown, schedule=build.schedule + (cert,))
+    existing = build.frequencies()
+    shifted = union - target * np.eye(union.shape[0])
+    shift, cross = _scan(s, existing, shifted, offsets, inblock, target, scan)
+    placed = offsets + shift
+    freqs = np.sort(np.concatenate([existing, placed]))
+    e, b = np.searchsorted(freqs, existing), np.searchsorted(freqs, placed)
+    grown = np.empty((freqs.size, freqs.size), dtype=np.complex128)
+    grown[np.ix_(e, e)] = union
+    grown[np.ix_(e, b)] = cross
+    grown[np.ix_(b, e)] = cross.conj().T
+    grown[np.ix_(b, b)] = block
+    cert = spectral.extreme_eigs(spectral.GramMatrix(grown, build.set_digest))[0]
+    blocks = build.blocks + (replace(candidate, shift=shift),)
+    return replace(build, blocks=blocks, schedule=build.schedule + (cert,)), grown
 
 
 def build_lambda_thm2(
@@ -402,10 +457,13 @@ def build_lambda_thm2(
         raise ValueError(f"eps must lie in (0, |S|/4], got {eps}")
     hits = good_n_search(s, eps, n_range)  # checks eps and n_range now, searches lazily
     build = LambdaBuild((), s.measure / 2.0, (), torus.set_digest(s))
+    union = np.empty((0, 0), dtype=np.complex128)  # gram of the placed blocks, carried
     for n in hits:
         target = (build.gamma / 2.0) * (1.0 + 1.0 / n)
-        # None: good sum, but the block alone misses its target at this scale
-        build = _place(s, build, BlockSpec(n=n, step=n, length=n, shift=0), target, scan) or build
+        placed = _place(s, build, union, BlockSpec(n=n, step=n, length=n, shift=0), target, scan)
+        if placed is None:  # good sum, but the block alone misses its target at this scale
+            continue
+        build, union = placed
         if len(build.blocks) == count:
             return build
     raise NotEnoughBlocks(
@@ -531,15 +589,17 @@ def build_lambda_thm3(
     ]
     powers = np.abs(torus.fourier_coeff_many(s, np.arange(span + 1))) ** 2
     build = LambdaBuild((), s.measure / 2.0, (), torus.set_digest(s))
+    union = np.empty((0, 0), dtype=np.complex128)  # gram of the placed blocks, carried
     target = build.gamma / 2.0
     rows: list[Thm3Row] = []
     for alpha, n, cap in jobs:
         found = step_search_alpha(powers, alpha, n, cap)
-        build = _place(s, build, BlockSpec(n=n, step=found.ell, length=n, shift=0), target, scan)
-        if build is None:
+        placed = _place(s, build, union, BlockSpec(n=n, step=found.ell, length=n, shift=0), target, scan)
+        if placed is None:
             raise NotEnoughBlocks(
                 f"block of length {n} at step {found.ell} is below gamma/2 = {target}"
             )
+        build, union = placed
         shift, cert = build.blocks[-1].shift, build.schedule[-1]
         rows.append(Thm3Row(alpha, n, found.ell, found.total, shift, cert))
     return build, tuple(rows)
@@ -620,11 +680,38 @@ class VerifyRow:
 def verify_build(s: IntervalSet, build: LambdaBuild, tol: float = 1e-9) -> list[VerifyRow]:
     """Re-derive every partial-union certificate by a fresh eigensolve; a row
     is ok when it matches the stated bound and clears gamma/2, both within tol.
-    Disjoint blocks are LambdaBuild's own invariant."""
+    Disjoint blocks are LambdaBuild's own invariant.
+
+    The full union's Gram is built once, and each partial union's Gram is its
+    principal submatrix at that union's frequencies: the matrix gram() builds
+    for the partial union, entry for entry.
+    """
+    return _verify(s, build, tol)[0] if build.blocks else []
+
+
+def _partial_grams(s: IntervalSet, build: LambdaBuild) -> Iterator[spectral.GramMatrix]:
+    """Gram of the union of the first k blocks for k = 1, 2, ..., all cut from
+    one gram() of the whole union, which comes last."""
+    freqs = build.frequencies()
+    g = spectral.gram(s, FrequencySet(tuple(freqs.tolist())))
+    owner = np.empty(freqs.size, dtype=np.int64)  # the block each frequency is in
+    for k, b in enumerate(build.blocks):
+        owner[np.searchsorted(freqs, b.frequencies())] = k
+    for k in range(1, len(build.blocks)):
+        at = np.flatnonzero(owner < k)
+        yield spectral.GramMatrix(g.entries[np.ix_(at, at)], g.set_digest)
+    yield g
+
+
+def _verify(
+    s: IntervalSet, build: LambdaBuild, tol: float = 1e-9
+) -> tuple[list[VerifyRow], spectral.RieszReport]:
+    """verify_build's rows plus the whole union's riesz_report, which reuses the
+    last row's eigensolve; a build without blocks raises ValueError."""
     rows = []
-    for k in range(1, len(build.blocks) + 1):
-        lam = _lambda_min(s, build.partial_frequency_set(k))
-        stated = build.schedule[k - 1]
+    for k, g in enumerate(_partial_grams(s, build), start=1):
+        eigs = spectral.extreme_eigs(g)
+        lam, stated = eigs[0], build.schedule[k - 1]
         ok = abs(lam - stated) <= tol and lam >= build.gamma / 2.0 - tol
         rows.append(VerifyRow(k, stated, lam, ok))
-    return rows
+    return rows, spectral._report(s, g, eigs)

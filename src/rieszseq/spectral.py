@@ -25,6 +25,10 @@ from .torus import IntervalSet
 # every |frequency| stays below this, so all pairwise differences fit in int64
 FREQ_LIMIT = 2 ** 62
 
+# arithmetic_progression builds at most this many frequencies: the m x m complex
+# Gram of a longer one would take more than 16 * m^2 bytes = 1 GiB
+AP_LENGTH_LIMIT = 2 ** 13
+
 
 def _check_range(lowest: int, highest: int) -> None:
     if not -FREQ_LIMIT < lowest <= highest < FREQ_LIMIT:
@@ -59,13 +63,15 @@ def frequency_set(values: Iterable[int]) -> FrequencySet:
 def arithmetic_progression(shift: int, step: int, length: int) -> FrequencySet:
     """The progression {shift + step, shift + 2*step, ..., shift + length*step}.
 
-    Its extremes are range-checked before any element is built, so an
-    out-of-range progression fails at once however long it is.
+    Its extremes and its length are checked before any element is built, so
+    an out-of-range or overlong progression fails at once however long it is.
     """
     shift, step, length = int(shift), int(step), int(length)  # exact, never int64
     if step < 1 or length < 1:
         raise ValueError("step and length must be positive")
     _check_range(shift + step, shift + step * length)
+    if length > AP_LENGTH_LIMIT:
+        raise ValueError(f"progression length must be at most {AP_LENGTH_LIMIT}, got {length}")
     return FrequencySet(tuple(shift + step * k for k in range(1, length + 1)))
 
 
@@ -135,7 +141,12 @@ def rayleigh(g: GramMatrix, c) -> float:
 
 def riesz_report(s: IntervalSet, freqs: FrequencySet) -> RieszReport:
     g = gram(s, freqs)
-    lo, hi = extreme_eigs(g)
+    return _report(s, g, extreme_eigs(g))
+
+
+def _report(s: IntervalSet, g: GramMatrix, eigs: tuple[float, float]) -> RieszReport:
+    """riesz_report of the frequencies whose Gram is g, given extreme_eigs(g)."""
+    lo, hi = eigs
     energy = offdiag_energy(g)
     return RieszReport(
         lower=lo,

@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from rieszseq import cli, constructions, numtheory, torus
+import rieszseq
+from rieszseq import cli, constructions, numtheory, spectral, torus
 
 
 def run(argv):
@@ -122,6 +128,29 @@ def test_riesz_build_verify_reads_build_once(arc03_file, tmp_path, monkeypatch):
     assert run(["riesz", arc03_file, "--build", build_path, "--verify",
                 "--out", tmp_path / "rep.json"]) == 0
     assert calls == [str(build_path)]
+
+
+def test_riesz_build_verify_makes_one_gram(arc03_file, tmp_path, monkeypatch):
+    build_path, out = tmp_path / "build.json", tmp_path / "rep.json"
+    assert run(["thm2", arc03_file, "--count", 3, "--eps", 0.075,
+                "--out", tmp_path / "t2.csv", "--build-out", build_path]) == 0
+    sizes, eigs = [], []
+    gram, extreme_eigs = spectral.gram, spectral.extreme_eigs
+    monkeypatch.setattr(spectral, "gram", lambda s, freqs: sizes.append(len(freqs)) or gram(s, freqs))
+    monkeypatch.setattr(spectral, "extreme_eigs", lambda g: eigs.append(g.size) or extreme_eigs(g))
+    assert run(["riesz", arc03_file, "--build", build_path, "--verify", "--out", out]) == 0
+    # one Gram of the whole union; one eigensolve per partial union, the last shared
+    # with the report
+    size = json.loads(out.read_text())["size"]
+    assert sizes == [size]
+    assert len(eigs) == 3 and eigs[-1] == size
+
+
+def test_riesz_verify_rejects_empty_build(arc03_file, tmp_path, capsys):
+    path = tmp_path / "build.json"
+    path.write_text(json.dumps({"gamma": 0.15, "blocks": []}))
+    assert run(["riesz", arc03_file, "--build", path, "--verify", "--out", tmp_path / "r.json"]) == 2
+    assert "invalid input: frequency set must be nonempty" in capsys.readouterr().err
 
 
 # --- theorem drivers ------------------------------------------------------------
@@ -389,3 +418,21 @@ def test_riesz_accepts_frequencies_just_inside_range(full_file, capsys):
     assert run(["riesz", full_file, f"--freqs={-big},{big}"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["size"] == 2
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("ap", ["0,1,1000000000000000000", f"{-(2 ** 62)},1,1000000000000000000"])
+def test_riesz_rejects_overlong_progression(full_file, ap):
+    # run apart, in 1 GiB of address space and under a timeout: were the length not
+    # checked first, building the progression would end there in a MemoryError
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(rieszseq.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "rieszseq.cli", "riesz", str(full_file), f"--ap={ap}"],
+                          capture_output=True, text=True, timeout=60, env=env,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("invalid input: progression length must be at most 8192")

@@ -395,8 +395,9 @@ def test_select_shift_matches_per_candidate_scan(rng=np.random.RandomState(3)):
 
 def test_select_shift_coefficient_work(monkeypatch):
     # the scan evaluates each coefficient once per window of consecutive shifts;
-    # one call per candidate requested 273,062 values in 133 calls on this build
-    requested, coeff, scan = [], torus.fourier_coeff_many, con.select_shift
+    # one call per candidate requested 273,062 values in 133 calls on this build.
+    # The builders run select_shift's scan, _scan, on the Grams they carry
+    requested, coeff, scan = [], torus.fourier_coeff_many, con._scan
     inside = [False]
 
     def counting(s, ks):
@@ -413,10 +414,57 @@ def test_select_shift_coefficient_work(monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(torus, "fourier_coeff_many", counting)
-    monkeypatch.setattr(con, "select_shift", scanning)
+    monkeypatch.setattr(con, "_scan", scanning)
     build = con.build_lambda_thm2(ARC03, 3, n_range=(40, 2000))
     assert [b.shift for b in build.blocks] == [0, 81, 920]
-    assert sum(requested) <= 70_000
+    assert 0 < sum(requested) <= 70_000
+
+
+def test_placed_union_gram_is_gram_of_the_union(rng=np.random.RandomState(11)):
+    """A placement's assembled Gram is gram() of the grown union bit for bit, and its
+    certificate is that Gram's eigensolve; verify cuts gram() of each partial union."""
+    covered = set()
+    for case in range(10):
+        s = FULL if case == 9 else random_arc_set(rng)
+        scan = con.ScanConfig(start=-int(rng.randint(1, 60)), cap=3000)
+        build = empty_build(s)
+        union = np.empty((0, 0), dtype=np.complex128)
+        for _ in range(3):
+            n = int(rng.randint(3, 9))
+            candidate = con.BlockSpec(n, int(rng.randint(2, 15)), n, 0)
+            floor = lambda_min(s, spectral.frequency_set(candidate.frequencies().tolist()))
+            if build.blocks:
+                floor = min(floor, build.schedule[-1])
+            placed = con._place(s, build, union, candidate, 0.6 * floor, scan)
+            assert placed is not None
+            before = build.frequencies()
+            build, union = placed
+            freqs = spectral.frequency_set(build.frequencies().tolist())
+            assert np.array_equal(union, spectral.gram(s, freqs).entries)
+            assert build.schedule[-1] == lambda_min(s, freqs)
+            new = build.blocks[-1].frequencies()
+            if before.size and new.min() < before.max() and before.min() < new.max():
+                covered.add("interleaved")
+            if build.blocks[-1].shift < 0:
+                covered.add("negative shift")
+        grams = list(con._partial_grams(s, build))
+        assert len(grams) == len(build.blocks)
+        for k, g in enumerate(grams, start=1):
+            assert np.array_equal(g.entries, spectral.gram(s, build.partial_frequency_set(k)).entries)
+    assert covered == {"interleaved", "negative shift"}
+
+
+def test_build_thm3_builds_only_block_grams(monkeypatch):
+    # each placement builds the Gram of its own unshifted block and eigensolves the
+    # grown union once; no Gram of a union of two or more blocks is built
+    grams, eigs = [], []
+    gram, extreme_eigs = spectral.gram, spectral.extreme_eigs
+    monkeypatch.setattr(spectral, "gram", lambda s, freqs: grams.append(freqs.freqs) or gram(s, freqs))
+    monkeypatch.setattr(spectral, "extreme_eigs", lambda g: eigs.append(g.size) or extreme_eigs(g))
+    s = torus.normalize([(0.1, 0.3), (0.55, 0.8)])
+    build, _ = con.build_lambda_thm3(s, [2.0, 1.5], [[6, 7], [12, 13]])
+    assert grams == [tuple(replace(b, shift=0).frequencies().tolist()) for b in build.blocks]
+    assert eigs == np.cumsum([b.length for b in build.blocks]).tolist()
 
 
 def test_select_shift_precondition():

@@ -56,6 +56,13 @@ def test_arithmetic_progression_checks_range_first(shift, step, length):
         spectral.arithmetic_progression(shift, step, length)
 
 
+def test_arithmetic_progression_bounds_length():
+    limit = spectral.AP_LENGTH_LIMIT
+    assert len(spectral.arithmetic_progression(-5, 3, limit)) == limit
+    with pytest.raises(ValueError, match=f"^progression length must be at most {limit}, got {limit + 1}$"):
+        spectral.arithmetic_progression(-5, 3, limit + 1)
+
+
 # --- gram ---------------------------------------------------------------------
 
 def test_gram_full_circle_is_identity():
