@@ -138,21 +138,24 @@ def _cmd_thm1(args) -> int:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     ells = _parse_int_list(args.ells)
     lengths = _parse_int_list(args.enns)
-    sched = constructions.delta_schedule(args.epsilon)
-    s = constructions.build_adversarial_set(args.epsilon, args.lmax)
-    cells = [(ell, n) for ell in ells for n in lengths]
-
-    def run(cell):
-        ell, n = cell
+    if not ells or not lengths:
+        raise ValueError("--ells and --enns must each name at least one value")
+    for ell in ells:
+        if ell < 1:
+            raise ValueError(f"ell = {ell} must be >= 1")
         if ell > args.lmax:
             raise ValueError(f"ell = {ell} exceeds lmax = {args.lmax}")
-        return constructions.thm1_cell(s, sched, ell, n)
+    for n in lengths:
+        if not 1 <= n <= spectral.RAYLEIGH_LENGTH_LIMIT:
+            raise ValueError(f"N = {n} must lie in [1, {spectral.RAYLEIGH_LENGTH_LIMIT}]")
+    sched = constructions.delta_schedule(args.epsilon)
+    s = constructions.build_adversarial_set(args.epsilon, args.lmax)
 
-    if args.workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run, cells))
-    else:
-        results = [run(c) for c in cells]
+    def run(ell):
+        return constructions.thm1_cells(s, sched, ell, lengths)
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
+        results = [cell for row in pool.map(run, ells) for cell in row]
     results.sort(key=lambda c: (c.ell, c.length))
     rows = [[c.ell, c.length, c.delta, c.rayleigh_uniform, c.tail_bound] for c in results]
     _write_rows(args.out, ["ell", "N", "delta", "rayleigh_uniform", "tail_bound"], rows)

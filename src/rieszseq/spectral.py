@@ -29,6 +29,10 @@ FREQ_LIMIT = 2 ** 62
 # Gram of a longer one would take more than 16 * m^2 bytes = 1 GiB
 AP_LENGTH_LIMIT = 2 ** 13
 
+# uniform_rayleigh_ap_many takes lengths up to this: its kernel work grows as
+# arc endpoints times length (9 s per step at l_max 256, 33,000 endpoints)
+RAYLEIGH_LENGTH_LIMIT = 2 ** 16
+
 
 def _check_range(lowest: int, highest: int) -> None:
     if not -FREQ_LIMIT < lowest <= highest < FREQ_LIMIT:
@@ -160,28 +164,50 @@ def _report(s: IntervalSet, g: GramMatrix, eigs: tuple[float, float]) -> RieszRe
 def uniform_rayleigh_ap(s: IntervalSet, step: int, length: int) -> float:
     """Rayleigh quotient of the all-ones vector on gram(S, {step, 2*step, ..., length*step}).
 
+    The one-length case of uniform_rayleigh_ap_many.  Shift-invariant, so no
+    shift argument.
+    """
+    return uniform_rayleigh_ap_many(s, step, [length])[0]
+
+
+def uniform_rayleigh_ap_many(s: IntervalSet, step: int, lengths) -> list[float]:
+    """uniform_rayleigh_ap(s, step, N) for every N in lengths, from one kernel pass.
+
     Uses the Toeplitz structure: |S| + (2/N) * sum_{d=1}^{N-1} (N-d) Re c_hat(d*step),
     so only the real part of one coefficient per off-diagonal stripe is needed,
-    never the N x N matrix.  Those N-1 values come from
-    torus.fourier_coeff_real_ap, which splits d = q*B + r with B = isqrt(N-1) + 1
-    and so needs about 2*sqrt(N) sine/cosine pairs per arc endpoint instead of
-    N complex exponentials; the endpoint sums and the stripe sum here are
-    numpy pairwise sums.  Shift-invariant, so no shift argument.
+    never the N x N matrix.  The values for the largest N come from one
+    torus.fourier_coeff_real_ap call, which splits d = q*B + r with
+    B = isqrt(max N - 1) + 1 and so needs about 2*sqrt(N) sine/cosine pairs
+    per arc endpoint instead of N complex exponentials; every shorter N reads
+    their prefix.  A prefix is split with the largest N's B, so it may differ
+    in the last bits from a call with that N alone.  The endpoint sums and the
+    stripe sums here are numpy pairwise sums.
     """
     if s.measure <= 0.0:
         raise DegenerateSet("rayleigh quotient needs a set of positive measure")
-    step, length = int(step), int(length)
-    if step < 1 or length < 1:
+    step, lengths = int(step), [int(n) for n in lengths]
+    if step < 1 or not lengths or min(lengths) < 1:
         raise ValueError("step and length must be positive")
-    if length == 1:
-        return float(s.measure)
-    d = np.arange(1, length, dtype=np.int64)
-    re = torus.fourier_coeff_real_ap(s, step, length - 1)
-    return float(s.measure + (2.0 / length) * np.sum((length - d) * re))
+    top = max(lengths)
+    if top > RAYLEIGH_LENGTH_LIMIT:
+        raise ValueError(f"length must be at most {RAYLEIGH_LENGTH_LIMIT}, got {top}")
+    re = torus.fourier_coeff_real_ap(s, step, top - 1)
+    d = np.arange(1, top, dtype=np.int64)
+    return [
+        float(s.measure + (2.0 / n) * np.sum((n - d[: n - 1]) * re[: n - 1])) for n in lengths
+    ]
 
 
 def dirichlet_tail(length: int, delta: float) -> float:
     """Energy of the normalized Dirichlet polynomial outside the arc of half-width delta at 0.
+
+    The one-length case of dirichlet_tail_many.
+    """
+    return dirichlet_tail_many([length], delta)[0]
+
+
+def dirichlet_tail_many(lengths, delta: float) -> list[float]:
+    """dirichlet_tail(N, delta) for every N in lengths, from one kernel pass.
 
     Exact closed-form evaluation: the uniform-vector Rayleigh quotient of the
     Gram matrix of {1..N} on the complement arc.  Equals 1 minus the energy
@@ -190,7 +216,7 @@ def dirichlet_tail(length: int, delta: float) -> float:
     if not (0.0 < delta < 0.5):
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     outside = torus.complement(torus.normalize([(-delta, delta)]))
-    return uniform_rayleigh_ap(outside, 1, length)
+    return uniform_rayleigh_ap_many(outside, 1, lengths)
 
 
 def dirichlet_tail_bound(length: int, delta: float) -> float:

@@ -96,7 +96,6 @@ def normalize(raw_arcs: Iterable[Sequence[float]]) -> IntervalSet:
     if not pairs:
         raise EmptyInput("no arcs given")
     total = 0.0
-    pieces: list[tuple[float, float]] = []
     for a, b in pairs:
         if not (math.isfinite(a) and math.isfinite(b)):
             raise InvalidArc(f"arc ({a}, {b}) has a non-finite endpoint")
@@ -106,45 +105,57 @@ def normalize(raw_arcs: Iterable[Sequence[float]]) -> IntervalSet:
         if length > 1.0 + MEASURE_TOL:
             raise InvalidArc(f"arc ({a}, {b}) is longer than the circle")
         total += length
-        if length >= 1.0:
-            pieces.append((0.0, 1.0))
-            continue
-        s = a - math.floor(a)
-        if s >= 1.0:  # float guard: a barely below an integer
-            s = 0.0
-        e = s + length
-        if e <= 1.0:
-            pieces.append((s, e))
-        else:
-            pieces.append((s, 1.0))
-            if e - 1.0 > 0.0:
-                pieces.append((0.0, e - 1.0))
     if total > 1.0 + MEASURE_TOL:
         raise InvalidArc(f"total raw length {total} exceeds the circle")
-    pieces.sort()
-    merged = [list(pieces[0])]
-    for s, e in pieces[1:]:
-        if s <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    arcs = tuple(Arc(s, e) for s, e in merged)
+    raw = np.array(pairs, dtype=np.float64)
+    return from_arrays(*merge_arcs(raw[:, 0], raw[:, 1]))
+
+
+def merge_arcs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the canonical union of the pairs (a[i], b[i]).
+
+    Each pair must run counterclockwise with length b - a in (0, 1]; `normalize`
+    checks that, and callers that build pairs themselves must guarantee it.
+    Coordinates are taken mod 1, a pair of length >= 1 is the whole circle, a
+    wrap-crossing pair is split at 0, and overlapping or touching pieces merge.
+    The result is sorted by start, disjoint, and bitwise the same whatever the
+    order of the pairs.
+    """
+    length = b - a
+    full = length >= 1.0
+    s = a - np.floor(a)
+    s[s >= 1.0] = 0.0  # float guard: a barely below an integer
+    s[full] = 0.0
+    e = s + length
+    e[full] = 1.0
+    wrap = e > 1.0  # then 0 < e - 1 <= 1 exactly
+    starts = np.concatenate([s, np.zeros(np.count_nonzero(wrap))])
+    ends = np.concatenate([np.minimum(e, 1.0), e[wrap] - 1.0])
+    # sorted by (start, end); a piece opens a new arc when it starts past the
+    # reach of every piece before it, and each arc ends at its pieces' largest end
+    order = np.lexsort((ends, starts))
+    starts, ends = starts[order], ends[order]
+    opens = np.flatnonzero(np.concatenate(([True], starts[1:] > np.maximum.accumulate(ends)[:-1])))
+    return starts[opens], np.maximum.reduceat(ends, opens)
+
+
+def complement_arcs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the gaps of sorted disjoint arcs, within [0, 1]."""
+    gap_starts = np.concatenate(([0.0], ends))
+    gap_ends = np.concatenate((starts, [1.0]))
+    keep = gap_starts < gap_ends
+    return gap_starts[keep], gap_ends[keep]
+
+
+def from_arrays(starts: np.ndarray, ends: np.ndarray) -> IntervalSet:
+    """The IntervalSet of sorted disjoint arcs given by their starts and ends."""
+    arcs = tuple(map(Arc, starts.tolist(), ends.tolist()))
     return IntervalSet(arcs, math.fsum(a.length for a in arcs))
 
 
 def complement(s: IntervalSet) -> IntervalSet:
     """Complement within the circle; may be empty."""
-    if s.is_empty():
-        return IntervalSet((Arc(0.0, 1.0),), 1.0)
-    gaps = []
-    prev = 0.0
-    for arc in s.arcs:
-        if arc.start > prev:
-            gaps.append(Arc(prev, arc.start))
-        prev = arc.end
-    if prev < 1.0:
-        gaps.append(Arc(prev, 1.0))
-    return IntervalSet(tuple(gaps), math.fsum(g.length for g in gaps))
+    return from_arrays(*complement_arcs(*s._endpoints))
 
 
 def scale_periodize(delta: float, ell: int) -> IntervalSet:
@@ -178,13 +189,25 @@ def contains(s: IntervalSet, x: float) -> bool:
     return i >= 0 and xm < ends[i]
 
 
+def _frac(p: np.ndarray) -> np.ndarray:
+    """p mod 1 for phases p >= 0, in place, as p - floor(p).
+
+    The difference is exact: floor(p) is 0, or p and floor(p) lie within a
+    factor of 2 of each other (Sterbenz).  So it is bitwise np.mod(p, 1.0),
+    which is also exact, at about half the cost.
+    """
+    p -= np.floor(p)
+    return p
+
+
 def fourier_coeff_many(s: IntervalSet, ks) -> np.ndarray:
     """Vectorized c_hat(k) = sum over arcs of (e^{-2pi i k a} - e^{-2pi i k b}) / (2pi i k).
 
     Exact closed form, no quadrature; c_hat(0) is the measure.  The phase
-    k*x is reduced mod 1 before exponentiating, so endpoints at exact
-    rationals (full circle, half circle) yield exact zeros.  Evaluation is
-    chunked over k, so no temporary but the result grows with len(ks).
+    |k|*x is reduced mod 1 before exponentiating, so endpoints at exact
+    rationals (full circle, half circle) yield exact zeros; the reduction
+    p - floor(p) is exact for p >= 0 (see _frac).  Evaluation is chunked over
+    k, so no temporary but the result grows with len(ks).
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
     out = np.empty(ks.shape[0], dtype=np.complex128)
@@ -197,10 +220,8 @@ def fourier_coeff_many(s: IntervalSet, ks) -> np.ndarray:
     for i in range(0, ks.shape[0], chunk):
         kc = ks[i : i + chunk]
         k_abs = np.abs(kc.astype(np.float64))
-        frac_a = np.mod(k_abs[:, None] * starts[None, :], 1.0)
-        frac_b = np.mod(k_abs[:, None] * ends[None, :], 1.0)
-        block = np.exp((-2j * np.pi) * frac_a)
-        block -= np.exp((-2j * np.pi) * frac_b)
+        block = np.exp((-2j * np.pi) * _frac(k_abs[:, None] * starts[None, :]))
+        block -= np.exp((-2j * np.pi) * _frac(k_abs[:, None] * ends[None, :]))
         res = out[i : i + chunk]
         with np.errstate(divide="ignore", invalid="ignore"):  # k = 0 is set below
             np.divide(block.sum(axis=1), 2j * np.pi * k_abs, out=res)
@@ -217,8 +238,8 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     w = -1 at arc starts and +1 at arc ends.  Writing d = q*B + r with
     B = isqrt(count) + 1 splits the phase: sin(2pi d step x) =
     sin(2pi qB step x) cos(2pi r step x) + cos(2pi qB step x) sin(2pi r step x).
-    One table row per q and one per r, each phase reduced mod 1 before the
-    sine and cosine, costs about 2*sqrt(count) sin/cos pairs per endpoint
+    One table row per q and one per r, each phase reduced mod 1 exactly (see
+    _frac) before the sine and cosine, costs about 2*sqrt(count) sin/cos pairs per endpoint
     instead of count complex exponentials.  Each coefficient is then an
     elementwise product of table entries, summed over each chunk of endpoints
     by numpy's pairwise sum and accumulated across chunks.  There is no BLAS
@@ -243,8 +264,10 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     q_chunk = max(1, SPLIT_BLOCK // (b * x_chunk))
     for j in range(0, xs.size, x_chunk):
         x, w = xs[j : j + x_chunk], ws[j : j + x_chunk]
-        hi_ph = (2 * np.pi) * np.mod(hi[:, None] * x[None, :], 1.0)
-        lo_ph = (2 * np.pi) * np.mod(lo[:, None] * x[None, :], 1.0)
+        hi_ph = _frac(hi[:, None] * x[None, :])
+        hi_ph *= 2 * np.pi
+        lo_ph = _frac(lo[:, None] * x[None, :])
+        lo_ph *= 2 * np.pi
         hi_sin, hi_cos = w * np.sin(hi_ph), w * np.cos(hi_ph)
         lo_sin, lo_cos = np.sin(lo_ph), np.cos(lo_ph)
         for i in range(0, rows, q_chunk):

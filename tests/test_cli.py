@@ -191,6 +191,50 @@ def test_thm1_rejects_ell_beyond_lmax(tmp_path, capsys):
     assert not (tmp_path / "t1.csv").exists()
 
 
+def test_thm1_runs_one_kernel_pass_per_step(tmp_path, monkeypatch):
+    calls = []
+    kernel = torus.fourier_coeff_real_ap
+
+    def spy(s, step, count):
+        calls.append((s, step, count))
+        return kernel(s, step, count)
+
+    monkeypatch.setattr(torus, "fourier_coeff_real_ap", spy)
+    out = tmp_path / "t1.csv"
+    assert run(["thm1", "--lmax", 16, "--ells", "2,4,8", "--enns", "64,1024,256", "--workers", 2,
+                "--out", out]) == 0
+    adversarial = constructions.build_adversarial_set(0.25, 16)
+    on_s = sorted((step, count) for s, step, count in calls if s == adversarial)
+    assert on_s == [(2, 1023), (4, 1023), (8, 1023)]
+    assert len(calls) == 6  # and one on each step's Dirichlet complement arc
+    # each step's row at its largest N is the one-length value, to the last bit
+    sched = constructions.delta_schedule(0.25)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:] if ",1024," in line]
+    assert [r[3] for r in rows] == [
+        repr(constructions.thm1_cell(adversarial, sched, ell, 1024).rayleigh_uniform)
+        for ell in (2, 4, 8)
+    ]
+
+
+@pytest.mark.parametrize("ells,enns,message", [
+    (",", "64", "--ells and --enns must each name at least one value"),
+    ("2", ",", "--ells and --enns must each name at least one value"),
+    ("0,2", "64", "ell = 0 must be >= 1"),
+    ("2", "64,0", "N = 0 must lie in [1, 65536]"),
+    ("2", "65537", "N = 65537 must lie in [1, 65536]"),
+])
+def test_thm1_rejects_bad_grid(tmp_path, capsys, ells, enns, message):
+    assert run(["thm1", "--lmax", 8, "--ells", ells, "--enns", enns, "--out", tmp_path / "t1.csv"]) == 2
+    assert f"invalid input: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "t1.csv").exists()
+
+
+def test_thm1_bounds_admit_the_long_grid():
+    # l_max 256 at N up to 16384 is the grid the prolate-witness study needs
+    assert constructions.ADVERSARIAL_LMAX_LIMIT >= 256
+    assert spectral.RAYLEIGH_LENGTH_LIMIT >= 16384
+
+
 def test_thm1_plot(tmp_path):
     out = tmp_path / "t1.csv"
     svg = tmp_path / "decay.svg"
@@ -436,3 +480,27 @@ def test_riesz_rejects_overlong_progression(full_file, ap):
                           preexec_fn=_limit_address_space)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("invalid input: progression length must be at most 8192")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["thm1", "--lmax", "8", "--ells", "2", "--enns", "100000000000"],
+     "N = 100000000000 must lie in [1, 65536]"),
+    (["thm1", "--lmax", "200000", "--ells", "2", "--enns", "64"],
+     "l_max must lie in [1, 1024], got 200000"),
+    (["set", "build", "--epsilon", "0.25", "--lmax", "200000", "--out", "OUT"],
+     "l_max must lie in [1, 1024], got 200000"),
+])
+def test_oversized_grid_is_rejected_before_building(tmp_path, argv, message):
+    # run apart, in 1 GiB of address space and under a timeout: were the sizes not
+    # checked first, building the set or the coefficient table would run out there
+    out = tmp_path / "out"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(rieszseq.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "rieszseq.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60, env=env,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"invalid input: {message}\n"
+    assert not out.exists() and proc.stdout == ""

@@ -207,6 +207,41 @@ def test_uniform_rayleigh_ap_longdouble_oracle():
     assert float(abs(got - want) / want) <= 1e-10
 
 
+def test_uniform_rayleigh_ap_many_prefix_rows_match_oracle():
+    # a row read from the prefix of a longer table is split with that table's
+    # width, so its last bits may move; it must stay within rel 1e-10 of an
+    # extended-precision oracle and of the one-length value
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("np.longdouble is not wider than float64 here")
+    from rieszseq import constructions
+
+    s = constructions.build_adversarial_set(0.25, 128)
+    starts, ends = s._endpoints
+    x = np.concatenate([starts, ends]).astype(np.longdouble)
+    w = np.concatenate([-np.ones_like(starts), np.ones_like(ends)]).astype(np.longdouble)
+    two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
+    for step, n in ((2, 1024), (8, 256)):
+        got, _ = spectral.uniform_rayleigh_ap_many(s, step, [n, 16384])
+        total = np.longdouble(0)
+        for lo in range(1, n, 64):
+            d = np.arange(lo, min(n, lo + 64), dtype=np.longdouble) * step
+            phase = np.mod(d[:, None] * x[None, :], np.longdouble(1))
+            re = (w * np.sin(two_pi * phase)).sum(axis=1) / (two_pi * d)
+            total += ((n - d / step) * re).sum()
+        want = np.longdouble(s.measure) + 2 * total / n
+        assert float(abs(got - want) / want) <= 1e-10
+        single = spectral.uniform_rayleigh_ap(s, step, n)
+        assert abs(got - single) <= 1e-10 * single
+
+
+def test_uniform_rayleigh_ap_many_checks_lengths():
+    for lengths in ([], [0, 4], [4, spectral.RAYLEIGH_LENGTH_LIMIT + 1]):
+        with pytest.raises(ValueError):
+            spectral.uniform_rayleigh_ap_many(HALF, 1, lengths)
+    with pytest.raises(ValueError):
+        spectral.dirichlet_tail_many([], 0.1)
+
+
 # --- cross-block perturbation ----------------------------------------------------
 
 def test_cross_block_perturbation_bound(rng=np.random.RandomState(23)):

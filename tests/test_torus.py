@@ -70,6 +70,102 @@ def test_set_file_shape_is_checked():
         with pytest.raises(InvalidArc):
             torus.from_dict(doc)
 
+# the sort/merge and complement loops that normalize and complement ran before
+# the array merge; kept as the bitwise reference for it
+
+def _loop_normalize(raw):
+    pieces = []
+    for a, b in raw:
+        a, b = float(a), float(b)
+        length = b - a
+        if length >= 1.0:
+            pieces.append((0.0, 1.0))
+            continue
+        s = a - math.floor(a)
+        if s >= 1.0:
+            s = 0.0
+        e = s + length
+        if e <= 1.0:
+            pieces.append((s, e))
+        else:
+            pieces.append((s, 1.0))
+            if e - 1.0 > 0.0:
+                pieces.append((0.0, e - 1.0))
+    pieces.sort()
+    merged = [list(pieces[0])]
+    for s, e in pieces[1:]:
+        if s <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    arcs = tuple(torus.Arc(s, e) for s, e in merged)
+    return torus.IntervalSet(arcs, math.fsum(a.length for a in arcs))
+
+
+def _loop_complement(s):
+    if s.is_empty():
+        return torus.IntervalSet((torus.Arc(0.0, 1.0),), 1.0)
+    gaps = []
+    prev = 0.0
+    for arc in s.arcs:
+        if arc.start > prev:
+            gaps.append(torus.Arc(prev, arc.start))
+        prev = arc.end
+    if prev < 1.0:
+        gaps.append(torus.Arc(prev, 1.0))
+    return torus.IntervalSet(tuple(gaps), math.fsum(g.length for g in gaps))
+
+
+def _bits(s):
+    return [(a.start.hex(), a.end.hex()) for a in s.arcs], s.measure.hex()
+
+
+def _merge_corpus(rng):
+    """Raw arc lists with wraps, touching, nested and duplicate arcs, arcs of
+    length >= 1, and starts barely below an integer (the s >= 1.0 guard)."""
+    corpus = [[(0.0, 1.0)], [(0.3, 1.3)], [(-1e-17, 0.2)], [(-1e-17, 0.2), (0.5, 0.5 + 2e-16)],
+              [(0.9, 1.2), (0.1, 0.15)], [(0.2, 0.4), (0.4, 0.6)], [(0.1, 0.5), (0.2, 0.3)],
+              [(0.2, 0.3), (0.2, 0.3), (0.2, 0.25)], [(-0.1, 0.0), (0.0, 0.1)],
+              [(2.0 - 1e-16, 2.1), (7.95, 8.0)]]
+    for _ in range(300):
+        n = int(rng.randint(1, 12))
+        a = rng.uniform(-3.0, 3.0, n) * rng.choice([1e-3, 1.0, 1e3], n)
+        b = a + rng.uniform(0.0, 1.0 / n, n)
+        raw = list(zip(a.tolist(), b.tolist()))
+        k = int(rng.randint(n))
+        raw.append((raw[k][1], raw[k][1] + 0.01 / n))   # touches arc k
+        raw.append((raw[k][0], raw[k][0] + 1e-3 / n))   # nested in arc k
+        corpus.append([p for p in raw if p[1] > p[0]])
+    return corpus
+
+
+def test_array_merge_matches_loop_reference(rng=np.random.RandomState(31)):
+    for raw in _merge_corpus(rng):
+        s = torus.normalize(raw)
+        want = _loop_normalize(raw)
+        assert _bits(s) == _bits(want), raw
+        assert _bits(torus.complement(s)) == _bits(_loop_complement(want)), raw
+        assert _bits(torus.normalize(raw[::-1])) == _bits(want), raw
+    full = torus.normalize([(0.0, 1.0)])
+    assert _bits(torus.complement(full)) == _bits(_loop_complement(full))
+    empty = torus.complement(full)
+    assert _bits(torus.complement(empty)) == _bits(_loop_complement(empty))
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.17, 0.25, 0.3])
+def test_adversarial_set_matches_loop_reference(epsilon):
+    from rieszseq import constructions
+
+    sched = constructions.delta_schedule(epsilon)
+    for l_max in (1, 2, 5, 48, 64, 96, 256):
+        raw = []
+        for ell in range(1, l_max + 1):
+            half = sched.delta(ell) / ell
+            raw.extend((k / ell - half, k / ell + half) for k in range(ell))
+        want = _loop_complement(_loop_normalize(raw))
+        assert _bits(constructions.build_adversarial_set(epsilon, l_max)) == _bits(want)
+
+
 # --- complement ------------------------------------------------------------
 
 def test_complement_basics():
@@ -245,6 +341,29 @@ def test_fourier_coeff_many_values_do_not_depend_on_chunking(monkeypatch, rng=np
     monkeypatch.setattr(torus, "COEFF_BLOCK", 5)  # one or a few rows per chunk
     for s, want in zip(sets, whole):
         assert torus.fourier_coeff_many(s, ks).tobytes() == want.tobytes()
+
+
+def _mod_reference_coeffs(s, ks):
+    """fourier_coeff_many with the phase reduced by np.mod(p, 1.0), in one block."""
+    ks = np.asarray(ks, dtype=np.int64)
+    starts, ends = s._endpoints
+    k_abs = np.abs(ks.astype(np.float64))
+    block = np.exp((-2j * np.pi) * np.mod(k_abs[:, None] * starts[None, :], 1.0))
+    block -= np.exp((-2j * np.pi) * np.mod(k_abs[:, None] * ends[None, :], 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = block.sum(axis=1) / (2j * np.pi * k_abs)
+    out = np.where(ks < 0, np.conj(out), out)
+    out[ks == 0] = s.measure
+    return out
+
+
+def test_fourier_coeff_many_floor_reduction_is_bitwise_mod(rng=np.random.RandomState(13)):
+    ks = np.concatenate([rng.randint(-10 ** 9, 10 ** 9, 4000), np.zeros(7, dtype=np.int64),
+                         [2 ** 61, -(2 ** 61), 2 ** 61 - 1, -(2 ** 61 - 1)]])
+    rng.shuffle(ks)
+    sets = [torus.normalize([(0.1, 0.37)]), random_three_arc_set(rng), torus.normalize([(0.0, 1.0)])]
+    for s in sets:
+        assert torus.fourier_coeff_many(s, ks).tobytes() == _mod_reference_coeffs(s, ks).tobytes()
 
 
 def test_table_invariants(rng=np.random.RandomState(8)):
