@@ -550,8 +550,11 @@ def step_search_alpha(
 
 def strict_step_cap(length: int, alpha: float) -> int:
     """Largest integer strictly below length^alpha."""
-    la = float(length) ** alpha
-    cap = int(math.floor(la))
+    try:
+        la = float(length) ** alpha
+        cap = int(math.floor(la))
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"N^alpha = {length}^{alpha} is not a finite float") from exc
     if float(cap) == la:
         cap -= 1
     if cap < 1:
@@ -589,6 +592,8 @@ def build_lambda_thm3(
     alphas = [float(a) for a in alphas]
     if not alphas or len(alphas) != len(n_ranges):
         raise ValueError("need one length range per alpha")
+    if not all(math.isfinite(a) for a in alphas):
+        raise ValueError(f"every alpha must be finite, got {alphas}")
     if any(a <= 1.0 for a in alphas):
         raise ValueError("every alpha must exceed 1")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):

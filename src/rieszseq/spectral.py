@@ -30,7 +30,8 @@ FREQ_LIMIT = 2 ** 62
 AP_LENGTH_LIMIT = 2 ** 13
 
 # uniform_rayleigh_ap_many takes lengths up to this: its kernel work grows as
-# arc endpoints times length (9 s per step at l_max 256, 33,000 endpoints)
+# arc endpoints times length (1.3-1.7 s per step at l_max 256, 33,000
+# endpoints, on 2 cores)
 RAYLEIGH_LENGTH_LIMIT = 2 ** 16
 
 
@@ -180,7 +181,8 @@ def uniform_rayleigh_ap_many(s: IntervalSet, step: int, lengths) -> list[float]:
     B = isqrt(max N - 1) + 1 and so needs about 2*sqrt(N) sine/cosine pairs
     per arc endpoint instead of N complex exponentials; every shorter N reads
     their prefix.  A prefix is split with the largest N's B, so it may differ
-    in the last bits from a call with that N alone.  The endpoint sums and the
+    in the last bits from a call with that N alone.  The kernel sums endpoints
+    by GEMMs over torus.SPLIT_CHUNK of them and pairwise across those; the
     stripe sums here are numpy pairwise sums.
     """
     if s.measure <= 0.0:

@@ -97,12 +97,15 @@ def test_riesz_invalid_input(full_file, tmp_path):
 
 
 @pytest.mark.parametrize("doc", ['[[0.1, 0.2]]', '{"sets": [[0.1, 0.2]]}', '{"arcs": [[0.1, NaN]]}',
-                                 '{"arcs": [[-Infinity, 0.2]]}', '{"arcs": [0.1, 0.2]}'])
+                                 '{"arcs": [[-Infinity, 0.2]]}', '{"arcs": [0.1, 0.2]}',
+                                 '{"arcs": [[false, true]]}', '{"arcs": [["0.1", "0.4"]]}'])
 def test_riesz_malformed_set_file(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(doc)
     assert run(["riesz", path, "--freqs", "1,2"]) == 2
-    assert "invalid input:" in capsys.readouterr().err
+    assert run(["set", "info", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("invalid input:") for line in err)
 
 def test_riesz_build_verify_and_tamper(arc03_file, tmp_path):
     build_path = tmp_path / "build.json"
@@ -175,6 +178,28 @@ def test_thm1_workers_byte_identical(tmp_path):
     assert run(args + ["--workers", 1, "--out", a]) == 0
     assert run(args + ["--workers", 8, "--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_thm1_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at l_max 256 and N 16384 the kernel's GEMMs are large enough for OpenBLAS
+    # to split across threads; each output element must be summed the same way
+    src = str(Path(rieszseq.__file__).parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    outputs = []
+    for blas_threads in ("1", None):
+        env = dict(base) if blas_threads is None else {**base, "OPENBLAS_NUM_THREADS": blas_threads}
+        for workers in ("1", "4"):
+            out = tmp_path / f"t1-{blas_threads}-{workers}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "rieszseq.cli", "thm1", "--lmax", "256", "--ells", "2,3",
+                 "--enns", "64,16384", "--workers", workers, "--out", str(out)],
+                capture_output=True, text=True, timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+    assert len(outputs[0].splitlines()) == 5
+    assert all(o == outputs[0] for o in outputs)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -382,6 +407,19 @@ def test_thm3_rejects_reversed_span(arc03_file, tmp_path, capsys):
     assert run(["thm3", arc03_file, "--alphas", "1.5", "--n-ranges", "16,40:20",
                 "--out", out]) == 2
     assert "length span 40:20 runs backwards" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha,message", [
+    ("inf", "every alpha must be finite, got [inf]"),
+    ("1e400", "every alpha must be finite, got [inf]"),
+    ("nan", "every alpha must be finite, got [nan]"),
+    ("500", "N^alpha = 5^500.0 is not a finite float"),
+])
+def test_thm3_rejects_alpha_without_finite_cap(arc03_file, tmp_path, capsys, alpha, message):
+    out = tmp_path / "t3.csv"
+    assert run(["thm3", arc03_file, "--alphas", alpha, "--n-ranges", "4:5", "--out", out]) == 2
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
     assert not out.exists()
 
 

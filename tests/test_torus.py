@@ -66,7 +66,10 @@ def test_normalize_rejects_non_finite_endpoints(bad):
 
 def test_set_file_shape_is_checked():
     for doc in ([[0.1, 0.2]], {}, {"sets": [[0.1, 0.2]]}, {"arcs": 5}, {"arcs": [0.1, 0.2]},
-                {"arcs": [[None, 0.2]]}):
+                {"arcs": [[None, 0.2]]},
+                # float() would read [false, true] as the full circle and "0.1" as 0.1
+                {"arcs": [[False, True]]}, {"arcs": [["0.1", "0.4"]]}, {"arcs": [[0.1, True]]},
+                {"arcs": [[np.False_, 0.5]]}, {"arcs": [[b"0.1", 0.4]]}):
         with pytest.raises(InvalidArc):
             torus.from_dict(doc)
 
@@ -292,6 +295,38 @@ def test_fourier_coeff_real_ap_matches_closed_form(rng=np.random.RandomState(11)
             got = torus.fourier_coeff_real_ap(s, step, count)
             assert got.shape == (count,)
             assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("lmax,bound", [(96, 9.4e-15), (64, 1.6e-14)])
+def test_fourier_coeff_real_ap_longdouble_oracle(lmax, bound):
+    # per-coefficient error of the chunked GEMM product stage on S_0.25 at count
+    # 4095; each bound is twice the error of the elementwise pairwise sum it
+    # replaced (4.7e-15 at l_max 96, 8.1e-15 at l_max 64)
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("np.longdouble is not wider than float64 here")
+    from rieszseq import constructions
+
+    count, split = 4095, 128
+    s = constructions.build_adversarial_set(0.25, lmax)
+    starts, ends = s._endpoints
+    x = np.concatenate([starts, ends]).astype(np.longdouble)
+    w = np.concatenate([-np.ones_like(starts), np.ones_like(ends)]).astype(np.longdouble)
+    two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
+    one = np.longdouble(1)
+    # the oracle splits d = 128 q + r, not as the kernel's isqrt(count) + 1 = 64,
+    # so no table is shared; every phase is exact mod 1, and every sine and
+    # product is rounded to long double
+    hi_ph = two_pi * np.mod(np.arange(count // split + 1, dtype=np.longdouble)[:, None] * split * x, one)
+    lo_ph = two_pi * np.mod(np.arange(split, dtype=np.longdouble)[:, None] * x, one)
+    left = np.concatenate([w * np.sin(hi_ph), w * np.cos(hi_ph)], axis=1)
+    right = np.concatenate([np.cos(lo_ph), np.sin(lo_ph)], axis=1).T
+    d = np.arange(1, count + 1, dtype=np.longdouble)
+    want = (left @ right).ravel()[1 : count + 1] / (two_pi * d)
+    # on a spread of d, the oracle agrees with the term-by-term sum
+    direct = (np.sin(two_pi * np.mod(d[::31, None] * x, one)) @ w) / (two_pi * d[::31])
+    assert float(np.max(np.abs(want[::31] - direct))) <= 1e-17
+    got = torus.fourier_coeff_real_ap(s, 1, count)
+    assert float(np.max(np.abs(got - want))) <= bound
 
 
 def test_fourier_coeff_real_ap_edges():
