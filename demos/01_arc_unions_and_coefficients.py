@@ -13,16 +13,16 @@ from rieszseq import torus
 print("== canonical arc unions ==")
 s = torus.normalize([(0.9, 1.2), (0.05, 0.25), (0.2, 0.3)])
 print("input  : [(0.9, 1.2), (0.05, 0.25), (0.2, 0.3)]")
-print("canonical arcs:", [(a.start, a.end) for a in s.arcs])
+print("canonical arcs:", [(a, b) for a, b in s.arcs.tolist()])
 print("measure:", s.measure)
 
 c = torus.complement(s)
-print("complement arcs:", [(round(a.start, 3), round(a.end, 3)) for a in c.arcs])
+print("complement arcs:", [(round(a, 3), round(b, 3)) for a, b in c.arcs.tolist()])
 print("measures add to 1:", s.measure + c.measure)
 
 print("\n== periodized small arcs ==")
 p = torus.scale_periodize(0.05, 4)
-print("half-width 0.05/4 copies at k/4:", [(a.start, a.end) for a in p.arcs])
+print("half-width 0.05/4 copies at k/4:", [(a, b) for a, b in p.arcs.tolist()])
 print("measure = 2*delta:", p.measure)
 
 print("\n== closed-form coefficients vs quadrature ==")

@@ -31,7 +31,6 @@ from .spectral import (
     uniform_rayleigh_ap,
 )
 from .torus import (
-    Arc,
     IntervalSet,
     complement,
     contains,

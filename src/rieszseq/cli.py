@@ -16,13 +16,7 @@ import math
 import sys
 
 from . import constructions, numtheory, spectral, torus
-from .errors import (
-    CertificateMismatch,
-    NotEnoughBlocks,
-    PropertyViolation,
-    RieszSeqError,
-    ScanExhausted,
-)
+from .errors import InputError, PropertyViolation, SearchFailed
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -115,7 +109,7 @@ def _cmd_riesz(args) -> int:
                     f"recomputed={row.recomputed!r} {'ok' if row.ok else 'MISMATCH'}"
                 )
             if not all(row.ok for row in rows):
-                raise CertificateMismatch("stored certificates do not match recomputation")
+                raise SearchFailed("stored certificates do not match recomputation")
         else:
             freqs = spectral.frequency_set(build.frequencies().tolist())
             report = spectral.riesz_report(s, freqs)
@@ -372,10 +366,10 @@ def main(argv=None) -> int:
     except PropertyViolation as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except (ScanExhausted, NotEnoughBlocks, CertificateMismatch) as exc:
+    except SearchFailed as exc:
         print(f"search failed: {exc}", file=sys.stderr)
         return EXIT_SEARCH
-    except (RieszSeqError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (InputError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

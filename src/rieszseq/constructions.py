@@ -25,21 +25,15 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import numtheory, spectral, torus
-from .errors import (
-    DegenerateSet,
-    NotEnoughBlocks,
-    PropertyViolation,
-    ScanExhausted,
-    ScheduleError,
-    TableTooSmall,
-)
+from .errors import InputError, PropertyViolation, SearchFailed
 from .spectral import FrequencySet, frequency_set
 from .torus import IntervalSet
 
 SUBSTITUTION_TOL = 1e-9
 
 # build_adversarial_set merges l_max * (l_max + 1) / 2 raw arcs: 524,800 at
-# this cap, which leave about 260,000 arcs (0.6 s and 85 MB to build)
+# this cap, which leave about 260,000 arcs (about 0.1 s and a 40 MB peak to
+# build on 2 cores; the set then keeps 4 MB)
 ADVERSARIAL_LMAX_LIMIT = 1024
 
 # -------------------------------------------------------------------------
@@ -76,7 +70,7 @@ class DeltaSchedule:
 
     def delta(self, ell: int) -> float:
         if ell < 1:
-            raise ScheduleError(f"ell must be >= 1, got {ell}")
+            raise InputError(f"ell must be >= 1, got {ell}")
         return (self.epsilon / 2.0) / self.normalizer / (ell * math.log(ell + 1.0) ** 2)
 
     def delta_array(self, ells: np.ndarray) -> np.ndarray:
@@ -86,7 +80,7 @@ class DeltaSchedule:
 
 def delta_schedule(epsilon: float) -> DeltaSchedule:
     if not (0.0 < epsilon < 1.0):
-        raise ScheduleError(f"epsilon must lie in (0, 1), got {epsilon}")
+        raise InputError(f"epsilon must lie in (0, 1), got {epsilon}")
     return DeltaSchedule(float(epsilon), _weight_sum_bound())
 
 
@@ -121,7 +115,7 @@ def schedule_condition_b(
     out = {}
     for alpha in alphas:
         if not (0.0 < alpha < 1.0):
-            raise ScheduleError(f"alpha must lie in (0, 1), got {alpha}")
+            raise InputError(f"alpha must lie in (0, 1), got {alpha}")
         k0 = _growth_start_decade(alpha)
         ells = [10.0 ** k for k in range(k0, k0 + decades)]
         vals = [
@@ -154,10 +148,10 @@ def build_adversarial_set(epsilon: float, l_max: int) -> IntervalSet:
     """
     l_max = int(l_max)
     if not 1 <= l_max <= ADVERSARIAL_LMAX_LIMIT:
-        raise ScheduleError(f"l_max must lie in [1, {ADVERSARIAL_LMAX_LIMIT}], got {l_max}")
+        raise InputError(f"l_max must lie in [1, {ADVERSARIAL_LMAX_LIMIT}], got {l_max}")
     sched = delta_schedule(epsilon)
     if sched.delta(l_max) >= 1.0 / (2 * l_max):
-        raise ScheduleError(f"delta({l_max}) too wide for disjoint periodization")
+        raise InputError(f"delta({l_max}) too wide for disjoint periodization")
     ells = np.arange(1, l_max + 1)
     ell = np.repeat(ells, ells)
     k = np.arange(ell.size) - np.repeat(np.cumsum(ells) - ells, ells)
@@ -408,7 +402,7 @@ def _scan(
         m, width = m + width, 2 * width
     # diffs are distinct, so each -d in range is one shift that meets the union
     met = int(np.count_nonzero((-diffs >= scan.start) & (-diffs <= scan.cap)))
-    raise ScanExhausted(
+    raise SearchFailed(
         f"no shift in [{scan.start}, {scan.cap}] reached target {target}: "
         f"{scan.cap - scan.start + 1 - met} decided by Cholesky, "
         f"{met} skipped for meeting the union"
@@ -470,7 +464,7 @@ def build_lambda_thm2(
     lazy good_n_search, which stops as soon as `count` blocks are placed.
     """
     if s.measure <= 0.0:
-        raise DegenerateSet("build needs a set of positive measure")
+        raise InputError("build needs a set of positive measure")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if eps is None:
@@ -488,7 +482,7 @@ def build_lambda_thm2(
         build, union = placed
         if len(build.blocks) == count:
             return build
-    raise NotEnoughBlocks(
+    raise SearchFailed(
         f"{len(build.blocks)} of {count} blocks met their targets over {n_range}"
     )
 
@@ -533,7 +527,7 @@ def step_search_alpha(
         raise ValueError(f"step cap must be >= 1, got {l_cap}")
     span = l_cap * length
     if powers.shape[0] <= span:
-        raise TableTooSmall(f"powers cover k <= {powers.shape[0] - 1} < L*N = {span}")
+        raise InputError(f"powers cover k <= {powers.shape[0] - 1} < L*N = {span}")
     n = np.arange(1, length + 1, dtype=np.int64)
     sums = powers[np.arange(1, l_cap + 1, dtype=np.int64)[:, None] * n].sum(axis=1)
     best = int(np.argmin(sums))  # first minimum, so smallest step wins ties
@@ -588,7 +582,7 @@ def build_lambda_thm3(
     Returns the build plus per-block search records for reporting.
     """
     if s.measure <= 0.0:
-        raise DegenerateSet("build needs a set of positive measure")
+        raise InputError("build needs a set of positive measure")
     alphas = [float(a) for a in alphas]
     if not alphas or len(alphas) != len(n_ranges):
         raise ValueError("need one length range per alpha")
@@ -623,7 +617,7 @@ def build_lambda_thm3(
         found = step_search_alpha(powers, alpha, n, cap)
         placed = _place(s, build, union, BlockSpec(n=n, step=found.ell, length=n, shift=0), target, scan)
         if placed is None:
-            raise NotEnoughBlocks(
+            raise SearchFailed(
                 f"block of length {n} at step {found.ell} is below gamma/2 = {target}"
             )
         build, union = placed

@@ -7,17 +7,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RieszSeqError
+from .errors import InputError
 
 # hard cap on sieve size; beyond this we error instead of silently crawling
 SIEVE_LIMIT = 10 ** 7
 
 
 def check_limit(limit: int, bytes_per_entry: int) -> int:
-    """limit as an int, or RieszSeqError if a sieve of that size exceeds SIEVE_LIMIT."""
+    """limit as an int, or InputError if a sieve of that size exceeds SIEVE_LIMIT."""
     limit = int(limit)
     if limit > SIEVE_LIMIT:
-        raise RieszSeqError(
+        raise InputError(
             f"sieve limit {limit} exceeds cap {SIEVE_LIMIT} "
             f"(~{bytes_per_entry * limit / 1e6:.0f} MB)"
         )

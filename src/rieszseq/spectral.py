@@ -15,11 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from . import torus
-from .errors import (
-    ConvergenceError,
-    DegenerateSet,
-    DimensionMismatch,
-)
+from .errors import InputError
 from .torus import IntervalSet
 
 # every |frequency| stays below this, so all pairwise differences fit in int64
@@ -104,7 +100,7 @@ class RieszReport:
 def gram(s: IntervalSet, freqs: FrequencySet) -> GramMatrix:
     """Gram matrix with entries G[j][k] = c_hat(l_k - l_j), Hermitian by construction."""
     if s.measure <= 0.0:
-        raise DegenerateSet("gram matrix needs a set of positive measure")
+        raise InputError("gram matrix needs a set of positive measure")
     f = freqs.array()
     diff = f[None, :] - f[:, None]
     # one lookup per matrix: ks[0] == 0 is the diagonal, |S|; ks[1:] are the
@@ -121,7 +117,7 @@ def extreme_eigs(g: GramMatrix) -> tuple[float, float]:
     try:
         w = np.linalg.eigvalsh(g.entries)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed on size {g.size}: {exc}") from exc
+        raise InputError(f"eigensolver failed on size {g.size}: {exc}") from exc
     return float(w[0]), float(w[-1])
 
 
@@ -136,7 +132,7 @@ def rayleigh(g: GramMatrix, c) -> float:
     """Rayleigh quotient (c* G c) / (c* c); the energy of the combination sum c_l e_l."""
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim != 1 or c.shape[0] != g.size:
-        raise DimensionMismatch(f"vector length {c.shape} does not match size {g.size}")
+        raise InputError(f"vector length {c.shape} does not match size {g.size}")
     den = float(np.sum(np.abs(c) ** 2))
     if den == 0.0:
         raise ValueError("rayleigh quotient of the zero vector")
@@ -186,7 +182,7 @@ def uniform_rayleigh_ap_many(s: IntervalSet, step: int, lengths) -> list[float]:
     stripe sums here are numpy pairwise sums.
     """
     if s.measure <= 0.0:
-        raise DegenerateSet("rayleigh quotient needs a set of positive measure")
+        raise InputError("rayleigh quotient needs a set of positive measure")
     step, lengths = int(step), [int(n) for n in lengths]
     if step < 1 or not lengths or min(lengths) < 1:
         raise ValueError("step and length must be positive")

@@ -3,8 +3,10 @@
 The circle is normalized to [0, 1) with total measure 1, and frequencies pair
 with e^{2*pi*i*k*x}.  Arcs are half-open [start, end); an arc crossing the
 wrap point is stored split, which makes the canonical form unique and set
-equality testable.  All values are immutable after construction and every
-operation is a pure function.
+equality testable.  A set keeps its arcs as one read-only (n, 2) array of
+[start, end) rows, which every kernel reads column by column; arrays in,
+arrays out, with no object per arc.  All values are immutable after
+construction and every operation is a pure function.
 
 Every coefficient comes from the closed form, one complex exponential per
 arc endpoint and frequency (`fourier_coeff_many`), evaluated at exactly the
@@ -20,7 +22,6 @@ which one GEMM over all of them loses.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -30,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidArc, OverlapError, ResolutionError
+from .errors import InputError
 
 MEASURE_TOL = 1e-12
 
@@ -54,51 +55,30 @@ SPLIT_BLOCK = 1 << 16
 SPLIT_CHUNK = 32
 
 
-@dataclass(frozen=True, order=True)
-class Arc:
-    """Half-open arc [start, end) with 0 <= start < end <= 1."""
-
-    start: float
-    end: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.start < self.end <= 1.0):
-            raise InvalidArc(f"arc ({self.start}, {self.end}) is not in canonical form")
-
-    @property
-    def length(self) -> float:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalSet:
     """Disjoint arcs sorted by start, with their total length cached.
 
+    `arcs` is one read-only (n, 2) float64 array whose rows are [start, end)
+    with 0 <= start < end <= 1; `measure` is the correctly rounded sum of the
+    lengths, as math.fsum gives it.  Build it with from_arrays (or normalize), which checks both.
     May be empty (measure 0); constructors that reject degenerate input do so
     explicitly, the type itself allows it so complements are closed.
+    Equality is exact: the same endpoints, bit for bit, and the same measure.
     """
 
-    arcs: tuple[Arc, ...]
+    arcs: np.ndarray
     measure: float
 
-    def __post_init__(self):
-        for a, b in zip(self.arcs, self.arcs[1:]):
-            if b.start < a.end:
-                raise InvalidArc("arcs must be disjoint and sorted by start")
-
-    def is_empty(self) -> bool:
-        return not self.arcs
-
-    @functools.cached_property
-    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        starts = np.array([a.start for a in self.arcs], dtype=np.float64)
-        ends = np.array([a.end for a in self.arcs], dtype=np.float64)
-        return starts, ends
+    def __eq__(self, other):
+        if not isinstance(other, IntervalSet):
+            return NotImplemented
+        return self.measure == other.measure and np.array_equal(self.arcs, other.arcs)
 
 
 def _endpoint(v) -> float:
     if isinstance(v, (bool, np.bool_, str, bytes)):
-        raise InvalidArc(f"arc endpoint {v!r} is not a number")
+        raise InputError(f"arc endpoint {v!r} is not a number")
     return float(v)
 
 
@@ -113,21 +93,21 @@ def normalize(raw_arcs: Iterable[Sequence[float]]) -> IntervalSet:
     try:
         pairs = [(_endpoint(a), _endpoint(b)) for a, b in raw_arcs]
     except (TypeError, ValueError) as exc:
-        raise InvalidArc(f"arcs must be (start, end) pairs of numbers: {exc}") from exc
+        raise InputError(f"arcs must be (start, end) pairs of numbers: {exc}") from exc
     if not pairs:
-        raise EmptyInput("no arcs given")
+        raise InputError("no arcs given")
     total = 0.0
     for a, b in pairs:
         if not (math.isfinite(a) and math.isfinite(b)):
-            raise InvalidArc(f"arc ({a}, {b}) has a non-finite endpoint")
+            raise InputError(f"arc ({a}, {b}) has a non-finite endpoint")
         length = b - a
         if length <= 0.0:
-            raise InvalidArc(f"arc ({a}, {b}) reduces to a point or runs backwards")
+            raise InputError(f"arc ({a}, {b}) reduces to a point or runs backwards")
         if length > 1.0 + MEASURE_TOL:
-            raise InvalidArc(f"arc ({a}, {b}) is longer than the circle")
+            raise InputError(f"arc ({a}, {b}) is longer than the circle")
         total += length
     if total > 1.0 + MEASURE_TOL:
-        raise InvalidArc(f"total raw length {total} exceeds the circle")
+        raise InputError(f"total raw length {total} exceeds the circle")
     raw = np.array(pairs, dtype=np.float64)
     return from_arrays(*merge_arcs(raw[:, 0], raw[:, 1]))
 
@@ -169,14 +149,56 @@ def complement_arcs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, n
 
 
 def from_arrays(starts: np.ndarray, ends: np.ndarray) -> IntervalSet:
-    """The IntervalSet of sorted disjoint arcs given by their starts and ends."""
-    arcs = tuple(map(Arc, starts.tolist(), ends.tolist()))
-    return IntervalSet(arcs, math.fsum(a.length for a in arcs))
+    """The IntervalSet of sorted disjoint arcs given by their starts and ends.
+
+    Every arc must be in canonical form (checked first, naming the first bad
+    arc), and the arcs sorted by start and disjoint; the endpoints are copied.
+    """
+    starts = np.asarray(starts, dtype=np.float64)
+    ends = np.asarray(ends, dtype=np.float64)
+    lengths = ends - starts
+    ok = (starts >= 0.0) & (lengths > 0.0) & (ends <= 1.0)  # NaN fails too
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise InputError(f"arc ({starts[i].item()}, {ends[i].item()}) is not in canonical form")
+    if np.any(starts[1:] < ends[:-1]):
+        raise InputError("arcs must be disjoint and sorted by start")
+    arcs = np.column_stack((starts, ends))
+    arcs.flags.writeable = False
+    return IntervalSet(arcs, _fsum(lengths))
+
+
+def _fsum(x: np.ndarray) -> float:
+    """math.fsum(x) for a finite float64 array: its correctly rounded sum.
+
+    Each pass splits every value into q = (x + sigma) - sigma, a multiple of
+    ulp(sigma)/2, and the exact remainder x - q (ExtractVector in Rump, Ogita
+    and Oishi, "Accurate floating-point summation part I: faithful rounding",
+    SIAM J. Sci. Comput. 31, 2008).  sigma is 2^guard times a power of two
+    above every |x|, with 2^guard > 2*len(x), so every partial sum of the q
+    is a multiple of ulp(sigma)/2 smaller than sigma/2, hence exact.  The
+    remainders lose about 53 - guard bits per pass and reach 0; math.fsum of
+    the exact pass sums is then math.fsum of x.  Two passes cover the
+    adversarial sets, whose lengths math.fsum would first have to turn into
+    one Python float each.
+    """
+    x = np.array(x, dtype=np.float64)
+    guard = x.size.bit_length() + 1
+    parts = []
+    top = max(x.max(initial=0.0), -x.min(initial=0.0))
+    while top > 0.0:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + guard)
+        q = x + sigma
+        q -= sigma
+        parts.append(float(q.sum()))
+        x -= q
+        top = max(x.max(), -x.min())
+    return math.fsum(parts)
 
 
 def complement(s: IntervalSet) -> IntervalSet:
     """Complement within the circle; may be empty."""
-    return from_arrays(*complement_arcs(*s._endpoints))
+    return from_arrays(*complement_arcs(*s.arcs.T))
 
 
 def scale_periodize(delta: float, ell: int) -> IntervalSet:
@@ -188,11 +210,11 @@ def scale_periodize(delta: float, ell: int) -> IntervalSet:
     """
     ell = int(ell)
     if ell < 1:
-        raise InvalidArc(f"ell must be a positive integer, got {ell}")
+        raise InputError(f"ell must be a positive integer, got {ell}")
     if not (0.0 < delta < 0.5):
-        raise InvalidArc(f"delta must lie in (0, 1/2), got {delta}")
+        raise InputError(f"delta must lie in (0, 1/2), got {delta}")
     if delta >= 1.0 / (2 * ell):
-        raise OverlapError(f"delta = {delta} >= 1/(2*{ell}); periodized copies would overlap")
+        raise InputError(f"delta = {delta} >= 1/(2*{ell}); periodized copies would overlap")
     half = delta / ell
     raw = [(k / ell - half, k / ell + half) for k in range(ell)]
     return normalize(raw)
@@ -203,7 +225,7 @@ def contains(s: IntervalSet, x: float) -> bool:
     xm = x - math.floor(x)
     if xm >= 1.0:
         xm = 0.0
-    starts, ends = s._endpoints
+    starts, ends = s.arcs.T
     if starts.size == 0:
         return False
     i = bisect_right(starts, xm) - 1
@@ -232,7 +254,7 @@ def fourier_coeff_many(s: IntervalSet, ks) -> np.ndarray:
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
     out = np.empty(ks.shape[0], dtype=np.complex128)
-    starts, ends = s._endpoints
+    starts, ends = s.arcs.T
     if starts.size == 0:
         out.fill(0.0)
         out[ks == 0] = s.measure
@@ -280,7 +302,7 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     if count < 1:
         return np.empty(0, dtype=np.float64)
     g = SPLIT_CHUNK
-    starts, ends = s._endpoints
+    starts, ends = s.arcs.T
     pad = -(starts.size + ends.size) % g
     xs = np.concatenate([starts, ends, np.zeros(pad)])
     ws = np.concatenate([-np.ones_like(starts), np.ones_like(ends), np.zeros(pad)])
@@ -326,31 +348,32 @@ def quadrature_coeff(s: IntervalSet, k: int, points_per_unit: int) -> complex:
     k = int(k)
     points_per_unit = int(points_per_unit)
     if points_per_unit < 10 * abs(k) + 10:
-        raise ResolutionError(
+        raise InputError(
             f"points_per_unit = {points_per_unit} < 10*|k|+10 = {10 * abs(k) + 10}"
         )
     total = 0.0 + 0.0j
-    for arc in s.arcs:
-        n = max(1, int(math.ceil(arc.length * points_per_unit)))
-        h = arc.length / n
-        mids = arc.start + (np.arange(n) + 0.5) * h
+    for start, end in s.arcs.tolist():
+        length = end - start
+        n = max(1, int(math.ceil(length * points_per_unit)))
+        h = length / n
+        mids = start + (np.arange(n) + 0.5) * h
         total += complex(np.exp((-2j * np.pi * k) * mids).sum()) * h
     return complex(total)
 
 
 def set_digest(s: IntervalSet) -> str:
     """Short stable hash of the canonical arc list."""
-    payload = json.dumps([[a.start, a.end] for a in s.arcs]).encode()
+    payload = json.dumps(s.arcs.tolist()).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def to_dict(s: IntervalSet) -> dict:
-    return {"arcs": [[a.start, a.end] for a in s.arcs]}
+    return {"arcs": s.arcs.tolist()}
 
 
 def from_dict(d: dict) -> IntervalSet:
     if not isinstance(d, dict) or "arcs" not in d:
-        raise InvalidArc('a set must be an object with an "arcs" list')
+        raise InputError('a set must be an object with an "arcs" list')
     return normalize(d["arcs"])
 
 

@@ -6,12 +6,7 @@ import pytest
 
 from rieszseq import constructions as con
 from rieszseq import numtheory, spectral, torus
-from rieszseq.errors import (
-    NotEnoughBlocks,
-    ScanExhausted,
-    ScheduleError,
-    TableTooSmall,
-)
+from rieszseq.errors import InputError, SearchFailed
 
 FULL = torus.normalize([(0.0, 1.0)])
 ARC03 = torus.normalize([(0.0, 0.3)])
@@ -29,9 +24,9 @@ def lambda_min(s, freqs):
 # --- width schedule ---------------------------------------------------------
 
 def test_schedule_rejects_bad_epsilon():
-    with pytest.raises(ScheduleError):
+    with pytest.raises(InputError, match="epsilon must lie in"):
         con.delta_schedule(1.5)
-    with pytest.raises(ScheduleError):
+    with pytest.raises(InputError, match="epsilon must lie in"):
         con.delta_schedule(0.0)
 
 
@@ -224,7 +219,7 @@ def test_select_shift_scan_exhausted_reports_counts():
     )
     # shifts -3 and -1 are skipped because {2, 4} + m would meet {1}; the other
     # five are decided, and none reaches 0.12
-    with pytest.raises(ScanExhausted) as info:
+    with pytest.raises(SearchFailed) as info:
         con.select_shift(
             ARC03, partial, con.BlockSpec(2, 2, 2, 0), 0.12, con.ScanConfig(start=-5, cap=1)
         )
@@ -239,7 +234,7 @@ def test_select_shift_scan_exhausted_when_every_shift_meets_the_union():
     partial = con.LambdaBuild(
         (con.BlockSpec(3, 1, 3, 0),), 0.15, (0.1,), torus.set_digest(ARC03)
     )
-    with pytest.raises(ScanExhausted) as info:
+    with pytest.raises(SearchFailed) as info:
         con.select_shift(
             ARC03, partial, con.BlockSpec(2, 2, 2, 0), -1.0, con.ScanConfig(start=-3, cap=1)
         )
@@ -291,7 +286,7 @@ def test_select_shift_decision_matches_eigensolve(rng=np.random.RandomState(5)):
                 continue
             try:
                 accepted = con.select_shift(s, partial, newblock, target, con.ScanConfig(start=m, cap=m)) == m
-            except ScanExhausted:
+            except SearchFailed:
                 accepted = False
             assert accepted == (lam >= target), (s, blocks, newblock, target, m, lam)
             verdicts[accepted] += 1
@@ -315,7 +310,7 @@ def per_candidate_select_shift(s, existing, newblock, target, scan):
         if con._cholesky(inblock - w.conj().T @ w) is not None:
             return m
     met = int(np.count_nonzero((-diffs >= scan.start) & (-diffs <= scan.cap)))
-    raise ScanExhausted(
+    raise SearchFailed(
         f"no shift in [{scan.start}, {scan.cap}] reached target {target}: "
         f"{scan.cap - scan.start + 1 - met} decided by Cholesky, "
         f"{met} skipped for meeting the union"
@@ -325,7 +320,7 @@ def per_candidate_select_shift(s, existing, newblock, target, scan):
 def scan_outcome(scan_fn, s, existing, newblock, target, scan):
     try:
         return scan_fn(s, existing, newblock, target, scan)
-    except ScanExhausted as exc:
+    except SearchFailed as exc:
         return str(exc)
 
 
@@ -513,7 +508,7 @@ def test_build_thm2_eps_boundary_allows_quarter_measure():
 
 
 def test_build_thm2_not_enough_blocks():
-    with pytest.raises(NotEnoughBlocks):
+    with pytest.raises(SearchFailed, match="blocks met their targets"):
         con.build_lambda_thm2(ARC03, 5, eps=0.075, n_range=(1, 2))
 
 
@@ -556,7 +551,7 @@ def test_step_search_grid_equals_per_step_sums():
 
 def test_step_search_guards():
     powers = coeff_powers(ARC03, 100)
-    with pytest.raises(TableTooSmall):
+    with pytest.raises(InputError, match="powers cover"):
         con.step_search_alpha(powers, 1.5, 32)
     with pytest.raises(ValueError):
         con.step_search_alpha(powers, 0.9, 4)

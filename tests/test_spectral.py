@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rieszseq import spectral, torus
-from rieszseq.errors import DegenerateSet, DimensionMismatch
+from rieszseq.errors import InputError
 
 HALF = torus.normalize([(0.0, 0.5)])
 FULL = torus.normalize([(0.0, 1.0)])
@@ -96,7 +96,7 @@ def test_gram_translation_invariance(rng=np.random.RandomState(21)):
 
 
 def test_gram_rejects_empty_set():
-    with pytest.raises(DegenerateSet):
+    with pytest.raises(InputError, match="positive measure"):
         spectral.gram(torus.complement(FULL), spectral.frequency_set([1]))
 
 
@@ -168,7 +168,7 @@ def test_rayleigh_identity_and_eigvec():
     num = complex(np.vdot(v[:, 0], g.entries @ v[:, 0]))
     assert abs(num.imag) < 1e-12
 
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match="does not match size"):
         spectral.rayleigh(g, np.ones(3))
     with pytest.raises(ValueError):
         spectral.rayleigh(g, np.zeros(2))
@@ -192,7 +192,7 @@ def test_uniform_rayleigh_ap_longdouble_oracle():
 
     s = constructions.build_adversarial_set(0.25, 64)
     n = 4096
-    starts, ends = s._endpoints
+    starts, ends = s.arcs.T
     x = np.concatenate([starts, ends]).astype(np.longdouble)
     w = np.concatenate([-np.ones_like(starts), np.ones_like(ends)]).astype(np.longdouble)
     two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
@@ -216,7 +216,7 @@ def test_uniform_rayleigh_ap_many_prefix_rows_match_oracle():
     from rieszseq import constructions
 
     s = constructions.build_adversarial_set(0.25, 128)
-    starts, ends = s._endpoints
+    starts, ends = s.arcs.T
     x = np.concatenate([starts, ends]).astype(np.longdouble)
     w = np.concatenate([-np.ones_like(starts), np.ones_like(ends)]).astype(np.longdouble)
     two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")

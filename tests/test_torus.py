@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from rieszseq import torus
-from rieszseq.errors import EmptyInput, InvalidArc, OverlapError, ResolutionError
+from rieszseq import constructions, torus
+from rieszseq.errors import InputError
 
 
 def random_three_arc_set(rng):
@@ -18,49 +19,49 @@ def random_three_arc_set(rng):
 
 def test_normalize_identity_case():
     s = torus.normalize([(0.0, 0.3)])
-    assert [(a.start, a.end) for a in s.arcs] == [(0.0, 0.3)]
+    assert s.arcs.tolist() == [[0.0, 0.3]]
     assert s.measure == pytest.approx(0.3, abs=1e-15)
 
 
 def test_normalize_wrap_split():
     s = torus.normalize([(0.9, 1.2)])
-    flat = [x for a in s.arcs for x in (a.start, a.end)]
+    flat = s.arcs.ravel().tolist()
     assert flat == pytest.approx([0.0, 0.2, 0.9, 1.0], abs=1e-12)
     assert s.measure == pytest.approx(0.3, abs=1e-12)
 
 
 def test_normalize_overlap_merge():
     s = torus.normalize([(0.0, 0.2), (0.1, 0.3)])
-    assert [(a.start, a.end) for a in s.arcs] == [(0.0, 0.3)]
+    assert s.arcs.tolist() == [[0.0, 0.3]]
     assert s.measure == pytest.approx(0.3, abs=1e-15)
 
 
 def test_normalize_adjacent_merge_and_negative_coords():
     s = torus.normalize([(-0.1, 0.0), (0.0, 0.1)])
-    assert [(a.start, a.end) for a in s.arcs] == [(0.0, 0.1), (0.9, 1.0)]
+    assert s.arcs.tolist() == [[0.0, 0.1], [0.9, 1.0]]
 
 
 def test_normalize_rejects_bad_input():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(InputError, match="no arcs given"):
         torus.normalize([])
-    with pytest.raises(InvalidArc):
+    with pytest.raises(InputError, match="reduces to a point"):
         torus.normalize([(0.3, 0.3)])
-    with pytest.raises(InvalidArc):
+    with pytest.raises(InputError, match="runs backwards"):
         torus.normalize([(0.5, 0.2)])
-    with pytest.raises(InvalidArc):
+    with pytest.raises(InputError, match="longer than the circle"):
         torus.normalize([(0.0, 1.5)])
-    with pytest.raises(InvalidArc):
-        torus.normalize([(0.0, 0.8), (0.1, 0.9)])  # total raw length 1.6
+    with pytest.raises(InputError, match="total raw length 1.6 exceeds"):
+        torus.normalize([(0.0, 0.8), (0.1, 0.9)])
 
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_normalize_rejects_non_finite_endpoints(bad):
-    with pytest.raises(InvalidArc):
+    with pytest.raises(InputError, match="non-finite endpoint"):
         torus.normalize([(0.1, bad)])
-    with pytest.raises(InvalidArc):
+    with pytest.raises(InputError, match="non-finite endpoint"):
         torus.normalize([(bad, 1.0)])
-    with pytest.raises(InvalidArc):
+    with pytest.raises(InputError, match="non-finite endpoint"):
         torus.normalize([(0.0, 0.2), (bad, bad)])
 
 
@@ -70,7 +71,7 @@ def test_set_file_shape_is_checked():
                 # float() would read [false, true] as the full circle and "0.1" as 0.1
                 {"arcs": [[False, True]]}, {"arcs": [["0.1", "0.4"]]}, {"arcs": [[0.1, True]]},
                 {"arcs": [[np.False_, 0.5]]}, {"arcs": [[b"0.1", 0.4]]}):
-        with pytest.raises(InvalidArc):
+        with pytest.raises(InputError, match='"arcs" list|pairs of numbers|is not a number'):
             torus.from_dict(doc)
 
 # the sort/merge and complement loops that normalize and complement ran before
@@ -101,26 +102,31 @@ def _loop_normalize(raw):
             merged[-1][1] = max(merged[-1][1], e)
         else:
             merged.append([s, e])
-    arcs = tuple(torus.Arc(s, e) for s, e in merged)
-    return torus.IntervalSet(arcs, math.fsum(a.length for a in arcs))
+    return _loop_set(merged)
 
 
 def _loop_complement(s):
-    if s.is_empty():
-        return torus.IntervalSet((torus.Arc(0.0, 1.0),), 1.0)
+    if len(s.arcs) == 0:
+        return _loop_set([(0.0, 1.0)])
     gaps = []
     prev = 0.0
-    for arc in s.arcs:
-        if arc.start > prev:
-            gaps.append(torus.Arc(prev, arc.start))
-        prev = arc.end
+    for start, end in s.arcs.tolist():
+        if start > prev:
+            gaps.append((prev, start))
+        prev = end
     if prev < 1.0:
-        gaps.append(torus.Arc(prev, 1.0))
-    return torus.IntervalSet(tuple(gaps), math.fsum(g.length for g in gaps))
+        gaps.append((prev, 1.0))
+    return _loop_set(gaps)
+
+
+def _loop_set(pairs):
+    # built directly, so neither the array nor its measure comes from from_arrays
+    arcs = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    return torus.IntervalSet(arcs, math.fsum(e - s for s, e in pairs))
 
 
 def _bits(s):
-    return [(a.start.hex(), a.end.hex()) for a in s.arcs], s.measure.hex()
+    return [(a.hex(), b.hex()) for a, b in s.arcs.tolist()], s.measure.hex()
 
 
 def _merge_corpus(rng):
@@ -157,8 +163,6 @@ def test_array_merge_matches_loop_reference(rng=np.random.RandomState(31)):
 
 @pytest.mark.parametrize("epsilon", [0.1, 0.17, 0.25, 0.3])
 def test_adversarial_set_matches_loop_reference(epsilon):
-    from rieszseq import constructions
-
     sched = constructions.delta_schedule(epsilon)
     for l_max in (1, 2, 5, 48, 64, 96, 256):
         raw = []
@@ -174,11 +178,11 @@ def test_adversarial_set_matches_loop_reference(epsilon):
 def test_complement_basics():
     s = torus.normalize([(0.0, 0.3)])
     c = torus.complement(s)
-    assert [(a.start, a.end) for a in c.arcs] == [(0.3, 1.0)]
+    assert c.arcs.tolist() == [[0.3, 1.0]]
     assert c.measure == pytest.approx(0.7, abs=1e-12)
 
     full = torus.normalize([(0.0, 1.0)])
-    assert torus.complement(full).arcs == ()
+    assert torus.complement(full).arcs.shape == (0, 2)
     assert torus.complement(full).measure == 0.0
 
     two = torus.normalize([(0.1, 0.2), (0.5, 0.6)])
@@ -193,8 +197,8 @@ def test_complement_involution_and_measure(rng=np.random.RandomState(11)):
         c = torus.complement(s)
         assert abs(c.measure - (1.0 - s.measure)) < 1e-12
         assert torus.complement(c) == s  # exact round trip of canonical arcs
-        for arc in s.arcs:  # disjointness: complement misses the interiors
-            mid = 0.5 * (arc.start + arc.end)
+        for start, end in s.arcs.tolist():  # disjointness: complement misses the interiors
+            mid = 0.5 * (start + end)
             assert torus.contains(s, mid) and not torus.contains(c, mid)
 
 
@@ -217,7 +221,7 @@ def test_scale_periodize_four_copies():
 
 
 def test_scale_periodize_rejects_overlap():
-    with pytest.raises(OverlapError):
+    with pytest.raises(InputError, match="copies would overlap"):
         torus.scale_periodize(0.3, 2)
 
 
@@ -304,11 +308,9 @@ def test_fourier_coeff_real_ap_longdouble_oracle(lmax, bound):
     # replaced (4.7e-15 at l_max 96, 8.1e-15 at l_max 64)
     if np.finfo(np.longdouble).eps > 1e-18:
         pytest.skip("np.longdouble is not wider than float64 here")
-    from rieszseq import constructions
-
     count, split = 4095, 128
     s = constructions.build_adversarial_set(0.25, lmax)
-    starts, ends = s._endpoints
+    starts, ends = s.arcs.T
     x = np.concatenate([starts, ends]).astype(np.longdouble)
     w = np.concatenate([-np.ones_like(starts), np.ones_like(ends)]).astype(np.longdouble)
     two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
@@ -344,7 +346,7 @@ def test_quadrature_basics():
     assert abs(torus.quadrature_coeff(s, 0, 100) - s.measure) < 1e-12
     full = torus.normalize([(0.0, 1.0)])
     assert abs(torus.quadrature_coeff(full, 5, 10 ** 4)) < 1e-10
-    with pytest.raises(ResolutionError):
+    with pytest.raises(InputError, match="points_per_unit = 100 < 10"):
         torus.quadrature_coeff(s, 64, 100)
 
 
@@ -381,7 +383,7 @@ def test_fourier_coeff_many_values_do_not_depend_on_chunking(monkeypatch, rng=np
 def _mod_reference_coeffs(s, ks):
     """fourier_coeff_many with the phase reduced by np.mod(p, 1.0), in one block."""
     ks = np.asarray(ks, dtype=np.int64)
-    starts, ends = s._endpoints
+    starts, ends = s.arcs.T
     k_abs = np.abs(ks.astype(np.float64))
     block = np.exp((-2j * np.pi) * np.mod(k_abs[:, None] * starts[None, :], 1.0))
     block -= np.exp((-2j * np.pi) * np.mod(k_abs[:, None] * ends[None, :], 1.0))
@@ -433,4 +435,92 @@ def test_load_normalizes(tmp_path):
     path = tmp_path / "raw.json"
     path.write_text('{"arcs": [[0.0, 0.2], [0.1, 0.3]]}')
     s = torus.load_set(path)
-    assert [(a.start, a.end) for a in s.arcs] == [(0.0, 0.3)]
+    assert s.arcs.tolist() == [[0.0, 0.3]]
+
+
+# set_digest, the sha256 of the save_set bytes and measure.hex(), as written
+# when a set was a tuple of per-arc objects; the array form must not move them
+GOLDEN_SETS = {
+    "arc03": (lambda: torus.normalize([(0.0, 0.3)]), 1, "baf107ded4d5d1a8",
+              "d04cdcca66e3d5d8b35a0c91a6dff4fa8787fd2d569f6b49104f1921ed944353",
+              "0x1.3333333333333p-2"),
+    "wrap": (lambda: torus.normalize([(0.9, 1.1), (0.4, 0.5)]), 3, "69321c8d4dffd4e9",
+             "8f2f0ada433b732fdef6655df1481af51575bfdf83eea6f6433448ecaa7f0ae8",
+             "0x1.3333333333334p-2"),
+    "adversarial": (lambda: constructions.build_adversarial_set(0.25, 48), 608,
+                    "fbb30d5daed48ffb",
+                    "44e641b489bac9bed609d5e7cb1927cf3bc9591238348dae4e1818e2a19dbbc6",
+                    "0x1.9b45a46aff79ap-1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SETS))
+def test_set_file_bytes_are_golden(name, tmp_path):
+    make, arcs, digest, file_sha, measure = GOLDEN_SETS[name]
+    s = make()
+    path = tmp_path / "set.json"
+    torus.save_set(s, path)
+    assert len(s.arcs) == arcs
+    assert torus.set_digest(s) == digest
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+    assert s.measure.hex() == measure
+    assert torus.load_set(path) == s
+
+
+# --- from_arrays -------------------------------------------------------------
+
+CANONICAL = "is not in canonical form"
+DISJOINT = "arcs must be disjoint and sorted by start"
+
+
+@pytest.mark.parametrize("starts, ends, message", [
+    ([0.5, 0.1], [0.6, 0.2], DISJOINT),                                  # unsorted
+    ([0.1, 0.15], [0.2, 0.3], DISJOINT),                                 # overlapping
+    ([0.1, 0.3, 0.2], [0.2, 0.4, 0.25], DISJOINT),                       # unsorted later on
+    ([-0.1, 0.5], [0.2, 0.6], rf"^arc \(-0.1, 0.2\) {CANONICAL}$"),      # below 0
+    ([0.1, 0.5], [0.2, 1.5], rf"^arc \(0.5, 1.5\) {CANONICAL}$"),        # above 1
+    ([0.1, 0.3, 0.7], [0.2, 0.3, 0.6], rf"^arc \(0.3, 0.3\) {CANONICAL}$"),  # first bad: zero length
+    ([0.1, math.nan], [0.2, 0.5], rf"^arc \(nan, 0.5\) {CANONICAL}$"),
+    ([0.1], [math.nan], rf"^arc \(0.1, nan\) {CANONICAL}$"),
+    # the canonical-form check runs first, over every arc
+    ([0.5, 0.1], [0.6, 0.1], rf"^arc \(0.1, 0.1\) {CANONICAL}$"),
+])
+def test_from_arrays_rejects_non_canonical_arrays(starts, ends, message):
+    with pytest.raises(InputError, match=message):
+        torus.from_arrays(np.array(starts), np.array(ends))
+
+
+def test_from_arrays_keeps_a_read_only_copy():
+    starts, ends = np.array([0.1, 0.2, 0.9]), np.array([0.2, 0.5, 1.0])  # touching is allowed
+    s = torus.from_arrays(starts, ends)
+    starts[0] = 0.15
+    assert s.arcs.dtype == np.float64 and s.arcs.tolist() == [[0.1, 0.2], [0.2, 0.5], [0.9, 1.0]]
+    assert s.measure == math.fsum([0.2 - 0.1, 0.5 - 0.2, 1.0 - 0.9])
+    with pytest.raises(ValueError):
+        s.arcs[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        s.arcs.T[1][2] = 0.95
+    empty = torus.from_arrays(np.empty(0), np.empty(0))
+    assert empty.arcs.shape == (0, 2) and empty.measure == 0.0
+    assert empty == torus.complement(torus.normalize([(0.0, 1.0)]))
+    assert s != torus.from_arrays(np.array([0.1, 0.2]), np.array([0.2, 0.5]))
+
+
+def test_vectorized_fsum_is_math_fsum(rng=np.random.RandomState(41)):
+    cases = [np.empty(0), np.array([5e-324]), np.array([1.0, 2.0 ** -60, -1.0]),
+             np.array([0.1] * 10), np.array([1.0, 2.0 ** -53]),  # a tie, rounded to even
+             np.array([1.0, 2.0 ** -53, 2.0 ** -53])]
+    for i in range(600):
+        n = int(rng.randint(1, 3000))
+        x = rng.uniform(0.0, 1.0, n)
+        if i % 3 == 1:  # every exponent, down to subnormals
+            x *= 2.0 ** rng.randint(-1074, 1, n)
+        if i % 3 == 2:  # signed, with cancellation
+            x = np.concatenate([x, -x[: n // 2] * (1.0 + 2.0 ** -40)])
+        cases.append(x)
+    s = constructions.build_adversarial_set(0.25, 256)
+    cases.append(s.arcs[:, 1] - s.arcs[:, 0])
+    for x in cases:
+        before = x.copy()
+        assert torus._fsum(x).hex() == math.fsum(x.tolist()).hex()
+        assert np.array_equal(x, before)
