@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -295,7 +296,9 @@ def _add_assembly_flags(p):
     p.add_argument("--scan-cap", type=int, default=200_000)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built once per process: parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="rieszseq",
         description="Riesz-bound experiments for exponential systems on arc unions",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -35,6 +36,9 @@ SUBSTITUTION_TOL = 1e-9
 # this cap, which leave about 260,000 arcs (about 0.1 s and a 40 MB peak to
 # build on 2 cores; the set then keeps 4 MB)
 ADVERSARIAL_LMAX_LIMIT = 1024
+
+# a build file's set_digest: torus.set_digest's 16 lowercase hex digits
+_DIGEST = re.compile("[0-9a-f]{16}")
 
 # -------------------------------------------------------------------------
 # width schedule delta(ell) for the adversarial set
@@ -253,6 +257,8 @@ class LambdaBuild:
     schedule[k] is the eigensolved lower Riesz bound of the union of the first
     k+1 blocks; entries are nonincreasing (unions only grow) and each must
     stay above gamma/2.  Blocks sharing a frequency raise ValueError.
+    set_digest is torus.set_digest of the set the build was made for, or ""
+    when unknown (build files written before the digest was recorded).
     """
 
     blocks: tuple[BlockSpec, ...]
@@ -631,6 +637,7 @@ def build_lambda_thm3(
 # -------------------------------------------------------------------------
 
 def build_to_dict(build: LambdaBuild, set_ref: str = "") -> dict:
+    """The build file's object; "set_digest" is written when the digest is known."""
     return {
         "gamma": build.gamma,
         "blocks": [
@@ -644,6 +651,7 @@ def build_to_dict(build: LambdaBuild, set_ref: str = "") -> dict:
             for b, cert in zip(build.blocks, build.schedule)
         ],
         "set": set_ref,
+        **({"set_digest": build.set_digest} if build.set_digest else {}),
     }
 
 
@@ -665,8 +673,9 @@ def _block_from_dict(b: dict) -> BlockSpec:
 
 def build_from_dict(d: dict) -> tuple[LambdaBuild, str]:
     """Parse a build object; anything but an object with a "blocks" list of
-    objects, a block outside int64-safe range, or blocks sharing a frequency
-    raises ValueError."""
+    objects, a block outside int64-safe range, blocks sharing a frequency, or
+    a "set_digest" that is not 16 lowercase hex digits raises ValueError.  An
+    object without "set_digest" parses with the digest "" (unknown)."""
     raw = d.get("blocks") if isinstance(d, dict) else None
     if not isinstance(raw, list) or not all(isinstance(b, dict) for b in raw):
         raise ValueError('a build must be an object with a "blocks" list of objects')
@@ -676,7 +685,10 @@ def build_from_dict(d: dict) -> tuple[LambdaBuild, str]:
         gamma = float(d["gamma"])
     except TypeError as exc:
         raise ValueError(f"gamma and cert_lambda_min must be numbers: {exc}") from exc
-    return LambdaBuild(blocks, gamma, schedule), str(d.get("set", ""))
+    digest = d.get("set_digest", "")
+    if "set_digest" in d and not (isinstance(digest, str) and _DIGEST.fullmatch(digest)):
+        raise ValueError(f"set_digest must be 16 lowercase hex digits, got {digest!r}")
+    return LambdaBuild(blocks, gamma, schedule, digest), str(d.get("set", ""))
 
 
 def save_build(build: LambdaBuild, path, set_ref: str = "") -> None:
@@ -728,7 +740,13 @@ def _verify(
     s: IntervalSet, build: LambdaBuild, tol: float = 1e-9
 ) -> tuple[list[VerifyRow], spectral.RieszReport]:
     """verify_build's rows plus the whole union's riesz_report, which reuses the
-    last row's eigensolve; a build without blocks raises ValueError."""
+    last row's eigensolve; a build without blocks raises ValueError, and one
+    whose recorded set digest is not s's raises InputError before any Gram."""
+    if build.set_digest and build.set_digest != (digest := torus.set_digest(s)):
+        raise InputError(
+            f"build was made for the set with digest {build.set_digest}, "
+            f"but the given set has digest {digest}"
+        )
     rows = []
     for k, g in enumerate(_partial_grams(s, build), start=1):
         eigs = spectral.extreme_eigs(g)

@@ -26,7 +26,7 @@ FREQ_LIMIT = 2 ** 62
 AP_LENGTH_LIMIT = 2 ** 13
 
 # uniform_rayleigh_ap_many takes lengths up to this: its kernel work grows as
-# arc endpoints times length (1.3-1.7 s per step at l_max 256, 33,000
+# arc endpoints times length (0.85-0.87 s per step at l_max 256, 33,000
 # endpoints, on 2 cores)
 RAYLEIGH_LENGTH_LIMIT = 2 ** 16
 
@@ -174,12 +174,13 @@ def uniform_rayleigh_ap_many(s: IntervalSet, step: int, lengths) -> list[float]:
     so only the real part of one coefficient per off-diagonal stripe is needed,
     never the N x N matrix.  The values for the largest N come from one
     torus.fourier_coeff_real_ap call, which splits d = q*B + r with
-    B = isqrt(max N - 1) + 1 and so needs about 2*sqrt(N) sine/cosine pairs
-    per arc endpoint instead of N complex exponentials; every shorter N reads
-    their prefix.  A prefix is split with the largest N's B, so it may differ
-    in the last bits from a call with that N alone.  The kernel sums endpoints
-    by GEMMs over torus.SPLIT_CHUNK of them and pairwise across those; the
-    stripe sums here are numpy pairwise sums.
+    B = isqrt(max N - 1) + 1 and builds each of its two tables of about
+    sqrt(N) rows from two shorter ones, so it needs about 4*N^(1/4)
+    sine/cosine pairs per arc endpoint instead of N complex exponentials;
+    every shorter N reads their prefix.  A prefix is split with the largest
+    N's B, so it may differ in the last bits from a call with that N alone.
+    The kernel sums endpoints by GEMMs over torus.SPLIT_CHUNK of them and
+    pairwise across those; the stripe sums here are numpy pairwise sums.
     """
     if s.measure <= 0.0:
         raise InputError("rayleigh quotient needs a set of positive measure")

@@ -12,12 +12,14 @@ Every coefficient comes from the closed form, one complex exponential per
 arc endpoint and frequency (`fourier_coeff_many`), evaluated at exactly the
 frequencies a caller asks for; no coefficient is kept between calls.  Where
 only Re c_hat along a progression d*step, d = 1..N, is needed,
-`fourier_coeff_real_ap` splits each phase as d = q*B + r with B ~ sqrt(N)
-and needs about 2*sqrt(N) sine/cosine pairs per endpoint.  Its products are
-summed by batched matrix products over chunks of SPLIT_CHUNK endpoints, and
-the chunk partials by numpy's pairwise sum: short GEMM sums plus a pairwise
-sum over chunks keep the accuracy of a pairwise sum over all endpoints,
-which one GEMM over all of them loses.
+`fourier_coeff_real_ap` splits each phase as d = q*B + r with B ~ sqrt(N),
+so each endpoint needs about 2*sqrt(N) table rows.  Each table is split once
+more, and its rows are angle sums of two short tables, so an endpoint costs
+about 4*N^(1/4) sine/cosine pairs.  Its products are summed by batched
+matrix products over chunks of SPLIT_CHUNK endpoints, and the chunk partials
+by numpy's pairwise sum: short GEMM sums plus a pairwise sum over chunks
+keep the accuracy of a pairwise sum over all endpoints, which one GEMM over
+all of them loses.
 """
 
 from __future__ import annotations
@@ -88,7 +90,11 @@ def normalize(raw_arcs: Iterable[Sequence[float]]) -> IntervalSet:
     Coordinates are taken mod 1; a pair runs counterclockwise from start to
     end, so its length is end - start and must lie in (0, 1].  Wrap-crossing
     pairs are split, overlapping or touching pairs are merged.  Endpoints must
-    be numbers: a bool or a string is rejected, never converted.
+    be numbers: a bool or a string is rejected, never converted.  Pairs that
+    are already canonical (sorted, within [0, 1], separated by gaps) are kept
+    bit for bit, so normalize is idempotent and a saved set loads as itself;
+    merge_arcs would recompute each end as start + length, which can move an
+    end whose start came from another pair by an ulp.
     """
     try:
         pairs = [(_endpoint(a), _endpoint(b)) for a, b in raw_arcs]
@@ -108,8 +114,11 @@ def normalize(raw_arcs: Iterable[Sequence[float]]) -> IntervalSet:
         total += length
     if total > 1.0 + MEASURE_TOL:
         raise InputError(f"total raw length {total} exceeds the circle")
-    raw = np.array(pairs, dtype=np.float64)
-    return from_arrays(*merge_arcs(raw[:, 0], raw[:, 1]))
+    a, b = np.array(pairs, dtype=np.float64).T
+    canonical = (a >= 0.0) & ~np.signbit(a) & (b <= 1.0)  # -0.0 would keep its sign
+    if canonical.all() and np.all(a[1:] > b[:-1]):
+        return from_arrays(a, b)
+    return from_arrays(*merge_arcs(a, b))
 
 
 def merge_arcs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,9 +141,12 @@ def merge_arcs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     wrap = e > 1.0  # then 0 < e - 1 <= 1 exactly
     starts = np.concatenate([s, np.zeros(np.count_nonzero(wrap))])
     ends = np.concatenate([np.minimum(e, 1.0), e[wrap] - 1.0])
-    # sorted by (start, end); a piece opens a new arc when it starts past the
-    # reach of every piece before it, and each arc ends at its pieces' largest end
-    order = np.lexsort((ends, starts))
+    # sorted by start; a piece opens a new arc when it starts past the reach of
+    # every piece before it, and each arc ends at its pieces' largest end.  The
+    # order of equal starts cannot matter: only the first of them can open an
+    # arc, since each earlier one ends at or after that start, and every one
+    # lands in the same arc, whose end is a maximum
+    order = np.argsort(starts)
     starts, ends = starts[order], ends[order]
     opens = np.flatnonzero(np.concatenate(([True], starts[1:] > np.maximum.accumulate(ends)[:-1])))
     return starts[opens], np.maximum.reduceat(ends, opens)
@@ -274,6 +286,39 @@ def fourier_coeff_many(s: IntervalSet, ks) -> np.ndarray:
     return out
 
 
+def _angle_table(x: np.ndarray, unit: float, n: int, w=None, cos_first=False) -> np.ndarray:
+    """Rows i = 0..n-1 of [w sin(2pi i unit x) | w cos(2pi i unit x)] for each chunk of x.
+
+    x has shape (chunks, 1, g); the result has shape (chunks, n, 2g), with the
+    cosines first if cos_first, and w = 1 if w is None.  Writing i = i1*R + i0
+    with R = isqrt(n - 1) + 1, sine and cosine are evaluated only on the short
+    tables i1*R*unit*x and i0*unit*x, each phase reduced mod 1 exactly (see
+    _frac); every other row is their angle sum, sin(a + b) = sin a cos b +
+    cos a sin b and cos(a + b) = cos a cos b - sin a sin b, at 4 multiplies and
+    2 adds.  A row with i1 = 0 or i0 = 0 is bitwise the direct sine and cosine,
+    since its other factors are exactly 0 and 1.  The g endpoints stay the
+    innermost axis of every product.
+    """
+    chunks, _, g = x.shape
+    r = math.isqrt(n - 1) + 1
+    n1 = -(-n // r)
+    coarse = _frac(np.arange(0, n1 * r, r, dtype=np.float64)[None, :, None] * unit * x)
+    coarse *= 2 * np.pi
+    fine = _frac(np.arange(r, dtype=np.float64)[None, :, None] * unit * x)
+    fine *= 2 * np.pi
+    sa, ca = np.sin(coarse), np.cos(coarse)
+    if w is not None:
+        sa *= w
+        ca *= w
+    sb, cb = np.sin(fine), np.cos(fine)
+    # both halves of a row in one pass: [sin | cos] = [sa | ca] [cb | cb] + [ca | -sa] [sb | sb],
+    # bitwise the two formulas, since x + (-y) rounds as x - y
+    pair, turned = ((ca, sa), (-sa, ca)) if cos_first else ((sa, ca), (ca, -sa))
+    table = np.concatenate(pair, axis=-1)[:, :, None] * np.concatenate((cb, cb), axis=-1)[:, None]
+    table += np.concatenate(turned, axis=-1)[:, :, None] * np.concatenate((sb, sb), axis=-1)[:, None]
+    return table.reshape(chunks, n1 * r, 2 * g)[:, :n]
+
+
 def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     """Re c_hat(d*step) for d = 1..count, from a split-phase sine sum.
 
@@ -281,9 +326,11 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     w = -1 at arc starts and +1 at arc ends.  Writing d = q*B + r with
     B = isqrt(count) + 1 splits the phase: sin(2pi d step x) =
     sin(2pi qB step x) cos(2pi r step x) + cos(2pi qB step x) sin(2pi r step x).
-    One table row per q and one per r, each phase reduced mod 1 exactly (see
-    _frac) before the sine and cosine, costs about 2*sqrt(count) sin/cos pairs
-    per endpoint instead of count complex exponentials.
+    One table row per q and one per r, about 2*sqrt(count) rows per endpoint
+    instead of count complex exponentials.  Each table is itself built by
+    _angle_table from two short tables of about sqrt(rows) sine/cosine pairs,
+    so an endpoint costs about 4*count^(1/4) sin/cos pairs (24 at count 1023)
+    plus a few multiplies per row.
 
     The products are summed by BLAS, SPLIT_CHUNK endpoints at a time: for each
     chunk, the (q rows) x (2 SPLIT_CHUNK) factor [w sin(hi) | w cos(hi)] times
@@ -308,27 +355,16 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     ws = np.concatenate([-np.ones_like(starts), np.ones_like(ends), np.zeros(pad)])
     b = math.isqrt(count) + 1
     rows = count // b + 1
-    hi = np.arange(rows, dtype=np.float64) * float(b * step)
-    lo = np.arange(b, dtype=np.float64) * float(step)
     acc = np.zeros((rows, b), dtype=np.float64)
     width = g * max(1, SPLIT_BLOCK // (b * g))
     for j in range(0, xs.size, width):
         x = xs[j : j + width].reshape(-1, 1, g)
         w = ws[j : j + width].reshape(-1, 1, g)
-        chunks = x.shape[0]
-        hi_ph = _frac(hi[None, :, None] * x)
-        hi_ph *= 2 * np.pi
-        left = np.empty((chunks, rows, 2 * g))
-        np.sin(hi_ph, out=left[:, :, :g])
-        np.cos(hi_ph, out=left[:, :, g:])
-        left[:, :, :g] *= w
-        left[:, :, g:] *= w
-        lo_ph = _frac(x.reshape(chunks, g, 1) * lo[None, None, :])
-        lo_ph *= 2 * np.pi
-        right = np.empty((chunks, 2 * g, b))
-        np.cos(lo_ph, out=right[:, :g])
-        np.sin(lo_ph, out=right[:, g:])
-        partial = np.matmul(left, right)
+        left = _angle_table(x, float(b * step), rows, w)
+        right = _angle_table(x, float(step), b, cos_first=True)
+        # copied into the GEMM's (2g, r) layout: a transposed operand is summed
+        # in another order by BLAS, and is no faster than the copy
+        partial = np.matmul(left, np.ascontiguousarray(right.transpose(0, 2, 1)))
         acc += np.ascontiguousarray(partial.transpose(1, 2, 0)).sum(axis=-1)
     k = np.arange(1, count + 1, dtype=np.float64) * float(step)
     return acc.ravel()[1 : count + 1] / ((2 * np.pi) * k)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -27,6 +28,35 @@ def full_file(tmp_path):
     path = tmp_path / "full.json"
     torus.save_set(torus.normalize([(0.0, 1.0)]), path)
     return path
+
+
+# --- main ------------------------------------------------------------------
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        bad = ["thm1", "--lmax", "many"]
+        with pytest.raises(SystemExit) as first:
+            run(bad)
+        fresh = capsys.readouterr().err
+        parsers = len(built)
+        assert parsers > 1  # the root parser and its subcommands
+        assert run(["verify", "lemma4", "--limit", 10]) == 0
+        with pytest.raises(SystemExit) as again:
+            run(bad)
+        assert first.value.code == again.value.code == 2
+        assert capsys.readouterr().err == fresh
+        assert "invalid int value: 'many'" in fresh
+        assert len(built) == parsers
+    finally:
+        cli.build_parser.cache_clear()
 
 
 # --- set -------------------------------------------------------------------
@@ -154,6 +184,53 @@ def test_riesz_verify_rejects_empty_build(arc03_file, tmp_path, capsys):
     path.write_text(json.dumps({"gamma": 0.15, "blocks": []}))
     assert run(["riesz", arc03_file, "--build", path, "--verify", "--out", tmp_path / "r.json"]) == 2
     assert "invalid input: frequency set must be nonempty" in capsys.readouterr().err
+
+
+def _thm2_build(set_file, tmp_path):
+    path = tmp_path / "build.json"
+    assert run(["thm2", set_file, "--count", 2, "--eps", 0.075,
+                "--out", tmp_path / "t2.csv", "--build-out", path]) == 0
+    return path, json.loads(path.read_text())
+
+
+def test_build_file_records_set_digest(arc03_file, tmp_path):
+    _, doc = _thm2_build(arc03_file, tmp_path)
+    assert doc["set_digest"] == torus.set_digest(torus.load_set(arc03_file))
+
+
+def test_riesz_verify_rejects_build_for_another_set(arc03_file, tmp_path, capsys, monkeypatch):
+    path, doc = _thm2_build(arc03_file, tmp_path)
+    other = tmp_path / "arc04.json"
+    torus.save_set(torus.normalize([(0.0, 0.4)]), other)
+    grams = []
+    monkeypatch.setattr(spectral, "gram", lambda s, freqs: grams.append(freqs))
+    capsys.readouterr()
+    out = tmp_path / "r.json"
+    assert run(["riesz", other, "--build", path, "--verify", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: build was made for the set with digest")
+    assert doc["set_digest"] in err and torus.set_digest(torus.load_set(other)) in err
+    assert grams == [] and not out.exists()
+
+
+@pytest.mark.parametrize("digest", ["", "0123456789abcde", "0123456789abcdef0",
+                                    "0123456789ABCDEF", "0123456789abcdeg", 123, None])
+def test_riesz_rejects_malformed_set_digest(arc03_file, tmp_path, capsys, digest):
+    path, doc = _thm2_build(arc03_file, tmp_path)
+    path.write_text(json.dumps({**doc, "set_digest": digest}))
+    capsys.readouterr()
+    assert run(["riesz", arc03_file, "--build", path, "--verify", "--out", tmp_path / "r.json"]) == 2
+    assert "invalid input: set_digest must be 16 lowercase hex digits" in capsys.readouterr().err
+
+
+def test_riesz_verifies_build_without_set_digest(arc03_file, tmp_path):
+    # build files written before the digest was recorded still verify, against any set
+    path, doc = _thm2_build(arc03_file, tmp_path)
+    assert run(["riesz", arc03_file, "--build", path, "--verify", "--out", tmp_path / "a.json"]) == 0
+    del doc["set_digest"]
+    path.write_text(json.dumps(doc))
+    assert run(["riesz", arc03_file, "--build", path, "--verify", "--out", tmp_path / "b.json"]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 # --- theorem drivers ------------------------------------------------------------

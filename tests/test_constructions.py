@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from itertools import islice
 
@@ -616,6 +617,24 @@ def test_build_round_trip(tmp_path):
     assert loaded.blocks == build.blocks
     assert loaded.schedule == build.schedule
     assert loaded.gamma == build.gamma
+    assert loaded.set_digest == build.set_digest == torus.set_digest(ARC03)
+
+
+def test_build_file_without_digest_round_trips(tmp_path):
+    build = con.LambdaBuild((con.BlockSpec(1, 1, 1, 0),), 0.15, (0.3,))
+    path = tmp_path / "build.json"
+    con.save_build(build, path)
+    assert "set_digest" not in json.loads(path.read_text())
+    assert con.load_build(path)[0] == build
+
+
+def test_verify_build_rejects_another_sets_digest():
+    build = con.build_lambda_thm2(ARC03, 2, eps=0.075, n_range=(1, 50))
+    other = torus.normalize([(0.0, 0.4)])
+    with pytest.raises(InputError, match=f"digest {build.set_digest}, .* digest {torus.set_digest(other)}$"):
+        con.verify_build(other, build)
+    # without a digest the rows are recomputed on the set given, whatever it is
+    assert len(con.verify_build(other, replace(build, set_digest=""))) == 2
 
 
 def test_lambda_build_rejects_overlapping_blocks():

@@ -131,11 +131,15 @@ def _bits(s):
 
 def _merge_corpus(rng):
     """Raw arc lists with wraps, touching, nested and duplicate arcs, arcs of
-    length >= 1, and starts barely below an integer (the s >= 1.0 guard)."""
+    length >= 1, starts barely below an integer (the s >= 1.0 guard), and
+    groups of equal starts, some of them at 0 beside a wrap's split piece."""
     corpus = [[(0.0, 1.0)], [(0.3, 1.3)], [(-1e-17, 0.2)], [(-1e-17, 0.2), (0.5, 0.5 + 2e-16)],
               [(0.9, 1.2), (0.1, 0.15)], [(0.2, 0.4), (0.4, 0.6)], [(0.1, 0.5), (0.2, 0.3)],
               [(0.2, 0.3), (0.2, 0.3), (0.2, 0.25)], [(-0.1, 0.0), (0.0, 0.1)],
-              [(2.0 - 1e-16, 2.1), (7.95, 8.0)]]
+              [(2.0 - 1e-16, 2.1), (7.95, 8.0)],
+              [(0.5, 0.6), (0.5, 0.9), (0.5, 0.7), (0.9, 0.95), (0.95, 0.97), (0.4, 0.5)],
+              [(0.95, 1.1), (0.0, 0.05), (1.0, 1.2), (3.0, 3.1), (0.2, 0.3)],
+              [(0.25, 0.3), (1.25, 1.5), (-0.75, -0.7), (0.5, 0.6), (0.5, 0.55)]]
     for _ in range(300):
         n = int(rng.randint(1, 12))
         a = rng.uniform(-3.0, 3.0, n) * rng.choice([1e-3, 1.0, 1e3], n)
@@ -301,33 +305,42 @@ def test_fourier_coeff_real_ap_matches_closed_form(rng=np.random.RandomState(11)
             assert np.max(np.abs(got - want)) <= 1e-15
 
 
-@pytest.mark.parametrize("lmax,bound", [(96, 9.4e-15), (64, 1.6e-14)])
-def test_fourier_coeff_real_ap_longdouble_oracle(lmax, bound):
-    # per-coefficient error of the chunked GEMM product stage on S_0.25 at count
-    # 4095; each bound is twice the error of the elementwise pairwise sum it
-    # replaced (4.7e-15 at l_max 96, 8.1e-15 at l_max 64)
+@pytest.mark.parametrize("lmax,step,count,bound", [
+    # twice the error of the elementwise pairwise sum the GEMM stage replaced
+    # (4.7e-15 at l_max 96, 8.1e-15 at l_max 64)
+    pytest.param(96, 1, 4095, 9.4e-15, id="96-9.4e-15"),
+    pytest.param(64, 1, 4095, 1.6e-14, id="64-1.6e-14"),
+    # twice the error of the direct sin/cos tables (5.23e-15); at step 3 the
+    # kernel's angle-sum table rows carry most coefficients
+    pytest.param(96, 3, 4095, 1.05e-14, id="96-step3-1.05e-14"),
+])
+def test_fourier_coeff_real_ap_longdouble_oracle(lmax, step, count, bound):
+    # per-coefficient error of the kernel on S_0.25 against a long-double sum
     if np.finfo(np.longdouble).eps > 1e-18:
         pytest.skip("np.longdouble is not wider than float64 here")
-    count, split = 4095, 128
+    split = 128
     s = constructions.build_adversarial_set(0.25, lmax)
     starts, ends = s.arcs.T
     x = np.concatenate([starts, ends]).astype(np.longdouble)
     w = np.concatenate([-np.ones_like(starts), np.ones_like(ends)]).astype(np.longdouble)
     two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
     one = np.longdouble(1)
-    # the oracle splits d = 128 q + r, not as the kernel's isqrt(count) + 1 = 64,
-    # so no table is shared; every phase is exact mod 1, and every sine and
-    # product is rounded to long double
-    hi_ph = two_pi * np.mod(np.arange(count // split + 1, dtype=np.longdouble)[:, None] * split * x, one)
-    lo_ph = two_pi * np.mod(np.arange(split, dtype=np.longdouble)[:, None] * x, one)
+    # the oracle splits d = 128 q + r, not as the kernel's isqrt(count) + 1 = 64
+    # with its tables' angle sums at 8 rows, so no table is shared; every phase
+    # is exact mod 1, and every sine and product is rounded to long double
+    q = np.arange(count // split + 1, dtype=np.longdouble)[:, None] * (split * step)
+    r = np.arange(split, dtype=np.longdouble)[:, None] * step
+    hi_ph = two_pi * np.mod(q * x, one)
+    lo_ph = two_pi * np.mod(r * x, one)
     left = np.concatenate([w * np.sin(hi_ph), w * np.cos(hi_ph)], axis=1)
     right = np.concatenate([np.cos(lo_ph), np.sin(lo_ph)], axis=1).T
     d = np.arange(1, count + 1, dtype=np.longdouble)
-    want = (left @ right).ravel()[1 : count + 1] / (two_pi * d)
+    want = (left @ right).ravel()[1 : count + 1] / (two_pi * d * step)
     # on a spread of d, the oracle agrees with the term-by-term sum
-    direct = (np.sin(two_pi * np.mod(d[::31, None] * x, one)) @ w) / (two_pi * d[::31])
+    k = d[::31, None] * step
+    direct = (np.sin(two_pi * np.mod(k * x, one)) @ w) / (two_pi * k[:, 0])
     assert float(np.max(np.abs(want[::31] - direct))) <= 1e-17
-    got = torus.fourier_coeff_real_ap(s, 1, count)
+    got = torus.fourier_coeff_real_ap(s, step, count)
     assert float(np.max(np.abs(got - want))) <= bound
 
 
