@@ -12,14 +12,25 @@ block from the scan, and assembles the grown union's Gram from the three.
 Verification builds the full union's Gram once and cuts every partial
 union's Gram from it.  Both give, entry for entry, the matrices gram() builds.
 Searches are deterministic with smallest-index tie-breaking throughout.
+
+Every public call that does dense linear algebra (the two builders,
+select_shift and verification) runs its BLAS and LAPACK calls on one thread,
+so its decisions and certificates do not depend on OPENBLAS_NUM_THREADS.  A
+shift scan whose windows are large enough spreads each window's candidates
+over worker threads instead, each also on one BLAS thread; the smallest
+accepted shift still wins.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import functools
 import json
 import math
+import os
 import re
+import threading
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -36,6 +47,17 @@ SUBSTITUTION_TOL = 1e-9
 # this cap, which leave about 260,000 arcs (about 0.1 s and a 40 MB peak to
 # build on 2 cores; the set then keeps 4 MB)
 ADVERSARIAL_LMAX_LIMIT = 1024
+
+# a shift-scan window goes to worker threads when its undecided candidates times
+# |E|^2 * n, the multiply-adds of each W = L^{-1} C(M), exceed this.  On 2 cores
+# windows of 1.2e9 took 0.49-0.79 of their serial time on 2 workers, and
+# windows of 9e6-3e8 took 0.54-1.20 of it, from run to run.  The assembly and
+# step_search bench decks scan windows of at most 2.1e8 and stay serial; the
+# 4- and 5-block [0, 0.3) builds scan thousands of candidates of 4e6-1.3e8.
+# The threshold and the one worker per usable core were validated on 2 cores
+# only, windows between 3e8 and 1.07e9 were not timed, and no benchmark
+# workload runs the pooled side.
+PARALLEL_SCAN_WORK = 2 ** 30
 
 # a build file's set_digest: torus.set_digest's 16 lowercase hex digits
 _DIGEST = re.compile("[0-9a-f]{16}")
@@ -327,6 +349,7 @@ def _cholesky(a: np.ndarray) -> np.ndarray | None:
         return None
 
 
+@spectral._one_blas_thread()
 def select_shift(
     s: IntervalSet,
     existing: LambdaBuild,
@@ -341,8 +364,9 @@ def select_shift(
     G_E - tI = L L^H factored once, M is accepted when the Schur complement
     (G_B - tI) - W^H W, W = L^{-1} C(M), has a Cholesky factor; only the cross
     block C(M)[i, j] = c_hat(b_j + M - e_i) depends on M.  A candidate costs
-    an |E|^2 n product and an n^3/3 Cholesky.  The test is lambda_min > t up
-    to rounding, so a tie at exactly lambda_min = t may fall either way.
+    an |E|^2 n product and an n^3/3 Cholesky, each on one BLAS thread.  The
+    test is lambda_min > t up to rounding, so a tie at exactly lambda_min = t
+    may fall either way.
 
     Candidates are taken in windows of consecutive shifts, one shift wide at
     first and doubling after each window, and each window evaluates every
@@ -353,6 +377,13 @@ def select_shift(
     evaluated on its own, so the values, and hence the decisions, are those
     of a per-candidate evaluation.  An exhausted scan reports how many shifts
     it decided and how many it skipped because they met the union.
+
+    A window whose products add up to more than PARALLEL_SCAN_WORK
+    multiply-adds has its undecided candidates split in strides over one
+    worker thread per usable core, started with the first such window.  Each
+    worker decides its candidates in ascending order and returns its first
+    accepted one, and the window's shift is the smallest of those; the
+    decisions are the serial scan's, so the shift is too.
 
     This entry point builds G_B and G_E itself; the builders run the same scan
     on the Grams they carry.
@@ -385,33 +416,88 @@ def _scan(
     diff = offsets[None, :] - existing_freqs[:, None]
     diffs, where = np.unique(diff, return_inverse=True)
     where = where.reshape(diff.shape)  # numpy 1.x returns the inverse flat
-    m, width = scan.start, 1
-    while m <= scan.cap:  # the window is m, m + 1, ..., m + width - 1
-        width = min(width, scan.cap - m + 1)
-        # the block shifted by M meets the union exactly when M = -d for some d
-        meets = np.zeros(width, dtype=bool)
-        meets[-diffs[(-diffs >= m) & (-diffs < m + width)] - m] = True
-        if not meets.all():
-            # run i holds c_hat(d_i + M) for M = m, m + 1, ... within the window, cut
-            # short where d_i + M reaches d_{i+1} + m, the first key of run i + 1; so
-            # c_hat(d_i + M) sits at at[i] + M - m for every M, and no key repeats
-            runs = np.minimum(np.diff(diffs, append=diffs[-1:] + width), width)
-            at = np.cumsum(runs) - runs
-            keys = np.repeat(diffs + m - at, runs) + np.arange(runs.sum())
-            vals = torus.fourier_coeff_many(s, keys)
-            at = at[where]
-            for t in np.flatnonzero(~meets).tolist():
-                cross = vals[at + t]
-                w = linv @ cross
-                if _cholesky(inblock - w.conj().T @ w) is not None:
-                    return m + t, cross
-        m, width = m + width, 2 * width
+    work = existing_freqs.size ** 2 * offsets.size  # per candidate
+    workers = _scan_workers()
+    hint = _Accepted()
+    with contextlib.ExitStack() as stack:
+        pool = None
+        m, width = scan.start, 1
+        while m <= scan.cap:  # the window is m, m + 1, ..., m + width - 1
+            width = min(width, scan.cap - m + 1)
+            # the block shifted by M meets the union exactly when M = -d for some d
+            meets = np.zeros(width, dtype=bool)
+            meets[-diffs[(-diffs >= m) & (-diffs < m + width)] - m] = True
+            if not meets.all():
+                # run i holds c_hat(d_i + M) for M = m, m + 1, ... within the window, cut
+                # short where d_i + M reaches d_{i+1} + m, the first key of run i + 1; so
+                # c_hat(d_i + M) sits at at[i] + M - m for every M, and no key repeats
+                runs = np.minimum(np.diff(diffs, append=diffs[-1:] + width), width)
+                at = np.cumsum(runs) - runs
+                keys = np.repeat(diffs + m - at, runs) + np.arange(runs.sum())
+                vals = torus.fourier_coeff_many(s, keys)
+                at = at[where]
+                todo = np.flatnonzero(~meets).tolist()
+                decide = functools.partial(_first_accepted, vals, at, linv, inblock, hint=hint)
+                if workers > 1 and len(todo) > 1 and len(todo) * work > PARALLEL_SCAN_WORK:
+                    if pool is None:
+                        pool = stack.enter_context(_scan_pool(workers))
+                        stack.callback(hint.offer, -1)  # stops every worker before the shutdown
+                    found = list(pool.map(decide, [todo[j::workers] for j in range(workers)]))
+                else:
+                    found = [decide(todo)]
+                if (accepted := [t for t in found if t is not None]):
+                    t = min(accepted)
+                    return m + t, vals[at + t]
+            m, width = m + width, 2 * width
     # diffs are distinct, so each -d in range is one shift that meets the union
     met = int(np.count_nonzero((-diffs >= scan.start) & (-diffs <= scan.cap)))
     raise SearchFailed(
         f"no shift in [{scan.start}, {scan.cap}] reached target {target}: "
         f"{scan.cap - scan.start + 1 - met} decided by Cholesky, "
         f"{met} skipped for meeting the union"
+    )
+
+
+class _Accepted:
+    """The smallest window index that any worker has accepted: a hint that lets
+    the others stop early, never the window's result."""
+
+    def __init__(self):
+        self.index = math.inf
+        self._lock = threading.Lock()
+
+    def offer(self, t) -> None:
+        with self._lock:
+            self.index = min(self.index, t)
+
+
+def _first_accepted(vals, at, linv, inblock, candidates, hint: _Accepted) -> int | None:
+    """The first of the ascending window indices `candidates` whose Schur
+    complement has a Cholesky factor, or None; gives up at a candidate above
+    one that some worker has accepted."""
+    for t in candidates:
+        if t > hint.index:
+            return None
+        w = linv @ vals[at + t]
+        if _cholesky(inblock - w.conj().T @ w) is not None:
+            hint.offer(t)
+            return t
+    return None
+
+
+def _scan_workers() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _scan_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
+    """The shift scan's worker threads, each on one BLAS thread."""
+    return concurrent.futures.ThreadPoolExecutor(
+        workers, thread_name_prefix="rieszseq-scan",
+        initializer=spectral._set_blas_threads, initargs=(1,),
     )
 
 
@@ -454,6 +540,7 @@ def _place(
     return replace(build, blocks=blocks, schedule=build.schedule + (cert,)), grown
 
 
+@spectral._one_blas_thread()
 def build_lambda_thm2(
     s: IntervalSet,
     count: int,
@@ -572,6 +659,7 @@ class Thm3Row:
     cert_lambda_min: float
 
 
+@spectral._one_blas_thread()
 def build_lambda_thm3(
     s: IntervalSet,
     alphas: Sequence[float],
@@ -736,6 +824,7 @@ def _partial_grams(s: IntervalSet, build: LambdaBuild) -> Iterator[spectral.Gram
     yield g
 
 
+@spectral._one_blas_thread()
 def _verify(
     s: IntervalSet, build: LambdaBuild, tol: float = 1e-9
 ) -> tuple[list[VerifyRow], spectral.RieszReport]:

@@ -279,6 +279,34 @@ def test_thm1_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert all(o == outputs[0] for o in outputs)
 
 
+@pytest.mark.skipif(
+    spectral._blas_thread_setter() is None,
+    reason="numpy bundles no OpenBLAS with openblas_set_num_threads_local",
+)
+def test_thm3_and_verify_bytes_do_not_depend_on_blas_threads(arc03_file, tmp_path):
+    # the unions reach m = 170, where OpenBLAS splits an eigensolve over threads
+    # unless the constructions run it on one; the certificates, the shifts and the
+    # recomputed report must come out the same either way.  Without the setter the
+    # thread count is left alone, and the bytes may differ in the last bits
+    src = str(Path(rieszseq.__file__).parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    outputs = []
+    for blas_threads in ("1", None):
+        env = dict(base) if blas_threads is None else {**base, "OPENBLAS_NUM_THREADS": blas_threads}
+        csv, build, report = (tmp_path / f"t3-{blas_threads}.{ext}" for ext in ("csv", "build.json", "riesz.json"))
+        for argv in (["thm3", str(arc03_file), "--alphas", "2.0,1.5", "--n-ranges", "24:25;60:61",
+                      "--build-out", str(build), "--out", str(csv)],
+                     ["riesz", str(arc03_file), "--build", str(build), "--verify", "--out", str(report)]):
+            proc = subprocess.run([sys.executable, "-m", "rieszseq.cli", *argv],
+                                  capture_output=True, text=True, timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append([path.read_bytes() for path in (csv, build, report)])
+    assert len(outputs[0][0].splitlines()) == 5
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_thm1_rejects_workers_below_one(tmp_path, capsys, workers):
     assert run(["thm1", "--lmax", 8, "--ells", "2", "--enns", "64", "--workers", workers,

@@ -1,4 +1,7 @@
+import concurrent.futures
 import json
+import sys
+import threading
 from dataclasses import replace
 from itertools import islice
 
@@ -414,6 +417,134 @@ def test_select_shift_coefficient_work(monkeypatch):
     build = con.build_lambda_thm2(ARC03, 3, n_range=(40, 2000))
     assert [b.shift for b in build.blocks] == [0, 81, 920]
     assert 0 < sum(requested) <= 70_000
+
+
+# --- the shift scan on worker threads -----------------------------------------------
+
+def scan_args(s, existing, newblock, target, scan):
+    """_scan's arguments as select_shift builds them."""
+    offsets = newblock.frequencies() - newblock.shift
+    existing_freqs = existing.frequencies()
+    shifted = con._shifted_gram(s, existing_freqs, target) if existing.blocks else np.eye(0)
+    return s, existing_freqs, shifted, offsets, con._shifted_gram(s, offsets, target), target, scan
+
+
+def scan_result(args):
+    """(shift, bytes of the cross block), or the SearchFailed message."""
+    try:
+        shift, cross = con._scan(*args)
+    except SearchFailed as exc:
+        return str(exc)
+    return shift, cross.tobytes()
+
+
+def serial_and_pooled(monkeypatch, args, workers=3):
+    """_scan's result on one thread, then with every window of two or more
+    undecided candidates split over `workers` pool threads; and whether any
+    candidate was decided on a pool thread."""
+    monkeypatch.setattr(con, "_scan_workers", lambda: 1)
+    serial = scan_result(args)
+    on_pool, first_accepted = [], con._first_accepted
+
+    def spy(*a, **kw):
+        on_pool.append(threading.current_thread().name.startswith("rieszseq-scan"))
+        return first_accepted(*a, **kw)
+
+    monkeypatch.setattr(con, "_first_accepted", spy)
+    monkeypatch.setattr(con, "_scan_workers", lambda: workers)
+    monkeypatch.setattr(con, "PARALLEL_SCAN_WORK", -1)
+    pooled = scan_result(args)
+    return serial, pooled, any(on_pool)
+
+
+def test_pooled_scan_matches_serial_scan(monkeypatch, rng=np.random.RandomState(3)):
+    """The shift and the cross block's bytes, or the exhaustion message, do not
+    depend on how a window's candidates are split over threads, with more
+    workers than cores and threads switched every microsecond."""
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for case in range(10):
+            s = random_arc_set(rng)
+            n1, n2 = (int(v) for v in rng.randint(3, 9, 2))
+            old, new = con.BlockSpec(n1, n1, n1, 0), con.BlockSpec(n2 + 9, n2 + 9, n2 + 9, 0)
+            partial = con.LambdaBuild((old,), s.measure / 2, (), torus.set_digest(s))
+            floor = min(lambda_min(s, partial.partial_frequency_set(1)),
+                        lambda_min(s, spectral.frequency_set(new.frequencies().tolist())))
+            args = scan_args(s, partial, new, 0.97 * floor, con.ScanConfig(start=-30, cap=400))
+            results += [serial_and_pooled(monkeypatch, args, workers) for workers in (2, 8)]
+    finally:
+        sys.setswitchinterval(interval)
+    for serial, pooled, _ in results:
+        assert pooled == serial
+    assert any(used_pool and isinstance(serial, tuple) for serial, _, used_pool in results)
+
+
+def test_pooled_scan_exhausted_keeps_its_counts(monkeypatch):
+    partial = con.LambdaBuild(
+        (con.BlockSpec(1, 1, 1, 0),), 0.15, (0.3,), torus.set_digest(ARC03)
+    )
+    args = scan_args(ARC03, partial, con.BlockSpec(2, 2, 2, 0), 0.12, con.ScanConfig(start=-5, cap=1))
+    serial, pooled, used_pool = serial_and_pooled(monkeypatch, args)
+    assert used_pool
+    assert pooled == serial == (
+        "no shift in [-5, 1] reached target 0.12: "
+        "5 decided by Cholesky, 2 skipped for meeting the union"
+    )
+
+
+class InOrder(concurrent.futures.Executor):
+    """Runs each submitted call at once, in submission order."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def test_pooled_window_takes_the_smallest_accepted_shift(monkeypatch):
+    # from start 10 the third window is the shifts 13..16, none meeting the union:
+    # 13 is rejected and 14, 15, 16 pass.  Split over 2 workers in order, the first
+    # takes 13 and 15 and accepts 15; the second takes 14 and 16 and accepts 14
+    partial = con.LambdaBuild((con.BlockSpec(4, 4, 4, 0),), 0.15, (), torus.set_digest(ARC03))
+    new = con.BlockSpec(5, 5, 5, 0)
+    target = 0.9 * min(lambda_min(ARC03, partial.partial_frequency_set(1)),
+                       lambda_min(ARC03, spectral.frequency_set(new.frequencies().tolist())))
+
+    def accepts(m):
+        try:
+            return con.select_shift(ARC03, partial, new, target, con.ScanConfig(start=m, cap=m)) == m
+        except SearchFailed:
+            return False
+
+    assert [accepts(m) for m in range(13, 17)] == [False, True, True, True]
+    found, first_accepted = [], con._first_accepted
+    monkeypatch.setattr(con, "_first_accepted", lambda *a, **kw: found.append(first_accepted(*a, **kw)) or found[-1])
+    monkeypatch.setattr(con, "_scan_pool", lambda workers: InOrder())
+    monkeypatch.setattr(con, "_scan_workers", lambda: 2)
+    monkeypatch.setattr(con, "PARALLEL_SCAN_WORK", -1)
+    args = scan_args(ARC03, partial, new, target, con.ScanConfig(start=10, cap=400))
+    shift, cross = con._scan(*args)
+    assert found[-2:] == [15 - 13, 14 - 13]  # window indices, each worker's first accepted
+    assert shift == 14
+    monkeypatch.setattr(con, "_scan_workers", lambda: 1)
+    assert scan_result(args) == (14, cross.tobytes())
+
+
+def test_deck_sized_builds_start_no_pool(monkeypatch):
+    # windows of the assembly and step_search bench decks stay below
+    # PARALLEL_SCAN_WORK, so they are decided on the calling thread
+    def no_pool(workers):
+        raise AssertionError("a deck-sized scan started a worker pool")
+
+    monkeypatch.setattr(con, "_scan_pool", no_pool)
+    monkeypatch.setattr(con, "_scan_workers", lambda: 2)
+    s = torus.normalize([(0.12, 0.2), (0.41, 0.52), (0.7, 0.78)])
+    build = con.build_lambda_thm2(s, 3, eps=s.measure / 4.0, n_range=(50, 110))
+    assert len(build.blocks) == 3
+    build, _ = con.build_lambda_thm3(s, [2.0, 1.5], [range(24, 27), range(60, 63)])
+    assert len(build.blocks) == 6
 
 
 def test_placed_union_gram_is_gram_of_the_union(rng=np.random.RandomState(11)):

@@ -1,13 +1,15 @@
+import ctypes.util
 import math
 
 import numpy as np
 import pytest
 
-from rieszseq import spectral, torus
-from rieszseq.errors import InputError
+from rieszseq import constructions, spectral, torus
+from rieszseq.errors import InputError, SearchFailed
 
 HALF = torus.normalize([(0.0, 0.5)])
 FULL = torus.normalize([(0.0, 1.0)])
+ARC03 = torus.normalize([(0.0, 0.3)])
 
 # closed-form 2x2 eigenvalues d +- |z| for the half circle with L = {0, 1}
 LOWER_01 = 0.5 - 1.0 / math.pi   # 0.1816901138162093
@@ -290,3 +292,114 @@ def test_dirichlet_tail_bound_grid():
             if n * delta >= 0.25:
                 ratio = spectral.dirichlet_tail(2 * n, delta) / tail
                 assert ratio <= 0.75
+
+
+# --- one BLAS thread for the constructions ----------------------------------------
+
+needs_setter = pytest.mark.skipif(
+    spectral._blas_thread_setter() is None,
+    reason="numpy bundles no OpenBLAS with openblas_set_num_threads_local",
+)
+
+
+def blas_threads(set_threads=spectral._set_blas_threads):
+    """The calling thread's BLAS thread count."""
+    previous = set_threads(1)
+    set_threads(previous)
+    return previous
+
+
+@pytest.fixture
+def two_blas_threads():
+    previous = spectral._set_blas_threads(2)
+    yield
+    spectral._set_blas_threads(previous)
+
+
+@needs_setter
+def test_constructions_run_on_one_blas_thread_and_restore_it(two_blas_threads, monkeypatch):
+    inside = []
+    eigs, cholesky = spectral.extreme_eigs, constructions._cholesky
+    monkeypatch.setattr(spectral, "extreme_eigs", lambda g: inside.append(blas_threads()) or eigs(g))
+    monkeypatch.setattr(constructions, "_cholesky", lambda a: inside.append(blas_threads()) or cholesky(a))
+    calls = {
+        "riesz_report": lambda: spectral.riesz_report(ARC03, spectral.frequency_set([1, 4, 9])),
+        "build_lambda_thm2": lambda: constructions.build_lambda_thm2(ARC03, 3, n_range=(1, 50)),
+        "build_lambda_thm3": lambda: constructions.build_lambda_thm3(ARC03, [1.5], [[16, 17]]),
+        "select_shift": lambda: constructions.select_shift(
+            ARC03, constructions.build_lambda_thm2(ARC03, 1, n_range=(2, 9)),
+            constructions.BlockSpec(3, 3, 3, 0), 0.1),
+        "verify_build": lambda: constructions.verify_build(
+            ARC03, constructions.build_lambda_thm2(ARC03, 2, n_range=(1, 50))),
+    }
+    for name, call in calls.items():
+        inside.clear()
+        call()
+        assert inside and set(inside) == {1}, name
+        assert blas_threads() == 2, name
+
+
+@needs_setter
+def test_one_blas_thread_is_restored_after_errors(two_blas_threads):
+    with pytest.raises(SearchFailed):
+        constructions.build_lambda_thm2(ARC03, 5, eps=0.075, n_range=(1, 2))
+    assert blas_threads() == 2
+    partial = constructions.build_lambda_thm2(ARC03, 1, n_range=(1, 9))
+    with pytest.raises(SearchFailed, match="decided by Cholesky"):
+        constructions.select_shift(ARC03, partial, constructions.BlockSpec(2, 2, 2, 0), 0.14,
+                                   constructions.ScanConfig(start=-5, cap=1))
+    assert blas_threads() == 2
+    with pytest.raises(InputError):
+        spectral.riesz_report(torus.normalize([]), spectral.frequency_set([1, 2]))
+    assert blas_threads() == 2
+    other = torus.normalize([(0.0, 0.4)])
+    with pytest.raises(InputError, match="digest"):
+        constructions.verify_build(other, partial)
+    assert blas_threads() == 2
+    with pytest.raises(RuntimeError):
+        with spectral._one_blas_thread():
+            assert blas_threads() == 1
+            raise RuntimeError
+    assert blas_threads() == 2
+
+
+def test_one_blas_thread_is_a_no_op_without_the_library(monkeypatch):
+    real = spectral._blas_thread_setter()
+    before = None if real is None else blas_threads(real)
+    freqs = spectral.frequency_set([1, 4, 9])
+    expected = spectral.riesz_report(ARC03, freqs)
+    monkeypatch.setattr(spectral, "_blas_thread_setter", lambda: None)
+    assert spectral._set_blas_threads(1) is None
+    with spectral._one_blas_thread():
+        if before is not None:
+            assert blas_threads(real) == before
+    assert spectral.riesz_report(ARC03, freqs) == expected
+
+
+def test_blas_thread_setter_lookup_falls_back_to_none(monkeypatch):
+    lookup = spectral._blas_thread_setter.__wrapped__  # the uncached lookup
+    monkeypatch.setattr(spectral.glob, "glob", lambda pattern: [])
+    assert lookup() is None
+    monkeypatch.setattr(spectral.glob, "glob", lambda pattern: ["/nonexistent/libopenblas.so"])
+    assert lookup() is None
+    libm = ctypes.util.find_library("m")
+    if libm is not None:  # a library without the symbol
+        monkeypatch.setattr(spectral.glob, "glob", lambda pattern: [libm])
+        assert lookup() is None
+
+
+def test_blas_thread_setter_lookup_finds_a_suffixed_symbol(monkeypatch):
+    # older scipy-openblas builds export the setter with a 64-bit-integer suffix only
+    class Setter:
+        pass
+
+    class Library:
+        scipy_openblas_set_num_threads_local64_ = Setter()
+
+    opened = []
+    monkeypatch.setattr(spectral.glob, "glob", lambda pattern: ["/fake/libscipy_openblas64_.so"])
+    monkeypatch.setattr(spectral.ctypes, "CDLL", lambda path: opened.append(path) or Library())
+    setter = spectral._blas_thread_setter.__wrapped__()
+    assert setter is Library.scipy_openblas_set_num_threads_local64_
+    assert setter.argtypes == [ctypes.c_int] and setter.restype is ctypes.c_int
+    assert opened == ["/fake/libscipy_openblas64_.so"]
