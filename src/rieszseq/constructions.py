@@ -4,8 +4,9 @@ assemblies that keep a certified lower Riesz bound while embedding
 progressions of step O(N) and step O(N^alpha), alpha > 1.
 
 Builders are sequential (each shift depends on the previous partial union)
-and share one placement step, whose shift scan decides each candidate by a
-Schur-complement Cholesky and whose certificate is a full-union eigensolve.
+and share one placement step, whose shift scan rejects most candidates by a
+2x2 principal minor and decides the rest by a Schur-complement Cholesky, and
+whose certificate is a full-union eigensolve.
 A builder carries the union's Gram from one placement to the next: each
 placement builds only the new block's Gram, takes the accepted shift's cross
 block from the scan, and assembles the grown union's Gram from the three.
@@ -15,22 +16,15 @@ Searches are deterministic with smallest-index tie-breaking throughout.
 
 Every public call that does dense linear algebra (the two builders,
 select_shift and verification) runs its BLAS and LAPACK calls on one thread,
-so its decisions and certificates do not depend on OPENBLAS_NUM_THREADS.  A
-shift scan whose windows are large enough spreads each window's candidates
-over worker threads instead, each also on one BLAS thread; the smallest
-accepted shift still wins.
+so its decisions and certificates do not depend on OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextlib
 import functools
 import json
 import math
-import os
 import re
-import threading
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -48,16 +42,11 @@ SUBSTITUTION_TOL = 1e-9
 # build on 2 cores; the set then keeps 4 MB)
 ADVERSARIAL_LMAX_LIMIT = 1024
 
-# a shift-scan window goes to worker threads when its undecided candidates times
-# |E|^2 * n, the multiply-adds of each W = L^{-1} C(M), exceed this.  On 2 cores
-# windows of 1.2e9 took 0.49-0.79 of their serial time on 2 workers, and
-# windows of 9e6-3e8 took 0.54-1.20 of it, from run to run.  The assembly and
-# step_search bench decks scan windows of at most 2.1e8 and stay serial; the
-# 4- and 5-block [0, 0.3) builds scan thousands of candidates of 4e6-1.3e8.
-# The threshold and the one worker per usable core were validated on 2 cores
-# only, windows between 3e8 and 1.07e9 were not timed, and no benchmark
-# workload runs the pooled side.
-PARALLEL_SCAN_WORK = 2 ** 30
+# the shift scan rejects a shift without a Cholesky when it puts into G - tI a
+# 2x2 principal minor [[a, c], [conj(c), a]], a = |S| - t, whose eigenvalue
+# a - |c| is at most -MINOR_MARGIN.  The margin leaves every closer call, where
+# rounding could flip the sign, to the Cholesky, which decides it as before
+MINOR_MARGIN = 1e-9
 
 # a build file's set_digest: torus.set_digest's 16 lowercase hex digits
 _DIGEST = re.compile("[0-9a-f]{16}")
@@ -363,27 +352,31 @@ def select_shift(
     meet the target t (shift invariance makes the unshifted check valid).  With
     G_E - tI = L L^H factored once, M is accepted when the Schur complement
     (G_B - tI) - W^H W, W = L^{-1} C(M), has a Cholesky factor; only the cross
-    block C(M)[i, j] = c_hat(b_j + M - e_i) depends on M.  A candidate costs
-    an |E|^2 n product and an n^3/3 Cholesky, each on one BLAS thread.  The
-    test is lambda_min > t up to rounding, so a tie at exactly lambda_min = t
-    may fall either way.
+    block C(M)[i, j] = c_hat(b_j + M - e_i) depends on M.  The test is
+    lambda_min > t up to rounding, so a tie at exactly lambda_min = t may fall
+    either way.
 
     Candidates are taken in windows of consecutive shifts, one shift wide at
     first and doubling after each window, and each window evaluates every
     coefficient it needs once: c_hat(d + M) over the distinct differences d
-    and the shifts M in the window.  A scan that accepts its first candidate
-    thus evaluates exactly the |D| coefficients of that candidate, and the
-    unused tail of the last window bounds the waste.  Each coefficient is
-    evaluated on its own, so the values, and hence the decisions, are those
-    of a per-candidate evaluation.  An exhausted scan reports how many shifts
-    it decided and how many it skipped because they met the union.
+    in D and the shifts M in the window.  A scan that accepts its first
+    candidate thus evaluates exactly the |D| coefficients of that candidate,
+    and the unused tail of the last window bounds the waste.  Each
+    coefficient is evaluated on its own, so the values, and hence the
+    decisions, are those of a per-candidate evaluation.
 
-    A window whose products add up to more than PARALLEL_SCAN_WORK
-    multiply-adds has its undecided candidates split in strides over one
-    worker thread per usable core, started with the first such window.  Each
-    worker decides its candidates in ascending order and returns its first
-    accepted one, and the window's shift is the smallest of those; the
-    decisions are the serial scan's, so the shift is too.
+    Most candidates never reach the Cholesky.  A shift with b_j + M - e_i = k
+    for some k in K = {k != 0 : |c_hat(k)| >= |S| - t + MINOR_MARGIN} puts the
+    2x2 principal minor [[|S| - t, c_hat(k)], [conj(c_hat(k)), |S| - t]] into
+    G - tI, and that minor's eigenvalue |S| - t - |c_hat(k)| is negative, so
+    the Cholesky would fail.  K is small, since |c_hat(k)| <= arcs/(pi |k|):
+    on [0, 0.3) it is {-1, 1} for every target in [0.043, 0.112].  Each
+    window picks out the k in K among the coefficients it evaluated and marks
+    the shifts they reject at O(|K| |D|).  The remaining candidates are
+    decided in ascending order, each by an |E|^2 n product and an n^3/3
+    Cholesky on one BLAS thread.  An exhausted scan reports how many shifts
+    it decided by Cholesky, how many failed a 2x2 minor and how many it
+    skipped because they met the union.
 
     This entry point builds G_B and G_E itself; the builders run the same scan
     on the Grams they carry.
@@ -416,89 +409,46 @@ def _scan(
     diff = offsets[None, :] - existing_freqs[:, None]
     diffs, where = np.unique(diff, return_inverse=True)
     where = where.reshape(diff.shape)  # numpy 1.x returns the inverse flat
-    work = existing_freqs.size ** 2 * offsets.size  # per candidate
-    workers = _scan_workers()
-    hint = _Accepted()
-    with contextlib.ExitStack() as stack:
-        pool = None
-        m, width = scan.start, 1
-        while m <= scan.cap:  # the window is m, m + 1, ..., m + width - 1
-            width = min(width, scan.cap - m + 1)
-            # the block shifted by M meets the union exactly when M = -d for some d
-            meets = np.zeros(width, dtype=bool)
-            meets[-diffs[(-diffs >= m) & (-diffs < m + width)] - m] = True
-            if not meets.all():
-                # run i holds c_hat(d_i + M) for M = m, m + 1, ... within the window, cut
-                # short where d_i + M reaches d_{i+1} + m, the first key of run i + 1; so
-                # c_hat(d_i + M) sits at at[i] + M - m for every M, and no key repeats
-                runs = np.minimum(np.diff(diffs, append=diffs[-1:] + width), width)
-                at = np.cumsum(runs) - runs
-                keys = np.repeat(diffs + m - at, runs) + np.arange(runs.sum())
-                vals = torus.fourier_coeff_many(s, keys)
-                at = at[where]
-                todo = np.flatnonzero(~meets).tolist()
-                decide = functools.partial(_first_accepted, vals, at, linv, inblock, hint=hint)
-                if workers > 1 and len(todo) > 1 and len(todo) * work > PARALLEL_SCAN_WORK:
-                    if pool is None:
-                        pool = stack.enter_context(_scan_pool(workers))
-                        stack.callback(hint.offer, -1)  # stops every worker before the shutdown
-                    found = list(pool.map(decide, [todo[j::workers] for j in range(workers)]))
-                else:
-                    found = [decide(todo)]
-                if (accepted := [t for t in found if t is not None]):
-                    t = min(accepted)
+    least = s.measure - target + MINOR_MARGIN  # the |c_hat| that fails a 2x2 minor
+    met = failed = 0
+    m, width = scan.start, 1
+    while m <= scan.cap:  # the window is m, m + 1, ..., m + width - 1
+        width = min(width, scan.cap - m + 1)
+        # the block shifted by M meets the union exactly when d + M = 0 for some d
+        meets = _window_marks(-diffs, m, width)
+        met += int(np.count_nonzero(meets))
+        if not meets.all():
+            # run i holds c_hat(d_i + M) for M = m, m + 1, ... within the window, cut
+            # short where d_i + M reaches d_{i+1} + m, the first key of run i + 1; so
+            # c_hat(d_i + M) sits at at[i] + M - m for every M, and no key repeats
+            runs = np.minimum(np.diff(diffs, append=diffs[-1:] + width), width)
+            at = np.cumsum(runs) - runs
+            keys = np.repeat(diffs + m - at, runs) + np.arange(runs.sum())
+            vals = torus.fourier_coeff_many(s, keys)
+            at = at[where]
+            # it fails a 2x2 minor when d + M is a key k with |c_hat(k)| >= least
+            fails = np.zeros(width, dtype=bool)
+            for k in keys[np.abs(vals) >= least].tolist():
+                fails |= _window_marks(k - diffs, m, width)
+            fails &= ~meets
+            failed += int(np.count_nonzero(fails))
+            for t in np.flatnonzero(~(meets | fails)).tolist():
+                w = linv @ vals[at + t]
+                if _cholesky(inblock - w.conj().T @ w) is not None:
                     return m + t, vals[at + t]
-            m, width = m + width, 2 * width
-    # diffs are distinct, so each -d in range is one shift that meets the union
-    met = int(np.count_nonzero((-diffs >= scan.start) & (-diffs <= scan.cap)))
+        m, width = m + width, 2 * width
     raise SearchFailed(
         f"no shift in [{scan.start}, {scan.cap}] reached target {target}: "
-        f"{scan.cap - scan.start + 1 - met} decided by Cholesky, "
-        f"{met} skipped for meeting the union"
+        f"{scan.cap - scan.start + 1 - met - failed} decided by Cholesky, "
+        f"{failed} failed a 2x2 minor, {met} skipped for meeting the union"
     )
 
 
-class _Accepted:
-    """The smallest window index that any worker has accepted: a hint that lets
-    the others stop early, never the window's result."""
-
-    def __init__(self):
-        self.index = math.inf
-        self._lock = threading.Lock()
-
-    def offer(self, t) -> None:
-        with self._lock:
-            self.index = min(self.index, t)
-
-
-def _first_accepted(vals, at, linv, inblock, candidates, hint: _Accepted) -> int | None:
-    """The first of the ascending window indices `candidates` whose Schur
-    complement has a Cholesky factor, or None; gives up at a candidate above
-    one that some worker has accepted."""
-    for t in candidates:
-        if t > hint.index:
-            return None
-        w = linv @ vals[at + t]
-        if _cholesky(inblock - w.conj().T @ w) is not None:
-            hint.offer(t)
-            return t
-    return None
-
-
-def _scan_workers() -> int:
-    """The cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _scan_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
-    """The shift scan's worker threads, each on one BLAS thread."""
-    return concurrent.futures.ThreadPoolExecutor(
-        workers, thread_name_prefix="rieszseq-scan",
-        initializer=spectral._set_blas_threads, initargs=(1,),
-    )
+def _window_marks(points: np.ndarray, m: int, width: int) -> np.ndarray:
+    """Marks the shifts in the window m, m + 1, ..., m + width - 1 that are in `points`."""
+    marks = np.zeros(width, dtype=bool)
+    marks[points[(points >= m) & (points < m + width)] - m] = True
+    return marks
 
 
 def _place(

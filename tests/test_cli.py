@@ -535,7 +535,7 @@ def test_thm2_scan_exhausted_exits_3(arc03_file, tmp_path, capsys):
                 "--out", out]) == 3
     err = capsys.readouterr().err
     assert "search failed: no shift in [0, 1] reached target" in err
-    assert "2 decided by Cholesky, 0 skipped for meeting the union" in err
+    assert "1 decided by Cholesky, 1 failed a 2x2 minor, 0 skipped for meeting the union" in err
     assert not out.exists()
 
 

@@ -1,7 +1,4 @@
-import concurrent.futures
 import json
-import sys
-import threading
 from dataclasses import replace
 from itertools import islice
 
@@ -221,15 +218,16 @@ def test_select_shift_scan_exhausted_reports_counts():
     partial = con.LambdaBuild(
         (con.BlockSpec(1, 1, 1, 0),), 0.15, (0.3,), torus.set_digest(ARC03)
     )
-    # shifts -3 and -1 are skipped because {2, 4} + m would meet {1}; the other
-    # five are decided, and none reaches 0.12
+    # shifts -3 and -1 are skipped because {2, 4} + m would meet {1}; -4, -2 and 0
+    # put |c_hat(1)| = 0.2575 >= 0.3 - 0.12 off the diagonal of a 2x2 minor; the
+    # other two are decided, and neither reaches 0.12
     with pytest.raises(SearchFailed) as info:
         con.select_shift(
             ARC03, partial, con.BlockSpec(2, 2, 2, 0), 0.12, con.ScanConfig(start=-5, cap=1)
         )
     assert str(info.value) == (
         "no shift in [-5, 1] reached target 0.12: "
-        "5 decided by Cholesky, 2 skipped for meeting the union"
+        "2 decided by Cholesky, 3 failed a 2x2 minor, 2 skipped for meeting the union"
     )
 
 
@@ -244,7 +242,7 @@ def test_select_shift_scan_exhausted_when_every_shift_meets_the_union():
         )
     message = str(info.value)
     assert "[-3, 1]" in message
-    assert "0 decided by Cholesky, 5 skipped for meeting the union" in message
+    assert "0 decided by Cholesky, 0 failed a 2x2 minor, 5 skipped for meeting the union" in message
     assert "inf" not in message and "None" not in message
 
 
@@ -298,7 +296,9 @@ def test_select_shift_decision_matches_eigensolve(rng=np.random.RandomState(5)):
 
 
 def per_candidate_select_shift(s, existing, newblock, target, scan):
-    """Reference scan: one fourier_coeff_many call and one overlap test per candidate."""
+    """Reference scan: one fourier_coeff_many call, one overlap test and one Cholesky
+    per candidate.  A rejected candidate failed a 2x2 minor when some |c_hat(d + M)|
+    reaches |S| - t + MINOR_MARGIN, and was decided by Cholesky otherwise."""
     offsets = newblock.frequencies() - newblock.shift
     inblock = con._shifted_gram(s, offsets, target)
     existing_freqs = existing.frequencies()
@@ -307,16 +307,22 @@ def per_candidate_select_shift(s, existing, newblock, target, scan):
     diff = offsets[None, :] - existing_freqs[:, None]
     diffs, where = np.unique(diff, return_inverse=True)
     where = where.reshape(diff.shape)
+    decided = failed = 0
     for m in range(scan.start, scan.cap + 1):
         if (diffs == -m).any():
             continue
-        w = linv @ torus.fourier_coeff_many(s, diffs + m)[where]
+        vals = torus.fourier_coeff_many(s, diffs + m)
+        w = linv @ vals[where]
         if con._cholesky(inblock - w.conj().T @ w) is not None:
             return m
+        if np.abs(vals).max(initial=0.0) >= s.measure - target + con.MINOR_MARGIN:
+            failed += 1
+        else:
+            decided += 1
     met = int(np.count_nonzero((-diffs >= scan.start) & (-diffs <= scan.cap)))
     raise SearchFailed(
         f"no shift in [{scan.start}, {scan.cap}] reached target {target}: "
-        f"{scan.cap - scan.start + 1 - met} decided by Cholesky, "
+        f"{decided} decided by Cholesky, {failed} failed a 2x2 minor, "
         f"{met} skipped for meeting the union"
     )
 
@@ -382,13 +388,16 @@ def test_select_shift_matches_per_candidate_scan(rng=np.random.RandomState(3)):
         for cap in (expected - 1, expected):
             if cap >= -30 and window_position(-30, cap) != "last":
                 scan = con.ScanConfig(start=-30, cap=cap)
-                assert scan_outcome(con.select_shift, s, partial, new, target, scan) == scan_outcome(
-                    per_candidate_select_shift, s, partial, new, target, scan)
+                outcome = scan_outcome(per_candidate_select_shift, s, partial, new, target, scan)
+                assert scan_outcome(con.select_shift, s, partial, new, target, scan) == outcome
                 covered.add((kind, "cap inside a window"))
+                if isinstance(outcome, str) and ", 0 failed a 2x2 minor" not in outcome:
+                    covered.add((kind, "exhausted after failed minors"))
     assert covered == {
         (kind, what)
         for kind in ("dense", "sparse")
-        for what in ("negative start", "start meets the union", "first", "last", "cap inside a window")
+        for what in ("negative start", "start meets the union", "first", "last",
+                     "cap inside a window", "exhausted after failed minors")
     }
 
 
@@ -419,132 +428,64 @@ def test_select_shift_coefficient_work(monkeypatch):
     assert 0 < sum(requested) <= 70_000
 
 
-# --- the shift scan on worker threads -----------------------------------------------
+# --- the 2x2-minor exclusion ----------------------------------------------------------
 
-def scan_args(s, existing, newblock, target, scan):
-    """_scan's arguments as select_shift builds them."""
-    offsets = newblock.frequencies() - newblock.shift
-    existing_freqs = existing.frequencies()
-    shifted = con._shifted_gram(s, existing_freqs, target) if existing.blocks else np.eye(0)
-    return s, existing_freqs, shifted, offsets, con._shifted_gram(s, offsets, target), target, scan
-
-
-def scan_result(args):
-    """(shift, bytes of the cross block), or the SearchFailed message."""
-    try:
-        shift, cross = con._scan(*args)
-    except SearchFailed as exc:
-        return str(exc)
-    return shift, cross.tobytes()
-
-
-def serial_and_pooled(monkeypatch, args, workers=3):
-    """_scan's result on one thread, then with every window of two or more
-    undecided candidates split over `workers` pool threads; and whether any
-    candidate was decided on a pool thread."""
-    monkeypatch.setattr(con, "_scan_workers", lambda: 1)
-    serial = scan_result(args)
-    on_pool, first_accepted = [], con._first_accepted
-
-    def spy(*a, **kw):
-        on_pool.append(threading.current_thread().name.startswith("rieszseq-scan"))
-        return first_accepted(*a, **kw)
-
-    monkeypatch.setattr(con, "_first_accepted", spy)
-    monkeypatch.setattr(con, "_scan_workers", lambda: workers)
-    monkeypatch.setattr(con, "PARALLEL_SCAN_WORK", -1)
-    pooled = scan_result(args)
-    return serial, pooled, any(on_pool)
-
-
-def test_pooled_scan_matches_serial_scan(monkeypatch, rng=np.random.RandomState(3)):
-    """The shift and the cross block's bytes, or the exhaustion message, do not
-    depend on how a window's candidates are split over threads, with more
-    workers than cores and threads switched every microsecond."""
-    results = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for case in range(10):
-            s = random_arc_set(rng)
-            n1, n2 = (int(v) for v in rng.randint(3, 9, 2))
-            old, new = con.BlockSpec(n1, n1, n1, 0), con.BlockSpec(n2 + 9, n2 + 9, n2 + 9, 0)
-            partial = con.LambdaBuild((old,), s.measure / 2, (), torus.set_digest(s))
-            floor = min(lambda_min(s, partial.partial_frequency_set(1)),
-                        lambda_min(s, spectral.frequency_set(new.frequencies().tolist())))
-            args = scan_args(s, partial, new, 0.97 * floor, con.ScanConfig(start=-30, cap=400))
-            results += [serial_and_pooled(monkeypatch, args, workers) for workers in (2, 8)]
-    finally:
-        sys.setswitchinterval(interval)
-    for serial, pooled, _ in results:
-        assert pooled == serial
-    assert any(used_pool and isinstance(serial, tuple) for serial, _, used_pool in results)
+def test_minor_exclusion_rejects_only_failing_shifts(rng=np.random.RandomState(7)):
+    """Every shift the scan rejects by a 2x2 minor (some |c_hat(d + M)| reaches
+    |S| - t + MINOR_MARGIN, and no d + M is 0) has lambda_min(G_union) < t, and the
+    dense Schur complement of G_E - tI in G_union - tI has no Cholesky factor."""
+    cases = [  # (set, union block, new block, target, K)
+        (torus.normalize([(0.0, 0.1)]), con.BlockSpec(10, 10, 10, 0),
+         con.BlockSpec(11, 11, 11, 0), 0.0275, [1, 2, 3, 4]),
+        (torus.normalize([(0.0, 0.05), (0.3, 0.33), (0.6, 0.62)]), con.BlockSpec(6, 12, 6, 0),
+         con.BlockSpec(8, 16, 8, 0), 0.0275, [3, 7]),
+    ]
+    while len(cases) < 12:
+        s = random_arc_set(rng)
+        n1, n2 = (int(v) for v in rng.randint(3, 9, 2))
+        old = con.BlockSpec(n1, int(rng.randint(1, 40)), n1, 0)
+        new = con.BlockSpec(n2, int(rng.randint(1, 40)), n2, 0)
+        floor = min(lambda_min(s, spectral.frequency_set(old.frequencies().tolist())),
+                    lambda_min(s, spectral.frequency_set(new.frequencies().tolist())))
+        cases.append((s, old, new, rng.uniform(0.9, 0.99) * floor, None))
+    checked, multiple = 0, 0
+    for s, old, new, target, expected in cases:
+        least = s.measure - target + con.MINOR_MARGIN
+        if expected is not None:  # |c_hat(k)| <= 3/(pi k) < least for k >= 100
+            ks = np.arange(1, 100)
+            assert ks[np.abs(torus.fourier_coeff_many(s, ks)) >= least].tolist() == expected
+        union, block = old.frequencies(), new.frequencies()
+        diffs = np.unique(block[None, :] - union[:, None])
+        shifted_union = con._shifted_gram(s, union, target)
+        inblock = con._shifted_gram(s, block, target)
+        failing = set()
+        for m in range(-40, 201):
+            near = diffs + m
+            bad = near[np.abs(torus.fourier_coeff_many(s, near)) >= least]
+            if not bad.size or not near.all():
+                continue
+            failing.update(np.abs(bad).tolist())
+            freqs = np.sort(np.concatenate([union, block + m]))
+            assert lambda_min(s, spectral.frequency_set(freqs.tolist())) < target
+            diff = block[None, :] + m - union[:, None]  # C(M)[i, j] = c_hat(b_j + M - e_i)
+            cross = torus.fourier_coeff_many(s, diff.ravel()).reshape(diff.shape)
+            schur = inblock - cross.conj().T @ np.linalg.solve(shifted_union, cross)
+            assert con._cholesky(schur) is None, (s, old, new, target, m)
+            checked += 1
+        multiple += len(failing) > 1
+    assert multiple >= 4 and checked >= 500
 
 
-def test_pooled_scan_exhausted_keeps_its_counts(monkeypatch):
-    partial = con.LambdaBuild(
-        (con.BlockSpec(1, 1, 1, 0),), 0.15, (0.3,), torus.set_digest(ARC03)
-    )
-    args = scan_args(ARC03, partial, con.BlockSpec(2, 2, 2, 0), 0.12, con.ScanConfig(start=-5, cap=1))
-    serial, pooled, used_pool = serial_and_pooled(monkeypatch, args)
-    assert used_pool
-    assert pooled == serial == (
-        "no shift in [-5, 1] reached target 0.12: "
-        "5 decided by Cholesky, 2 skipped for meeting the union"
-    )
-
-
-class InOrder(concurrent.futures.Executor):
-    """Runs each submitted call at once, in submission order."""
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
-
-
-def test_pooled_window_takes_the_smallest_accepted_shift(monkeypatch):
-    # from start 10 the third window is the shifts 13..16, none meeting the union:
-    # 13 is rejected and 14, 15, 16 pass.  Split over 2 workers in order, the first
-    # takes 13 and 15 and accepts 15; the second takes 14 and 16 and accepts 14
-    partial = con.LambdaBuild((con.BlockSpec(4, 4, 4, 0),), 0.15, (), torus.set_digest(ARC03))
-    new = con.BlockSpec(5, 5, 5, 0)
-    target = 0.9 * min(lambda_min(ARC03, partial.partial_frequency_set(1)),
-                       lambda_min(ARC03, spectral.frequency_set(new.frequencies().tolist())))
-
-    def accepts(m):
-        try:
-            return con.select_shift(ARC03, partial, new, target, con.ScanConfig(start=m, cap=m)) == m
-        except SearchFailed:
-            return False
-
-    assert [accepts(m) for m in range(13, 17)] == [False, True, True, True]
-    found, first_accepted = [], con._first_accepted
-    monkeypatch.setattr(con, "_first_accepted", lambda *a, **kw: found.append(first_accepted(*a, **kw)) or found[-1])
-    monkeypatch.setattr(con, "_scan_pool", lambda workers: InOrder())
-    monkeypatch.setattr(con, "_scan_workers", lambda: 2)
-    monkeypatch.setattr(con, "PARALLEL_SCAN_WORK", -1)
-    args = scan_args(ARC03, partial, new, target, con.ScanConfig(start=10, cap=400))
-    shift, cross = con._scan(*args)
-    assert found[-2:] == [15 - 13, 14 - 13]  # window indices, each worker's first accepted
-    assert shift == 14
-    monkeypatch.setattr(con, "_scan_workers", lambda: 1)
-    assert scan_result(args) == (14, cross.tobytes())
-
-
-def test_deck_sized_builds_start_no_pool(monkeypatch):
-    # windows of the assembly and step_search bench decks stay below
-    # PARALLEL_SCAN_WORK, so they are decided on the calling thread
-    def no_pool(workers):
-        raise AssertionError("a deck-sized scan started a worker pool")
-
-    monkeypatch.setattr(con, "_scan_pool", no_pool)
-    monkeypatch.setattr(con, "_scan_workers", lambda: 2)
-    s = torus.normalize([(0.12, 0.2), (0.41, 0.52), (0.7, 0.78)])
-    build = con.build_lambda_thm2(s, 3, eps=s.measure / 4.0, n_range=(50, 110))
-    assert len(build.blocks) == 3
-    build, _ = con.build_lambda_thm3(s, [2.0, 1.5], [range(24, 27), range(60, 63)])
-    assert len(build.blocks) == 6
+def test_build_thm2_five_blocks_decides_one_candidate_per_placement(monkeypatch):
+    # below each accepted shift, every shift meets the union or fails a 2x2 minor,
+    # so each placement takes three Choleskys: G_B - tI, G_E - tI and the accepted
+    # candidate's Schur complement
+    calls, cholesky = [], con._cholesky
+    monkeypatch.setattr(con, "_cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    build = con.build_lambda_thm2(ARC03, 5, n_range=(200, 2000))
+    assert [b.shift for b in build.blocks] == [0, 401, 20600, 34199, 48274]
+    assert min(build.schedule) > build.gamma / 2
+    assert len(calls) == 3 * 5
 
 
 def test_placed_union_gram_is_gram_of_the_union(rng=np.random.RandomState(11)):
