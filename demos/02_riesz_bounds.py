@@ -33,8 +33,8 @@ g1 = spectral.gram(half, spectral.frequency_set([1000, 1001, 1005]))
 print("entrywise equal:", np.array_equal(g0.entries, g1.entries))
 
 print("\n== Dirichlet tail: energy escaping a deleted arc ==")
-for n in (1, 16, 256, 4096):
-    tail = spectral.dirichlet_tail(n, 0.01)
+lengths = (1, 16, 256, 4096)
+for n, tail in zip(lengths, spectral.dirichlet_tail_many(lengths, 0.01)):
     bound = spectral.dirichlet_tail_bound(n, 0.01)
     print(f"N={n:5d}: tail {tail:.6f} <= (2/(pi N)) cot(pi delta) = {bound:.6f}")
 print("the tail is the uniform-vector Rayleigh quotient on the complement arc,")

@@ -26,8 +26,7 @@ print(f"\nadversarial set: {len(s.arcs)} arcs, measure {s.measure:.6f} > {1 - EP
 print("\nuniform-vector energy of {ell, 2 ell, ..., N ell} on S, with its bound:")
 print(f"{'ell':>4} {'N':>6} {'energy':>12} {'bound':>12}")
 for ell in (2, 4, 8):
-    for n in (256, 1024, 4096):
-        cell = con.thm1_cell(s, sched, ell, n)
-        print(f"{ell:>4} {n:>6} {cell.rayleigh_uniform:>12.6f} {cell.tail_bound:>12.6f}")
+    for cell in con.thm1_cells(s, sched, ell, [256, 1024, 4096]):
+        print(f"{ell:>4} {cell.length:>6} {cell.rayleigh_uniform:>12.6f} {cell.tail_bound:>12.6f}")
 print("\nevery column decays ~1/N: no frequency set containing arbitrarily long")
 print("progressions of step O(N^alpha), alpha < 1, keeps a positive lower bound on S")

@@ -10,7 +10,7 @@ is an actual eigensolve.
 
 from itertools import islice
 
-from rieszseq import constructions as con, spectral, torus
+from rieszseq import constructions as con, torus
 
 s = torus.normalize([(0.0, 0.3)])
 print("set: single arc, measure", s.measure)
@@ -29,9 +29,6 @@ print("\nthe union contains an AP of length n and step n for each chosen n:")
 for b in build.blocks:
     print(f"  n={b.n}: {[b.shift + b.step * k for k in range(1, b.length + 1)]}")
 
-rows = con.verify_build(s, build)
+rows, rep = con.verify_build(s, build)
 print("\nre-verification from scratch:", "all ok" if all(r.ok for r in rows) else "MISMATCH")
-
-full = spectral.frequency_set(build.frequencies().tolist())
-rep = spectral.riesz_report(s, full)
 print(f"whole system of size {rep.size}: lower {rep.lower:.6f}, upper {rep.upper:.6f}")

@@ -31,5 +31,5 @@ for r in rows:
         f"  N={r.length:>3} step={r.ell:>3} (< N^{alpha} = {r.length ** alpha:.1f}) "
         f"shift={r.shift} cert lambda_min={r.cert_lambda_min:.10f}"
     )
-ok = all(r.ok for r in con.verify_build(s, build))
+ok = all(r.ok for r in con.verify_build(s, build)[0])
 print("re-verification from scratch:", "all ok" if ok else "MISMATCH")

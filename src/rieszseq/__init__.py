@@ -21,14 +21,14 @@ from .spectral import (
     GramMatrix,
     RieszReport,
     arithmetic_progression,
-    dirichlet_tail,
     dirichlet_tail_bound,
+    dirichlet_tail_many,
     extreme_eigs,
     frequency_set,
     gram,
     rayleigh,
     riesz_report,
-    uniform_rayleigh_ap,
+    uniform_rayleigh_ap_many,
 )
 from .torus import (
     IntervalSet,

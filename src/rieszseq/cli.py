@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import sys
+from typing import Iterator
 
 from . import constructions, numtheory, spectral, torus
 from .errors import InputError, PropertyViolation, SearchFailed
@@ -49,18 +50,9 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-@dataclasses.dataclass(frozen=True)
-class _Lengths:
-    """One alpha's lengths, kept as ranges: iterating never builds a list."""
-
-    ranges: tuple[range, ...]
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(self.ranges)
-
-
-def _parse_length_ranges(text: str) -> list[_Lengths]:
-    """Per-alpha lengths, ';'-separated; items are ints or ascending a:b spans."""
+def _parse_length_ranges(text: str) -> list[Iterator[int]]:
+    """Per-alpha lengths, ';'-separated; items are ints or ascending a:b spans.
+    Each alpha's lengths are read lazily, once, so a long span is never listed."""
     groups = []
     for seg in text.split(";"):
         ranges = []
@@ -72,7 +64,7 @@ def _parse_length_ranges(text: str) -> list[_Lengths]:
             if int(b) < int(a):
                 raise ValueError(f"length span {item} runs backwards")
             ranges.append(range(int(a), int(b) + 1))
-        groups.append(_Lengths(tuple(ranges)))
+        groups.append(itertools.chain.from_iterable(ranges))
     return groups
 
 
@@ -103,7 +95,7 @@ def _cmd_riesz(args) -> int:
         build, _ = constructions.load_build(args.build)
         if args.verify:
             # every partial union from one Gram; the report reuses the last eigensolve
-            rows, report = constructions._verify(s, build)
+            rows, report = constructions.verify_build(s, build)
             for row in rows:
                 print(
                     f"block {row.index}: stated={row.stated!r} "

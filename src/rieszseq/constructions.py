@@ -15,7 +15,7 @@ union's Gram from it.  Both give, entry for entry, the matrices gram() builds.
 Searches are deterministic with smallest-index tie-breaking throughout.
 
 Every public call that does dense linear algebra (the two builders,
-select_shift and verification) runs its BLAS and LAPACK calls on one thread,
+select_shift and verify_build) runs its BLAS and LAPACK calls on one thread,
 so its decisions and certificates do not depend on OPENBLAS_NUM_THREADS.
 """
 
@@ -32,6 +32,7 @@ import numpy as np
 
 from . import numtheory, spectral, torus
 from .errors import InputError, PropertyViolation, SearchFailed
+# frequency_set is unused here; bench/tests/test_bench.py reaches it as constructions.frequency_set
 from .spectral import FrequencySet, frequency_set
 from .torus import IntervalSet
 
@@ -188,16 +189,9 @@ class Thm1Cell:
     tail_bound: float
 
 
-def thm1_cell(s: IntervalSet, sched: DeltaSchedule, ell: int, length: int) -> Thm1Cell:
-    """Uniform-coefficient energy of the progression {ell, 2*ell, ..., N*ell} on S.
-
-    The one-length case of thm1_cells.
-    """
-    return thm1_cells(s, sched, ell, [length])[0]
-
-
 def thm1_cells(s: IntervalSet, sched: DeltaSchedule, ell: int, lengths) -> list[Thm1Cell]:
-    """thm1_cell(s, sched, ell, N) for every N in lengths.
+    """Uniform-coefficient energy of the progression {ell, 2*ell, ..., N*ell} on S,
+    one cell for every N in lengths.
 
     Each energy must not exceed the Dirichlet tail outside the deleted arc of
     half-width delta(ell) (change of variables tau = ell * x maps the
@@ -289,10 +283,6 @@ class LambdaBuild:
             return np.empty(0, dtype=np.int64)
         return np.sort(np.concatenate([b.frequencies() for b in self.blocks]))
 
-    def partial_frequency_set(self, upto: int) -> FrequencySet:
-        arrs = [b.frequencies() for b in self.blocks[:upto]]
-        return frequency_set(np.concatenate(arrs).tolist())
-
 
 def good_n_search(s: IntervalSet, eps: float, n_range: tuple[int, int]) -> Iterator[int]:
     """Lazily yield each n in [n_lo, n_hi] with sum_{l=1}^{n} |c_hat(l*n)|^2 < eps/n, ascending.
@@ -322,12 +312,6 @@ def _lambda_min(s: IntervalSet, freqs: FrequencySet) -> float:
 def _gram(s: IntervalSet, freqs: np.ndarray) -> np.ndarray:
     """gram(S, freqs).entries for strictly increasing freqs."""
     return spectral.gram(s, FrequencySet(tuple(freqs.tolist()))).entries
-
-
-def _shifted_gram(s: IntervalSet, freqs: np.ndarray, target: float) -> np.ndarray:
-    """gram(S, freqs) - target*I for strictly increasing freqs."""
-    g = _gram(s, freqs)
-    return g - target * np.eye(g.shape[0])
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray | None:
@@ -378,16 +362,15 @@ def select_shift(
     it decided by Cholesky, how many failed a 2x2 minor and how many it
     skipped because they met the union.
 
-    This entry point builds G_B and G_E itself; the builders run the same scan
-    on the Grams they carry.
+    This entry point builds G_E and runs the builders' placement step, _place,
+    which also eigensolves the grown union for its certificate.
     """
-    offsets = newblock.frequencies() - newblock.shift
-    inblock = _shifted_gram(s, offsets, target)
-    if _cholesky(inblock) is None:
+    freqs = existing.frequencies()
+    union = _gram(s, freqs) if existing.blocks else np.empty((0, 0), dtype=np.complex128)
+    placed = _place(s, existing, union, replace(newblock, shift=0), target, scan)
+    if placed is None:
         raise ValueError("new block alone is below the target bound")
-    existing_freqs = existing.frequencies()
-    shifted = _shifted_gram(s, existing_freqs, target) if existing.blocks else np.eye(0)
-    return _scan(s, existing_freqs, shifted, offsets, inblock, target, scan)[0]
+    return placed[0].blocks[-1].shift
 
 
 def _scan(
@@ -459,8 +442,9 @@ def _place(
     target: float,
     scan: ScanConfig,
 ) -> tuple[LambdaBuild, np.ndarray] | None:
-    """`build` plus the unshifted `candidate` at the shift select_shift would
-    pick, with the grown union's Gram; None if the block alone misses `target`.
+    """`build` plus the unshifted `candidate` at the shift select_shift
+    describes, with the grown union's Gram; None if the block alone misses
+    `target`.
 
     `union` is gram(S, build.frequencies()).entries, carried over from the
     previous placement, so a placement builds only the block's Gram G_B.  The
@@ -620,9 +604,9 @@ def build_lambda_thm3(
     of length N whose step is the divisor-averaged search winner below N^alpha_k,
     shifted to keep every partial union above gamma/2 with gamma = |S|/2.
 
-    Each n_ranges[k] holds lengths in any collection that can be iterated more
-    than once (a list, a range); only its extremes are read before the sieve
-    cap is checked, so an oversized range fails without being expanded.
+    Each n_ranges[k] is an iterable of lengths, read once, in order.  Each
+    length's span cap(N) * N is checked against the sieve cap as it is read,
+    so a range fails at its first oversized length however long it is.
     Returns the build plus per-block search records for reporting.
     """
     if s.measure <= 0.0:
@@ -636,22 +620,20 @@ def build_lambda_thm3(
         raise ValueError("every alpha must exceed 1")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly decreasing")
-    spans = []
+    # every search's divisor sieve covers its span; check each before any table
+    # or coefficient is built
+    jobs = []
     for alpha, lengths in zip(alphas, n_ranges):
-        longest = max(lengths, default=None)
-        if longest is None:
+        before = len(jobs)
+        for n in map(int, lengths):
+            if n < 1:
+                raise ValueError(f"lengths must be positive, got {n}")
+            cap = strict_step_cap(n, alpha)
+            numtheory.check_limit(cap * n, 4)
+            jobs.append((alpha, n, cap))
+        if len(jobs) == before:
             raise ValueError(f"empty length range for alpha={alpha}")
-        if (shortest := min(lengths)) < 1:
-            raise ValueError(f"lengths must be positive, got {shortest}")
-        spans.append(strict_step_cap(int(longest), alpha) * int(longest))
-    # every search's divisor sieve covers at most this span (cap(N) * N grows with N);
-    # check it before any job, table or coefficient is built
-    span = numtheory.check_limit(max(spans), 4)
-    jobs = [
-        (alpha, int(n), strict_step_cap(int(n), alpha))
-        for alpha, lengths in zip(alphas, n_ranges)
-        for n in lengths
-    ]
+    span = max(cap * n for _, n, cap in jobs)
     powers = np.abs(torus.fourier_coeff_many(s, np.arange(span + 1))) ** 2
     build = LambdaBuild((), s.measure / 2.0, (), torus.set_digest(s))
     union = np.empty((0, 0), dtype=np.complex128)  # gram of the placed blocks, carried
@@ -709,20 +691,30 @@ def _block_from_dict(b: dict) -> BlockSpec:
     return spec
 
 
+def _number(key: str, v) -> float:
+    """v as a float, if it is a JSON number (not a bool or a string)."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ValueError(f"{key} must be a number, got {v!r}")
+    return float(v)
+
+
 def build_from_dict(d: dict) -> tuple[LambdaBuild, str]:
     """Parse a build object; anything but an object with a "blocks" list of
-    objects, a block outside int64-safe range, blocks sharing a frequency, or
-    a "set_digest" that is not 16 lowercase hex digits raises ValueError.  An
-    object without "set_digest" parses with the digest "" (unknown)."""
+    objects, a block outside int64-safe range, more frequencies in all than
+    spectral.GRAM_SIZE_LIMIT, blocks sharing a frequency, a gamma or
+    cert_lambda_min that is not a number, or a "set_digest" that is not 16
+    lowercase hex digits raises ValueError.  An object without "set_digest"
+    parses with the digest "" (unknown)."""
     raw = d.get("blocks") if isinstance(d, dict) else None
     if not isinstance(raw, list) or not all(isinstance(b, dict) for b in raw):
         raise ValueError('a build must be an object with a "blocks" list of objects')
     blocks = tuple(_block_from_dict(b) for b in raw)
-    try:
-        schedule = tuple(float(b["cert_lambda_min"]) for b in raw)
-        gamma = float(d["gamma"])
-    except TypeError as exc:
-        raise ValueError(f"gamma and cert_lambda_min must be numbers: {exc}") from exc
+    if (size := sum(b.length for b in blocks)) > spectral.GRAM_SIZE_LIMIT:
+        raise ValueError(
+            f"build has {size} frequencies, more than {spectral.GRAM_SIZE_LIMIT}"
+        )
+    schedule = tuple(_number("cert_lambda_min", b["cert_lambda_min"]) for b in raw)
+    gamma = _number("gamma", d["gamma"])
     digest = d.get("set_digest", "")
     if "set_digest" in d and not (isinstance(digest, str) and _DIGEST.fullmatch(digest)):
         raise ValueError(f"set_digest must be 16 lowercase hex digits, got {digest!r}")
@@ -748,16 +740,35 @@ class VerifyRow:
     ok: bool
 
 
-def verify_build(s: IntervalSet, build: LambdaBuild, tol: float = 1e-9) -> list[VerifyRow]:
+@spectral._one_blas_thread()
+def verify_build(
+    s: IntervalSet, build: LambdaBuild, tol: float = 1e-9
+) -> tuple[list[VerifyRow], spectral.RieszReport]:
     """Re-derive every partial-union certificate by a fresh eigensolve; a row
     is ok when it matches the stated bound and clears gamma/2, both within tol.
-    Disjoint blocks are LambdaBuild's own invariant.
+    Returns the rows plus the whole union's riesz_report, which reuses the last
+    row's eigensolve.  Disjoint blocks are LambdaBuild's own invariant.
 
     The full union's Gram is built once, and each partial union's Gram is its
     principal submatrix at that union's frequencies: the matrix gram() builds
-    for the partial union, entry for entry.
+    for the partial union, entry for entry.  A build without blocks raises
+    ValueError, and one whose recorded set digest is not s's raises InputError,
+    both before any Gram.
     """
-    return _verify(s, build, tol)[0] if build.blocks else []
+    if not build.blocks:
+        raise ValueError("build has no blocks to verify")
+    if build.set_digest and build.set_digest != (digest := torus.set_digest(s)):
+        raise InputError(
+            f"build was made for the set with digest {build.set_digest}, "
+            f"but the given set has digest {digest}"
+        )
+    rows = []
+    for k, g in enumerate(_partial_grams(s, build), start=1):
+        eigs = spectral.extreme_eigs(g)
+        lam, stated = eigs[0], build.schedule[k - 1]
+        ok = abs(lam - stated) <= tol and lam >= build.gamma / 2.0 - tol
+        rows.append(VerifyRow(k, stated, lam, ok))
+    return rows, spectral._report(s, g, eigs)
 
 
 def _partial_grams(s: IntervalSet, build: LambdaBuild) -> Iterator[spectral.GramMatrix]:
@@ -772,24 +783,3 @@ def _partial_grams(s: IntervalSet, build: LambdaBuild) -> Iterator[spectral.Gram
         at = np.flatnonzero(owner < k)
         yield spectral.GramMatrix(g.entries[np.ix_(at, at)], g.set_digest)
     yield g
-
-
-@spectral._one_blas_thread()
-def _verify(
-    s: IntervalSet, build: LambdaBuild, tol: float = 1e-9
-) -> tuple[list[VerifyRow], spectral.RieszReport]:
-    """verify_build's rows plus the whole union's riesz_report, which reuses the
-    last row's eigensolve; a build without blocks raises ValueError, and one
-    whose recorded set digest is not s's raises InputError before any Gram."""
-    if build.set_digest and build.set_digest != (digest := torus.set_digest(s)):
-        raise InputError(
-            f"build was made for the set with digest {build.set_digest}, "
-            f"but the given set has digest {digest}"
-        )
-    rows = []
-    for k, g in enumerate(_partial_grams(s, build), start=1):
-        eigs = spectral.extreme_eigs(g)
-        lam, stated = eigs[0], build.schedule[k - 1]
-        ok = abs(lam - stated) <= tol and lam >= build.gamma / 2.0 - tol
-        rows.append(VerifyRow(k, stated, lam, ok))
-    return rows, spectral._report(s, g, eigs)

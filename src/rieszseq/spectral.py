@@ -26,9 +26,9 @@ from .torus import IntervalSet
 # every |frequency| stays below this, so all pairwise differences fit in int64
 FREQ_LIMIT = 2 ** 62
 
-# arithmetic_progression builds at most this many frequencies: the m x m complex
-# Gram of a longer one would take more than 16 * m^2 bytes = 1 GiB
-AP_LENGTH_LIMIT = 2 ** 13
+# every FrequencySet, and so every Gram, has at most this many frequencies: the
+# m x m complex Gram of a larger set would take more than 16 * m^2 bytes = 1 GiB
+GRAM_SIZE_LIMIT = 2 ** 13
 
 # uniform_rayleigh_ap_many takes lengths up to this: its kernel work grows as
 # arc endpoints times length (0.85-0.87 s per step at l_max 256, 33,000
@@ -105,13 +105,17 @@ def _check_range(lowest: int, highest: int) -> None:
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """Strictly increasing, nonempty tuple of integer frequencies with |f| < FREQ_LIMIT."""
+    """Strictly increasing, nonempty tuple of at most GRAM_SIZE_LIMIT integer
+    frequencies with |f| < FREQ_LIMIT."""
 
     freqs: tuple[int, ...]
 
     def __post_init__(self):
         if not self.freqs:
             raise ValueError("frequency set must be nonempty")
+        if len(self.freqs) > GRAM_SIZE_LIMIT:
+            raise ValueError(f"frequency set must have at most {GRAM_SIZE_LIMIT} "
+                             f"frequencies, got {len(self.freqs)}")
         if any(b <= a for a, b in zip(self.freqs, self.freqs[1:])):
             raise ValueError("frequencies must be strictly increasing")
         _check_range(self.freqs[0], self.freqs[-1])
@@ -138,8 +142,8 @@ def arithmetic_progression(shift: int, step: int, length: int) -> FrequencySet:
     if step < 1 or length < 1:
         raise ValueError("step and length must be positive")
     _check_range(shift + step, shift + step * length)
-    if length > AP_LENGTH_LIMIT:
-        raise ValueError(f"progression length must be at most {AP_LENGTH_LIMIT}, got {length}")
+    if length > GRAM_SIZE_LIMIT:
+        raise ValueError(f"progression length must be at most {GRAM_SIZE_LIMIT}, got {length}")
     return FrequencySet(tuple(shift + step * k for k in range(1, length + 1)))
 
 
@@ -174,8 +178,8 @@ def gram(s: IntervalSet, freqs: FrequencySet) -> GramMatrix:
     # distinct positive differences, each evaluated once
     ks, where = np.unique(np.abs(diff), return_inverse=True)
     vals = np.concatenate(([s.measure], torus.fourier_coeff_many(s, ks[1:])))
-    coeff = vals[where.reshape(diff.shape)]  # numpy 1.x returns the inverse flat
-    entries = np.where(diff >= 0, coeff, np.conj(coeff))
+    entries = vals[where.reshape(diff.shape)]  # numpy 1.x returns the inverse flat
+    np.conjugate(entries, out=entries, where=diff < 0)
     return GramMatrix(entries, torus.set_digest(s))
 
 
@@ -190,9 +194,9 @@ def extreme_eigs(g: GramMatrix) -> tuple[float, float]:
 
 def offdiag_energy(g: GramMatrix) -> float:
     """Sum of |c_hat(mu - lambda)|^2 over distinct frequency pairs."""
-    off = g.entries.copy()
+    off = np.abs(g.entries)
     np.fill_diagonal(off, 0.0)
-    return float(np.sum(np.abs(off) ** 2))
+    return float(np.sum(np.square(off, out=off)))
 
 
 def rayleigh(g: GramMatrix, c) -> float:
@@ -226,17 +230,10 @@ def _report(s: IntervalSet, g: GramMatrix, eigs: tuple[float, float]) -> RieszRe
     )
 
 
-def uniform_rayleigh_ap(s: IntervalSet, step: int, length: int) -> float:
-    """Rayleigh quotient of the all-ones vector on gram(S, {step, 2*step, ..., length*step}).
-
-    The one-length case of uniform_rayleigh_ap_many.  Shift-invariant, so no
-    shift argument.
-    """
-    return uniform_rayleigh_ap_many(s, step, [length])[0]
-
-
 def uniform_rayleigh_ap_many(s: IntervalSet, step: int, lengths) -> list[float]:
-    """uniform_rayleigh_ap(s, step, N) for every N in lengths, from one kernel pass.
+    """Rayleigh quotient of the all-ones vector on gram(S, {step, 2*step, ..., N*step})
+    for every N in lengths, from one kernel pass.  Shift-invariant, so no shift
+    argument.
 
     Uses the Toeplitz structure: |S| + (2/N) * sum_{d=1}^{N-1} (N-d) Re c_hat(d*step),
     so only the real part of one coefficient per off-diagonal stripe is needed,
@@ -265,16 +262,9 @@ def uniform_rayleigh_ap_many(s: IntervalSet, step: int, lengths) -> list[float]:
     ]
 
 
-def dirichlet_tail(length: int, delta: float) -> float:
-    """Energy of the normalized Dirichlet polynomial outside the arc of half-width delta at 0.
-
-    The one-length case of dirichlet_tail_many.
-    """
-    return dirichlet_tail_many([length], delta)[0]
-
-
 def dirichlet_tail_many(lengths, delta: float) -> list[float]:
-    """dirichlet_tail(N, delta) for every N in lengths, from one kernel pass.
+    """Energy of the normalized Dirichlet polynomial of length N outside the arc
+    of half-width delta at 0, for every N in lengths, from one kernel pass.
 
     Exact closed-form evaluation: the uniform-vector Rayleigh quotient of the
     Gram matrix of {1..N} on the complement arc.  Equals 1 minus the energy

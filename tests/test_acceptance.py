@@ -90,7 +90,7 @@ def test_criterion_3_small_step_decay_demo():
     for ell in (2, 4, 8):
         delta = sched.delta(ell)
         for n in (256, 1024, 4096):
-            cell = con.thm1_cell(s, sched, ell, n)
+            cell = con.thm1_cells(s, sched, ell, [n])[0]
             bound = 2.0 / (math.pi * n * math.tan(math.pi * delta))
             assert cell.rayleigh_uniform <= bound + 1e-9
             ray_ref, bound_ref = THM1_FROZEN[(ell, n)]
@@ -110,7 +110,7 @@ def test_criterion_4_step_linear_build(tmp_path):
     assert len(build.blocks) == 3
     for cert in build.schedule:
         assert cert >= 0.075  # full eigensolve certificates for every partial union
-    rows = con.verify_build(s, build, tol=1e-9)
+    rows, _ = con.verify_build(s, build, tol=1e-9)
     assert all(r.ok for r in rows)
     set_path, build_path = tmp_path / "arc03.json", tmp_path / "b2.json"
     torus.save_set(s, set_path)

@@ -1,9 +1,11 @@
 import argparse
+import ast
 import json
 import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,25 @@ def full_file(tmp_path):
 
 
 # --- main ------------------------------------------------------------------
+
+LIBRARY_MODULES = {"constructions", "numtheory", "spectral", "torus"}
+
+
+def test_cli_uses_only_public_library_names():
+    # the CLI reaches the library through its public functions, so a command cannot
+    # drift from what a library caller gets (as riesz --verify once did)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in LIBRARY_MODULES and node.attr.startswith("_")
+    ]
+    private += [
+        f"{node.module}.{alias.name}" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in LIBRARY_MODULES
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):
     built, init = [], argparse.ArgumentParser.__init__
@@ -183,7 +204,7 @@ def test_riesz_verify_rejects_empty_build(arc03_file, tmp_path, capsys):
     path = tmp_path / "build.json"
     path.write_text(json.dumps({"gamma": 0.15, "blocks": []}))
     assert run(["riesz", arc03_file, "--build", path, "--verify", "--out", tmp_path / "r.json"]) == 2
-    assert "invalid input: frequency set must be nonempty" in capsys.readouterr().err
+    assert "invalid input: build has no blocks to verify" in capsys.readouterr().err
 
 
 def _thm2_build(set_file, tmp_path):
@@ -341,7 +362,7 @@ def test_thm1_runs_one_kernel_pass_per_step(tmp_path, monkeypatch):
     sched = constructions.delta_schedule(0.25)
     rows = [line.split(",") for line in out.read_text().splitlines()[1:] if ",1024," in line]
     assert [r[3] for r in rows] == [
-        repr(constructions.thm1_cell(adversarial, sched, ell, 1024).rayleigh_uniform)
+        repr(constructions.thm1_cells(adversarial, sched, ell, [1024])[0].rayleigh_uniform)
         for ell in (2, 4, 8)
     ]
 
@@ -489,14 +510,29 @@ def test_thm3_sieve_cap_checked_before_coefficients(arc03_file, tmp_path, monkey
 
 
 def test_thm3_range_checked_before_expansion(arc03_file, monkeypatch, capsys):
-    # cap(N) * N grows with N, so the longest length per alpha settles the sieve cap
+    # lengths are read once, in order, and the first whose span cap(N) * N passes
+    # the sieve cap stops the run: at alpha 2 that is N = 216, (216^2 - 1) * 216 > 10^7
     calls = []
     cap = constructions.strict_step_cap
     monkeypatch.setattr(constructions, "strict_step_cap", lambda n, a: calls.append(n) or cap(n, a))
     assert run(["thm3", arc03_file, "--alphas", "2.0,1.5",
                 "--n-ranges", "2:3000000;5,2:3000000,7"]) == 2
-    assert calls == [3000000, 3000000]
-    assert f"exceeds cap {numtheory.SIEVE_LIMIT}" in capsys.readouterr().err
+    assert calls == list(range(2, 217))
+    assert f"sieve limit 10077480 exceeds cap {numtheory.SIEVE_LIMIT}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lengths,message", [
+    ("1:1000000000000", "no integer step below 1^2.0"),
+    ("2:1000000000000", f"sieve limit 10077480 exceeds cap {numtheory.SIEVE_LIMIT}"),
+])
+def test_thm3_huge_range_exits_at_once(arc03_file, tmp_path, capsys, lengths, message):
+    # a span of 10^12 lengths stops at its first bad length, without a pass over the rest
+    out = tmp_path / "t3.csv"
+    start = time.perf_counter()
+    assert run(["thm3", arc03_file, "--alphas", "2.0", "--n-ranges", lengths, "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"invalid input: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_thm3_span_syntax(full_file, tmp_path):
@@ -523,7 +559,9 @@ def test_thm3_rejects_reversed_span(arc03_file, tmp_path, capsys):
 ])
 def test_thm3_rejects_alpha_without_finite_cap(arc03_file, tmp_path, capsys, alpha, message):
     out = tmp_path / "t3.csv"
-    assert run(["thm3", arc03_file, "--alphas", alpha, "--n-ranges", "4:5", "--out", out]) == 2
+    # 5:6, since lengths are read in order and 4^500 is a finite float: at 4:5 the
+    # first length stops the run at the sieve cap instead
+    assert run(["thm3", arc03_file, "--alphas", alpha, "--n-ranges", "5:6", "--out", out]) == 2
     assert capsys.readouterr().err == f"invalid input: {message}\n"
     assert not out.exists()
 
@@ -574,12 +612,43 @@ def _build_doc(*blocks):
     {"gamma": 0.15, "blocks": 3},
     {"gamma": 0.15, "blocks": [1]},
     {"gamma": None, "blocks": []},
+    {**_build_doc({}), "gamma": "0.15"},                        # strings are not numbers
+    {**_build_doc({}), "gamma": True},
+    _build_doc({"cert_lambda_min": True}),                      # nor are bools
+    _build_doc({"cert_lambda_min": "0.3"}),
 ])
 def test_riesz_rejects_bad_build_file(arc03_file, tmp_path, capsys, doc):
     path = tmp_path / "build.json"
     path.write_text(json.dumps(doc))
     assert run(["riesz", arc03_file, "--build", path, "--verify", "--out", tmp_path / "r.json"]) == 2
     assert "invalid input:" in capsys.readouterr().err
+
+
+def test_riesz_rejects_oversized_frequency_set(full_file, capsys):
+    # 10^5 frequencies would make a 149 GiB Gram; the set is refused before any is built
+    freqs = ",".join(map(str, range(10 ** 5)))
+    assert run(["riesz", full_file, "--freqs", freqs]) == 2
+    limit = spectral.GRAM_SIZE_LIMIT
+    assert capsys.readouterr().err == (
+        f"invalid input: frequency set must have at most {limit} frequencies, got 100000\n")
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_riesz_rejects_oversized_build_file(full_file, tmp_path, verify):
+    # run apart, in 1 GiB of address space: were the total length not checked as the
+    # file is read, listing the block's 10^11 frequencies would end in a MemoryError
+    path = tmp_path / "build.json"
+    path.write_text(json.dumps(_build_doc({"length": 10 ** 11})))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(rieszseq.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "rieszseq.cli", "riesz", str(full_file),
+                           "--build", str(path), *verify],
+                          capture_output=True, text=True, timeout=60, env=env,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        f"invalid input: build has 100000000000 frequencies, more than {spectral.GRAM_SIZE_LIMIT}\n")
 
 
 @pytest.mark.parametrize("verify", [[], ["--verify"]])

@@ -22,6 +22,12 @@ def lambda_min(s, freqs):
     return spectral.extreme_eigs(spectral.gram(s, freqs))[0]
 
 
+def shifted_gram(s, freqs, target):
+    """gram(S, freqs) - target*I for strictly increasing freqs."""
+    g = spectral.gram(s, spectral.FrequencySet(tuple(freqs.tolist()))).entries
+    return g - target * np.eye(g.shape[0])
+
+
 # --- width schedule ---------------------------------------------------------
 
 def test_schedule_rejects_bad_epsilon():
@@ -107,7 +113,7 @@ def test_adversarial_omits_periodized_arcs():
 
 def test_thm1_cell_trivial_cell():
     s = con.build_adversarial_set(0.25, 4)
-    cell = con.thm1_cell(s, con.delta_schedule(0.25), 1, 1)
+    cell = con.thm1_cells(s, con.delta_schedule(0.25), 1, [1])[0]
     assert cell.rayleigh_uniform == pytest.approx(s.measure, abs=1e-12)
     assert cell.rayleigh_uniform <= 1.0
 
@@ -118,8 +124,8 @@ def test_theorem1_chain_small_grid():
     s = con.build_adversarial_set(0.25, 8)
     for ell in (1, 2, 4, 8):
         for n in (16, 64, 256):
-            cell = con.thm1_cell(s, sched, ell, n)  # raises on violation
-            tail = spectral.dirichlet_tail(n, sched.delta(ell))
+            cell = con.thm1_cells(s, sched, ell, [n])[0]  # raises on violation
+            tail = spectral.dirichlet_tail_many([n], sched.delta(ell))[0]
             assert cell.rayleigh_uniform <= tail + 1e-9
             assert tail <= cell.tail_bound + 1e-9
 
@@ -128,8 +134,8 @@ def test_theorem1_doubling_decay():
     sched = con.delta_schedule(0.25)
     s = con.build_adversarial_set(0.25, 8)
     for ell in (2, 4):
-        a = con.thm1_cell(s, sched, ell, 512)
-        b = con.thm1_cell(s, sched, ell, 1024)
+        a = con.thm1_cells(s, sched, ell, [512])[0]
+        b = con.thm1_cells(s, sched, ell, [1024])[0]
         assert b.tail_bound == pytest.approx(a.tail_bound / 2, rel=1e-12)
         assert b.rayleigh_uniform <= 0.75 * a.rayleigh_uniform
 
@@ -300,9 +306,9 @@ def per_candidate_select_shift(s, existing, newblock, target, scan):
     per candidate.  A rejected candidate failed a 2x2 minor when some |c_hat(d + M)|
     reaches |S| - t + MINOR_MARGIN, and was decided by Cholesky otherwise."""
     offsets = newblock.frequencies() - newblock.shift
-    inblock = con._shifted_gram(s, offsets, target)
+    inblock = shifted_gram(s, offsets, target)
     existing_freqs = existing.frequencies()
-    factor = con._cholesky(con._shifted_gram(s, existing_freqs, target)) if existing.blocks else np.eye(0)
+    factor = con._cholesky(shifted_gram(s, existing_freqs, target)) if existing.blocks else np.eye(0)
     linv = np.linalg.inv(factor)
     diff = offsets[None, :] - existing_freqs[:, None]
     diffs, where = np.unique(diff, return_inverse=True)
@@ -359,7 +365,7 @@ def test_select_shift_matches_per_candidate_scan(rng=np.random.RandomState(3)):
             old = con.BlockSpec(n1, int(rng.randint(10, 40)), n1, 0)
             new = con.BlockSpec(n2, int(rng.randint(10, 40)), n2, 0)
         partial = con.LambdaBuild((old,), s.measure / 2, (), torus.set_digest(s))
-        floor = min(lambda_min(s, partial.partial_frequency_set(1)),
+        floor = min(lambda_min(s, spectral.frequency_set(old.frequencies().tolist())),
                     lambda_min(s, spectral.frequency_set(new.frequencies().tolist())))
         target = 0.97 * floor
         wide = con.ScanConfig(start=-30, cap=400)
@@ -456,8 +462,8 @@ def test_minor_exclusion_rejects_only_failing_shifts(rng=np.random.RandomState(7
             assert ks[np.abs(torus.fourier_coeff_many(s, ks)) >= least].tolist() == expected
         union, block = old.frequencies(), new.frequencies()
         diffs = np.unique(block[None, :] - union[:, None])
-        shifted_union = con._shifted_gram(s, union, target)
-        inblock = con._shifted_gram(s, block, target)
+        shifted_union = shifted_gram(s, union, target)
+        inblock = shifted_gram(s, block, target)
         failing = set()
         for m in range(-40, 201):
             near = diffs + m
@@ -518,7 +524,7 @@ def test_placed_union_gram_is_gram_of_the_union(rng=np.random.RandomState(11)):
         grams = list(con._partial_grams(s, build))
         assert len(grams) == len(build.blocks)
         for k, g in enumerate(grams, start=1):
-            assert np.array_equal(g.entries, spectral.gram(s, build.partial_frequency_set(k)).entries)
+            assert np.array_equal(g.entries, spectral.gram(s, spectral.frequency_set(np.concatenate([b.frequencies() for b in build.blocks[:k]]).tolist())).entries)
     assert covered == {"interleaved", "negative shift"}
 
 
@@ -706,7 +712,8 @@ def test_verify_build_rejects_another_sets_digest():
     with pytest.raises(InputError, match=f"digest {build.set_digest}, .* digest {torus.set_digest(other)}$"):
         con.verify_build(other, build)
     # without a digest the rows are recomputed on the set given, whatever it is
-    assert len(con.verify_build(other, replace(build, set_digest=""))) == 2
+    rows, report = con.verify_build(other, replace(build, set_digest=""))
+    assert [r.index for r in rows] == [1, 2] and report.size == build.frequencies().size
 
 
 def test_lambda_build_rejects_overlapping_blocks():
@@ -721,11 +728,11 @@ def test_lambda_build_rejects_overlapping_blocks():
 
 def test_verify_build_detects_tampering():
     build = con.build_lambda_thm2(ARC03, 3, eps=0.075, n_range=(1, 50))
-    assert all(r.ok for r in con.verify_build(ARC03, build))
+    assert all(r.ok for r in con.verify_build(ARC03, build)[0])
     doctored = con.LambdaBuild(
         build.blocks,
         build.gamma,
         (build.schedule[0], build.schedule[1] + 0.05, build.schedule[2]),
         build.set_digest,
     )
-    assert not all(r.ok for r in con.verify_build(ARC03, doctored))
+    assert not all(r.ok for r in con.verify_build(ARC03, doctored)[0])

@@ -40,6 +40,18 @@ def test_frequency_set_validation():
         spectral.FrequencySet((2, 2))
 
 
+def test_frequency_set_bounds_its_size():
+    # every Gram is built from a FrequencySet, so none takes more than 1 GiB
+    limit = spectral.GRAM_SIZE_LIMIT
+    assert 16 * limit ** 2 == 2 ** 30
+    assert len(spectral.FrequencySet(tuple(range(limit)))) == limit
+    message = f"^frequency set must have at most {limit} frequencies, got {limit + 1}$"
+    with pytest.raises(ValueError, match=message):
+        spectral.FrequencySet(tuple(range(limit + 1)))
+    with pytest.raises(ValueError, match="at most"):
+        spectral.frequency_set(range(10 ** 5))
+
+
 def test_arithmetic_progression():
     ap = spectral.arithmetic_progression(5, 3, 4)
     assert ap.freqs == (8, 11, 14, 17)
@@ -59,13 +71,29 @@ def test_arithmetic_progression_checks_range_first(shift, step, length):
 
 
 def test_arithmetic_progression_bounds_length():
-    limit = spectral.AP_LENGTH_LIMIT
+    limit = spectral.GRAM_SIZE_LIMIT
     assert len(spectral.arithmetic_progression(-5, 3, limit)) == limit
     with pytest.raises(ValueError, match=f"^progression length must be at most {limit}, got {limit + 1}$"):
         spectral.arithmetic_progression(-5, 3, limit + 1)
 
 
 # --- gram ---------------------------------------------------------------------
+
+def test_gram_and_offdiag_energy_match_the_dense_formulas(rng=np.random.RandomState(29)):
+    # gram conjugates in place and offdiag_energy squares |G| in place; both give,
+    # bit for bit, the entries and the energy of the whole-matrix formulas
+    for _ in range(20):
+        s, freqs = random_set(rng), random_freqs(rng, max_size=60, span=500)
+        f = freqs.array()
+        diff = f[None, :] - f[:, None]
+        ks = np.abs(diff).ravel()
+        coeff = np.where(diff == 0, s.measure, torus.fourier_coeff_many(s, ks).reshape(diff.shape))
+        g = spectral.gram(s, freqs)
+        assert np.array_equal(g.entries, np.where(diff >= 0, coeff, np.conj(coeff)))
+        off = g.entries.copy()
+        np.fill_diagonal(off, 0.0)
+        assert spectral.offdiag_energy(g) == float(np.sum(np.abs(off) ** 2))
+
 
 def test_gram_full_circle_is_identity():
     g = spectral.gram(FULL, spectral.frequency_set([3, 7, 20]))
@@ -181,8 +209,8 @@ def test_rayleigh_uniform_matches_toeplitz_shortcut():
     n = 48
     g = spectral.gram(outside, spectral.arithmetic_progression(0, 1, n))
     direct = spectral.rayleigh(g, np.ones(n))
-    assert abs(direct - spectral.dirichlet_tail(n, 0.1)) < 1e-12
-    assert abs(direct - spectral.uniform_rayleigh_ap(outside, 1, n)) < 1e-12
+    assert abs(direct - spectral.dirichlet_tail_many([n], 0.1)[0]) < 1e-12
+    assert abs(direct - spectral.uniform_rayleigh_ap_many(outside, 1, [n])[0]) < 1e-12
 
 
 def test_uniform_rayleigh_ap_longdouble_oracle():
@@ -205,7 +233,7 @@ def test_uniform_rayleigh_ap_longdouble_oracle():
         re = (w * np.sin(two_pi * phase)).sum(axis=1) / (two_pi * d)
         total += ((n - d) * re).sum()
     want = np.longdouble(s.measure) + 2 * total / n
-    got = spectral.uniform_rayleigh_ap(s, 1, n)
+    got = spectral.uniform_rayleigh_ap_many(s, 1, [n])[0]
     assert float(abs(got - want) / want) <= 1e-10
 
 
@@ -232,7 +260,7 @@ def test_uniform_rayleigh_ap_many_prefix_rows_match_oracle():
             total += ((n - d / step) * re).sum()
         want = np.longdouble(s.measure) + 2 * total / n
         assert float(abs(got - want) / want) <= 1e-10
-        single = spectral.uniform_rayleigh_ap(s, step, n)
+        single = spectral.uniform_rayleigh_ap_many(s, step, [n])[0]
         assert abs(got - single) <= 1e-10 * single
 
 
@@ -268,12 +296,12 @@ def test_cross_block_perturbation_bound(rng=np.random.RandomState(23)):
 
 def test_dirichlet_tail_single_term():
     for delta in (0.01, 0.2, 0.45):
-        assert spectral.dirichlet_tail(1, delta) == pytest.approx(1 - 2 * delta, abs=1e-12)
+        assert spectral.dirichlet_tail_many([1], delta)[0] == pytest.approx(1 - 2 * delta, abs=1e-12)
 
 
 def test_dirichlet_tail_near_half_width():
-    assert spectral.dirichlet_tail(100, 0.499) < 1e-2
-    assert spectral.dirichlet_tail(128, 0.499) < 1e-2
+    assert spectral.dirichlet_tail_many([100], 0.499)[0] < 1e-2
+    assert spectral.dirichlet_tail_many([128], 0.499)[0] < 1e-2
 
 
 def test_dirichlet_tail_bound_grid():
@@ -287,10 +315,10 @@ def test_dirichlet_tail_bound_grid():
     lengths = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
     for delta in deltas:
         for n in lengths:
-            tail = spectral.dirichlet_tail(n, delta)
+            tail = spectral.dirichlet_tail_many([n], delta)[0]
             assert tail <= spectral.dirichlet_tail_bound(n, delta) + 1e-9
             if n * delta >= 0.25:
-                ratio = spectral.dirichlet_tail(2 * n, delta) / tail
+                ratio = spectral.dirichlet_tail_many([2 * n], delta)[0] / tail
                 assert ratio <= 0.75
 
 
