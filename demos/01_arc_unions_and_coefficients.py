@@ -27,11 +27,11 @@ print("measure = 2*delta:", p.measure)
 
 print("\n== closed-form coefficients vs quadrature ==")
 half = torus.normalize([(0.0, 0.5)])
-for k in (0, 1, 2, 3):
-    exact = torus.fourier_coeff(half, k)
+exacts = torus.fourier_coeff_many(half, [0, 1, 2, 3]).tolist()
+for k, exact in enumerate(exacts):
     approx = torus.quadrature_coeff(half, k, 10 ** 5)
     print(f"k={k}: closed {exact:.12f}   quadrature {approx:.12f}   |diff| {abs(exact - approx):.2e}")
-print("magnitude of c_hat(1) is 1/pi:", abs(torus.fourier_coeff(half, 1)), "=", 1 / np.pi)
+print("magnitude of c_hat(1) is 1/pi:", abs(exacts[1]), "=", 1 / np.pi)
 
 print("\n== coefficient invariants ==")
 c = dict(zip(range(-16, 17), torus.fourier_coeff_many(s, np.arange(-16, 17))))

@@ -34,7 +34,7 @@ from .torus import (
     IntervalSet,
     complement,
     contains,
-    fourier_coeff,
+    fourier_coeff_many,
     load_set,
     normalize,
     quadrature_coeff,

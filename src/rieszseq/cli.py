@@ -26,12 +26,6 @@ EXIT_USAGE = 2
 EXIT_SEARCH = 3
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write(path, text: str) -> None:
     if path:
         with open(path, "w", newline="") as fh:
@@ -42,7 +36,7 @@ def _write(path, text: str) -> None:
 
 def _write_rows(path, header, rows) -> None:
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [",".join(map(str, row)) for row in rows]
     _write(path, "\n".join(lines) + "\n")
 
 
@@ -84,8 +78,8 @@ def _cmd_set_info(args) -> int:
         raise ValueError(f"--coeffs must be >= 0, got {args.coeffs}")
     s = torus.load_set(args.setfile)
     print(f"measure={s.measure!r} arcs={len(s.arcs)}")
-    for k in range(args.coeffs + 1):
-        print(f"c_hat({k}) = {torus.fourier_coeff(s, k)!r}")
+    for k in range(args.coeffs + 1):  # one at a time, so a long listing streams
+        print(f"c_hat({k}) = {complex(torus.fourier_coeff_many(s, [k])[0])!r}")
     return EXIT_OK
 
 
@@ -364,7 +358,7 @@ def main(argv=None) -> int:
     except SearchFailed as exc:
         print(f"search failed: {exc}", file=sys.stderr)
         return EXIT_SEARCH
-    except (InputError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (InputError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

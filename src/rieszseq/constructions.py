@@ -49,6 +49,10 @@ ADVERSARIAL_LMAX_LIMIT = 1024
 # rounding could flip the sign, to the Cholesky, which decides it as before
 MINOR_MARGIN = 1e-9
 
+# verify_build accepts a recomputed certificate within this of the stated one,
+# and one at most this below gamma/2
+VERIFY_TOL = 1e-9
+
 # a build file's set_digest: torus.set_digest's 16 lowercase hex digits
 _DIGEST = re.compile("[0-9a-f]{16}")
 
@@ -57,6 +61,14 @@ _DIGEST = re.compile("[0-9a-f]{16}")
 # -------------------------------------------------------------------------
 
 _SCHEDULE_PARTIAL_TERMS = 10 ** 6
+
+# schedule_condition_b samples delta(ell) * ell^(1/alpha) at GROWTH_DECADES
+# powers of ten for each of these alpha
+GROWTH_ALPHAS = (0.5, 0.75, 0.9)
+GROWTH_DECADES = 5
+
+# schedule_widths_ok checks ell = 1..WIDTH_TERMS, past every l_max a set may use
+WIDTH_TERMS = 10 ** 5
 
 
 @functools.cache
@@ -78,11 +90,15 @@ class DeltaSchedule:
 
     Summable with total < epsilon/2, yet decaying only a log factor faster
     than 1/ell, so delta(ell) * ell^(1/alpha) still grows without bound for
-    every alpha in (0, 1).
+    every alpha in (0, 1).  C0 is _weight_sum_bound(), which makes the sum
+    of delta(ell) less than epsilon/2.
     """
 
     epsilon: float
-    normalizer: float
+
+    @property
+    def normalizer(self) -> float:
+        return _weight_sum_bound()
 
     def delta(self, ell: int) -> float:
         if ell < 1:
@@ -97,14 +113,14 @@ class DeltaSchedule:
 def delta_schedule(epsilon: float) -> DeltaSchedule:
     if not (0.0 < epsilon < 1.0):
         raise InputError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return DeltaSchedule(float(epsilon), _weight_sum_bound())
+    return DeltaSchedule(float(epsilon))
 
 
-def schedule_condition_a(sched: DeltaSchedule, upto: int = _SCHEDULE_PARTIAL_TERMS):
+def schedule_condition_a(sched: DeltaSchedule):
     """(certified bound for sum of delta(ell), epsilon/2); the bound must be smaller."""
-    ells = np.arange(1, upto + 1, dtype=np.float64)
+    ells = np.arange(1, _SCHEDULE_PARTIAL_TERMS + 1, dtype=np.float64)
     partial = float(np.sum(sched.delta_array(ells)))
-    tail = (sched.epsilon / 2.0) / sched.normalizer / math.log(upto)
+    tail = (sched.epsilon / 2.0) / sched.normalizer / math.log(_SCHEDULE_PARTIAL_TERMS)
     return partial + tail, sched.epsilon / 2.0
 
 
@@ -119,21 +135,17 @@ def _growth_start_decade(alpha: float) -> int:
     return max(1, int(math.ceil(math.log10(crossover))))
 
 
-def schedule_condition_b(
-    sched: DeltaSchedule, alphas: Sequence[float] = (0.5, 0.75, 0.9), decades: int = 5
-):
+def schedule_condition_b(sched: DeltaSchedule):
     """Growth surrogate for delta(ell) * ell^(1/alpha) -> infinity.
 
-    For each alpha, samples one point per decade starting past the analytic
-    crossover and reports the sampled values plus whether they strictly
-    increase.  Returns {alpha: (start_decade, values, increasing)}.
+    For each alpha in GROWTH_ALPHAS, samples one point per decade starting
+    past the analytic crossover and reports the sampled values plus whether
+    they strictly increase.  Returns {alpha: (start_decade, values, increasing)}.
     """
     out = {}
-    for alpha in alphas:
-        if not (0.0 < alpha < 1.0):
-            raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    for alpha in GROWTH_ALPHAS:
         k0 = _growth_start_decade(alpha)
-        ells = [10.0 ** k for k in range(k0, k0 + decades)]
+        ells = [10.0 ** k for k in range(k0, k0 + GROWTH_DECADES)]
         vals = [
             float(sched.delta_array(np.array([e]))[0] * e ** (1.0 / alpha)) for e in ells
         ]
@@ -142,9 +154,9 @@ def schedule_condition_b(
     return out
 
 
-def schedule_widths_ok(sched: DeltaSchedule, upto: int = 10 ** 5) -> bool:
+def schedule_widths_ok(sched: DeltaSchedule) -> bool:
     """delta decreasing and delta(ell) < 1/(2*ell) over the operating range."""
-    ells = np.arange(1, upto + 1, dtype=np.float64)
+    ells = np.arange(1, WIDTH_TERMS + 1, dtype=np.float64)
     d = sched.delta_array(ells)
     return bool(np.all(np.diff(d) < 0.0) and np.all(d < 1.0 / (2.0 * ells)))
 
@@ -452,7 +464,14 @@ def _place(
     columns put in frequency order: every entry is the value, or the exact
     conjugate, that gram() would compute, so the new schedule entry, an
     eigensolve of that matrix, is the eigensolve of gram() of the whole union.
+    A grown union of more than spectral.GRAM_SIZE_LIMIT frequencies raises
+    ValueError before any of this.
     """
+    if (size := union.shape[0] + candidate.length) > spectral.GRAM_SIZE_LIMIT:
+        raise ValueError(
+            f"placing a block of length {candidate.length} would give the build {size} "
+            f"frequencies, more than {spectral.GRAM_SIZE_LIMIT}"
+        )
     offsets = candidate.frequencies()
     block = _gram(s, offsets)
     inblock = block - target * np.eye(block.shape[0])
@@ -606,7 +625,9 @@ def build_lambda_thm3(
 
     Each n_ranges[k] is an iterable of lengths, read once, in order.  Each
     length's span cap(N) * N is checked against the sieve cap as it is read,
-    so a range fails at its first oversized length however long it is.
+    so a range fails at its first oversized length however long it is.  The
+    lengths' sum, the build's size, is then checked against
+    spectral.GRAM_SIZE_LIMIT, before any coefficient is computed.
     Returns the build plus per-block search records for reporting.
     """
     if s.measure <= 0.0:
@@ -620,8 +641,8 @@ def build_lambda_thm3(
         raise ValueError("every alpha must exceed 1")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly decreasing")
-    # every search's divisor sieve covers its span; check each before any table
-    # or coefficient is built
+    # every search's divisor sieve covers its span, and the blocks fit one Gram;
+    # check both before any table or coefficient is built
     jobs = []
     for alpha, lengths in zip(alphas, n_ranges):
         before = len(jobs)
@@ -633,6 +654,10 @@ def build_lambda_thm3(
             jobs.append((alpha, n, cap))
         if len(jobs) == before:
             raise ValueError(f"empty length range for alpha={alpha}")
+    if (size := sum(n for _, n, _ in jobs)) > spectral.GRAM_SIZE_LIMIT:
+        raise ValueError(
+            f"the lengths sum to {size} frequencies, more than {spectral.GRAM_SIZE_LIMIT}"
+        )
     span = max(cap * n for _, n, cap in jobs)
     powers = np.abs(torus.fourier_coeff_many(s, np.arange(span + 1))) ** 2
     build = LambdaBuild((), s.measure / 2.0, (), torus.set_digest(s))
@@ -700,7 +725,8 @@ def _number(key: str, v) -> float:
 
 def build_from_dict(d: dict) -> tuple[LambdaBuild, str]:
     """Parse a build object; anything but an object with a "blocks" list of
-    objects, a block outside int64-safe range, more frequencies in all than
+    objects, a block without one of its five keys (named with the block's
+    1-based index), a block outside int64-safe range, more frequencies in all than
     spectral.GRAM_SIZE_LIMIT, blocks sharing a frequency, a gamma or
     cert_lambda_min that is not a number, or a "set_digest" that is not 16
     lowercase hex digits raises ValueError.  An object without "set_digest"
@@ -708,13 +734,17 @@ def build_from_dict(d: dict) -> tuple[LambdaBuild, str]:
     raw = d.get("blocks") if isinstance(d, dict) else None
     if not isinstance(raw, list) or not all(isinstance(b, dict) for b in raw):
         raise ValueError('a build must be an object with a "blocks" list of objects')
+    for k, b in enumerate(raw, start=1):
+        for key in ("n", "step", "length", "shift", "cert_lambda_min"):
+            if key not in b:
+                raise ValueError(f'block {k} has no "{key}"')
     blocks = tuple(_block_from_dict(b) for b in raw)
     if (size := sum(b.length for b in blocks)) > spectral.GRAM_SIZE_LIMIT:
         raise ValueError(
             f"build has {size} frequencies, more than {spectral.GRAM_SIZE_LIMIT}"
         )
     schedule = tuple(_number("cert_lambda_min", b["cert_lambda_min"]) for b in raw)
-    gamma = _number("gamma", d["gamma"])
+    gamma = _number("gamma", d.get("gamma"))
     digest = d.get("set_digest", "")
     if "set_digest" in d and not (isinstance(digest, str) and _DIGEST.fullmatch(digest)):
         raise ValueError(f"set_digest must be 16 lowercase hex digits, got {digest!r}")
@@ -741,11 +771,10 @@ class VerifyRow:
 
 
 @spectral._one_blas_thread()
-def verify_build(
-    s: IntervalSet, build: LambdaBuild, tol: float = 1e-9
-) -> tuple[list[VerifyRow], spectral.RieszReport]:
+def verify_build(s: IntervalSet, build: LambdaBuild) -> tuple[list[VerifyRow], spectral.RieszReport]:
     """Re-derive every partial-union certificate by a fresh eigensolve; a row
-    is ok when it matches the stated bound and clears gamma/2, both within tol.
+    is ok when it matches the stated bound and clears gamma/2, both within
+    VERIFY_TOL.
     Returns the rows plus the whole union's riesz_report, which reuses the last
     row's eigensolve.  Disjoint blocks are LambdaBuild's own invariant.
 
@@ -766,7 +795,7 @@ def verify_build(
     for k, g in enumerate(_partial_grams(s, build), start=1):
         eigs = spectral.extreme_eigs(g)
         lam, stated = eigs[0], build.schedule[k - 1]
-        ok = abs(lam - stated) <= tol and lam >= build.gamma / 2.0 - tol
+        ok = abs(lam - stated) <= VERIFY_TOL and lam >= build.gamma / 2.0 - VERIFY_TOL
         rows.append(VerifyRow(k, stated, lam, ok))
     return rows, spectral._report(s, g, eigs)
 

@@ -18,10 +18,18 @@ def check_limit(limit: int, bytes_per_entry: int) -> int:
     limit = int(limit)
     if limit > SIEVE_LIMIT:
         raise InputError(
-            f"sieve limit {limit} exceeds cap {SIEVE_LIMIT} "
-            f"(~{bytes_per_entry * limit / 1e6:.0f} MB)"
+            f"sieve limit {_short(limit)} exceeds cap {SIEVE_LIMIT} "
+            f"(~{_short((bytes_per_entry * limit + 500_000) // 10 ** 6)} MB)"
         )
     return limit
+
+
+def _short(n: int) -> str:
+    """n in full up to 15 digits, else rounded down to 4 significant digits, as 1.234e+20."""
+    digits = str(n)
+    if len(digits) <= 15:
+        return digits
+    return f"{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
 
 
 def sieve_primes(limit: int) -> np.ndarray:

@@ -177,35 +177,7 @@ def from_arrays(starts: np.ndarray, ends: np.ndarray) -> IntervalSet:
         raise InputError("arcs must be disjoint and sorted by start")
     arcs = np.column_stack((starts, ends))
     arcs.flags.writeable = False
-    return IntervalSet(arcs, _fsum(lengths))
-
-
-def _fsum(x: np.ndarray) -> float:
-    """math.fsum(x) for a finite float64 array: its correctly rounded sum.
-
-    Each pass splits every value into q = (x + sigma) - sigma, a multiple of
-    ulp(sigma)/2, and the exact remainder x - q (ExtractVector in Rump, Ogita
-    and Oishi, "Accurate floating-point summation part I: faithful rounding",
-    SIAM J. Sci. Comput. 31, 2008).  sigma is 2^guard times a power of two
-    above every |x|, with 2^guard > 2*len(x), so every partial sum of the q
-    is a multiple of ulp(sigma)/2 smaller than sigma/2, hence exact.  The
-    remainders lose about 53 - guard bits per pass and reach 0; math.fsum of
-    the exact pass sums is then math.fsum of x.  Two passes cover the
-    adversarial sets, whose lengths math.fsum would first have to turn into
-    one Python float each.
-    """
-    x = np.array(x, dtype=np.float64)
-    guard = x.size.bit_length() + 1
-    parts = []
-    top = max(x.max(initial=0.0), -x.min(initial=0.0))
-    while top > 0.0:
-        sigma = math.ldexp(1.0, math.frexp(top)[1] + guard)
-        q = x + sigma
-        q -= sigma
-        parts.append(float(q.sum()))
-        x -= q
-        top = max(x.max(), -x.min())
-    return math.fsum(parts)
+    return IntervalSet(arcs, math.fsum(lengths.tolist()))
 
 
 def complement(s: IntervalSet) -> IntervalSet:
@@ -368,11 +340,6 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
         acc += np.ascontiguousarray(partial.transpose(1, 2, 0)).sum(axis=-1)
     k = np.arange(1, count + 1, dtype=np.float64) * float(step)
     return acc.ravel()[1 : count + 1] / ((2 * np.pi) * k)
-
-
-def fourier_coeff(s: IntervalSet, k: int) -> complex:
-    """Closed-form indicator coefficient c_hat(k) for a single integer k."""
-    return complex(fourier_coeff_many(s, [int(k)])[0])
 
 
 def quadrature_coeff(s: IntervalSet, k: int, points_per_unit: int) -> complex:

@@ -535,6 +535,34 @@ def test_thm3_huge_range_exits_at_once(arc03_file, tmp_path, capsys, lengths, me
     assert not out.exists()
 
 
+def test_thm3_refuses_a_build_past_the_gram_size_limit(arc03_file, tmp_path, monkeypatch, capsys):
+    # N = 2..215 pass the sieve cap but sum to 23,219 frequencies: refused before any
+    # coefficient, so before the first of 214 ever larger eigensolves
+    calls = []
+    monkeypatch.setattr(torus, "fourier_coeff_many", lambda *args: calls.append(args))
+    out = tmp_path / "t3.csv"
+    start = time.perf_counter()
+    assert run(["thm3", arc03_file, "--alphas", "2.0", "--n-ranges", "2:215", "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert calls == []
+    assert capsys.readouterr().err == (
+        f"invalid input: the lengths sum to 23219 frequencies, more than {spectral.GRAM_SIZE_LIMIT}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha,lengths,limit,size", [
+    ("500", "4:5", "4.286e+301", "1.714e+296"),  # 4^500 is a finite float
+    ("1.0000001", f"1{'0' * 300}", "1.000e+600", "4.000e+594"),  # past every float
+], ids=["finite-power", "huge-length"])
+def test_thm3_sieve_cap_message_stays_short(arc03_file, tmp_path, capsys, alpha, lengths, limit, size):
+    # a span of hundreds of digits prints in 4
+    assert run(["thm3", arc03_file, "--alphas", alpha, "--n-ranges", lengths,
+                "--out", tmp_path / "t3.csv"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200
+    assert err == f"invalid input: sieve limit {limit} exceeds cap {numtheory.SIEVE_LIMIT} (~{size} MB)\n"
+
+
 def test_thm3_span_syntax(full_file, tmp_path):
     out = tmp_path / "t3.csv"
     assert run(["thm3", full_file, "--alphas", "2.0,1.5", "--n-ranges", "4:5;6:7",
@@ -616,12 +644,24 @@ def _build_doc(*blocks):
     {**_build_doc({}), "gamma": True},
     _build_doc({"cert_lambda_min": True}),                      # nor are bools
     _build_doc({"cert_lambda_min": "0.3"}),
+    {"gamma": 0.15, "blocks": [{"n": 1, "length": 1, "shift": 0, "cert_lambda_min": 0.3}]},
+    {"blocks": []},
 ])
 def test_riesz_rejects_bad_build_file(arc03_file, tmp_path, capsys, doc):
     path = tmp_path / "build.json"
     path.write_text(json.dumps(doc))
     assert run(["riesz", arc03_file, "--build", path, "--verify", "--out", tmp_path / "r.json"]) == 2
     assert "invalid input:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["n", "step", "length", "shift", "cert_lambda_min"])
+def test_riesz_names_a_missing_build_key(arc03_file, tmp_path, capsys, key):
+    doc = _build_doc({}, {"shift": 1})
+    del doc["blocks"][1][key]
+    path = tmp_path / "build.json"
+    path.write_text(json.dumps(doc))
+    assert run(["riesz", arc03_file, "--build", path, "--verify"]) == 2
+    assert capsys.readouterr().err == f'invalid input: block 2 has no "{key}"\n'
 
 
 def test_riesz_rejects_oversized_frequency_set(full_file, capsys):

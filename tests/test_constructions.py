@@ -252,6 +252,16 @@ def test_select_shift_scan_exhausted_when_every_shift_meets_the_union():
     assert "inf" not in message and "None" not in message
 
 
+def test_select_shift_refuses_a_union_below_the_target():
+    # {1, 2, 3} on [0, 0.3) has lambda_min 0.0037, far below 0.2; the block {1} alone clears it
+    partial = con.LambdaBuild(
+        (con.BlockSpec(3, 1, 3, 0),), 0.15, (0.0037,), torus.set_digest(ARC03)
+    )
+    assert lambda_min(ARC03, spectral.frequency_set([1, 2, 3])) == pytest.approx(0.0037, abs=1e-4)
+    with pytest.raises(ValueError, match="^existing partial union is below the target bound$"):
+        con.select_shift(ARC03, partial, con.BlockSpec(1, 1, 1, 0), 0.2)
+
+
 def random_arc_set(rng):
     k = rng.randint(1, 4)
     pts = np.sort(rng.uniform(0.0, 1.0, 2 * k))
@@ -589,6 +599,17 @@ def test_build_thm2_eps_boundary_allows_quarter_measure():
 def test_build_thm2_not_enough_blocks():
     with pytest.raises(SearchFailed, match="blocks met their targets"):
         con.build_lambda_thm2(ARC03, 5, eps=0.075, n_range=(1, 2))
+
+
+def test_build_thm2_refuses_a_union_past_the_gram_size_limit(monkeypatch):
+    # blocks of 40, 41 and 42 frequencies would make 123: the third placement is
+    # refused before its scan, so no build of more than the limit is ever returned
+    monkeypatch.setattr(spectral, "GRAM_SIZE_LIMIT", 100)
+    scans, scan = [], con._scan
+    monkeypatch.setattr(con, "_scan", lambda *args: scans.append(args) or scan(*args))
+    with pytest.raises(ValueError, match="would give the build 123 frequencies, more than 100"):
+        con.build_lambda_thm2(ARC03, 3, n_range=(40, 2000))
+    assert len(scans) == 2
 
 
 def test_build_thm2_range_bounds_only_the_search():

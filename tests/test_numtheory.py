@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rieszseq import numtheory
-from rieszseq.errors import RieszSeqError
+from rieszseq.errors import InputError, RieszSeqError
 
 
 def test_sieve_primes_small():
@@ -77,3 +77,15 @@ def test_sieve_limit_guard():
         numtheory.sieve_primes(10 ** 7 + 1)
     with pytest.raises(ValueError):
         numtheory.sieve_divisors(0)
+
+
+def test_check_limit_message_keeps_normal_sizes_exact():
+    with pytest.raises(InputError, match=r"^sieve limit 10000001 exceeds cap 10000000 \(~40 MB\)$"):
+        numtheory.check_limit(10 ** 7 + 1, 4)
+    with pytest.raises(InputError, match=r"^sieve limit 999999999999999 exceeds"):
+        numtheory.check_limit(10 ** 15 - 1, 1)
+    # longer numbers keep 4 digits, rounded down, whatever their size
+    with pytest.raises(InputError, match=r"^sieve limit 1\.999e\+15 exceeds cap 10000000 \(~2000000000 MB\)$"):
+        numtheory.check_limit(2 * 10 ** 15 - 1, 1)
+    with pytest.raises(InputError, match=r"^sieve limit 1\.000e\+700 exceeds"):
+        numtheory.check_limit(10 ** 700, 1)
