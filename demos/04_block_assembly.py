@@ -22,7 +22,7 @@ build = con.build_lambda_thm2(s, count=3, eps=0.075, n_range=(1, 40))
 print("\nassembled build, gamma = |S|/2 =", build.gamma)
 print(f"{'k':>2} {'n':>3} {'shift':>6} {'cert lambda_min':>16} {'target':>10}")
 for k, (b, cert) in enumerate(zip(build.blocks, build.schedule), start=1):
-    target = (build.gamma / 2) * (1 + 1 / b.n)
+    target = con.thm2_target(build.gamma, b.n)
     print(f"{k:>2} {b.n:>3} {b.shift:>6} {cert:>16.10f} {target:>10.6f}")
 
 print("\nthe union contains an AP of length n and step n for each chosen n:")

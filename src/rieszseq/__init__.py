@@ -17,7 +17,6 @@ from .constructions import (
     verify_build,
 )
 from .spectral import (
-    FrequencySet,
     GramMatrix,
     RieszReport,
     arithmetic_progression,

@@ -98,17 +98,14 @@ def _cmd_riesz(args) -> int:
             if not all(row.ok for row in rows):
                 raise SearchFailed("stored certificates do not match recomputation")
         else:
-            freqs = spectral.frequency_set(build.frequencies().tolist())
-            report = spectral.riesz_report(s, freqs)
+            report = spectral.riesz_report(s, build.frequencies())
     elif args.verify:
         raise ValueError("--verify needs --build")
+    elif args.freqs is not None:
+        report = spectral.riesz_report(s, spectral.frequency_set(_parse_int_list(args.freqs)))
     else:
-        if args.freqs is not None:
-            freqs = spectral.frequency_set(_parse_int_list(args.freqs))
-        else:
-            shift, step, length = _parse_int_list(args.ap)
-            freqs = spectral.arithmetic_progression(shift, step, length)
-        report = spectral.riesz_report(s, freqs)
+        shift, step, length = _parse_int_list(args.ap)
+        report = spectral.riesz_report(s, spectral.arithmetic_progression(shift, step, length))
     payload = dataclasses.asdict(report)
     _write(args.out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return EXIT_OK
@@ -151,10 +148,8 @@ def _cmd_thm2(args) -> int:
     build = constructions.build_lambda_thm2(
         s, args.count, eps=args.eps, n_range=(1, args.n_max), scan=scan
     )
-    rows = []
-    for k, (b, cert) in enumerate(zip(build.blocks, build.schedule), start=1):
-        target = (build.gamma / 2.0) * (1.0 + 1.0 / b.n)
-        rows.append([k, b.n, b.shift, cert, target])
+    rows = [[k, b.n, b.shift, cert, constructions.thm2_target(build.gamma, b.n)]
+            for k, (b, cert) in enumerate(zip(build.blocks, build.schedule), start=1)]
     _write_rows(args.out, ["k", "n", "shift", "cert_lambda_min", "schedule_target"], rows)
     if args.build_out:
         constructions.save_build(build, args.build_out, args.setfile)

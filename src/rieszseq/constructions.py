@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
@@ -33,7 +34,7 @@ import numpy as np
 from . import numtheory, spectral, torus
 from .errors import InputError, PropertyViolation, SearchFailed
 # frequency_set is unused here; bench/tests/test_bench.py reaches it as constructions.frequency_set
-from .spectral import FrequencySet, frequency_set
+from .spectral import frequency_set
 from .torus import IntervalSet
 
 SUBSTITUTION_TOL = 1e-9
@@ -174,7 +175,7 @@ def build_adversarial_set(epsilon: float, l_max: int) -> IntervalSet:
     k/ell -+ delta(ell)/ell are built and merged as arrays, bitwise the arcs
     that normalizing them and taking the complement give.
     """
-    l_max = int(l_max)
+    l_max = operator.index(l_max)
     if not 1 <= l_max <= ADVERSARIAL_LMAX_LIMIT:
         raise InputError(f"l_max must lie in [1, {ADVERSARIAL_LMAX_LIMIT}], got {l_max}")
     sched = delta_schedule(epsilon)
@@ -307,7 +308,7 @@ def good_n_search(s: IntervalSet, eps: float, n_range: tuple[int, int]) -> Itera
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    n_lo, n_hi = int(n_range[0]), int(n_range[1])
+    n_lo, n_hi = map(operator.index, n_range)
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"bad range {n_range}")
 
@@ -317,13 +318,8 @@ def good_n_search(s: IntervalSet, eps: float, n_range: tuple[int, int]) -> Itera
     return (n for n in range(n_lo, n_hi + 1) if energy(n) < eps / n)
 
 
-def _lambda_min(s: IntervalSet, freqs: FrequencySet) -> float:
+def _lambda_min(s: IntervalSet, freqs: np.ndarray) -> float:
     return spectral.extreme_eigs(spectral.gram(s, freqs))[0]
-
-
-def _gram(s: IntervalSet, freqs: np.ndarray) -> np.ndarray:
-    """gram(S, freqs).entries for strictly increasing freqs."""
-    return spectral.gram(s, FrequencySet(tuple(freqs.tolist()))).entries
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray | None:
@@ -378,7 +374,7 @@ def select_shift(
     which also eigensolves the grown union for its certificate.
     """
     freqs = existing.frequencies()
-    union = _gram(s, freqs) if existing.blocks else np.empty((0, 0), dtype=np.complex128)
+    union = spectral.gram(s, freqs).entries if existing.blocks else np.empty((0, 0), dtype=np.complex128)
     placed = _place(s, existing, union, replace(newblock, shift=0), target, scan)
     if placed is None:
         raise ValueError("new block alone is below the target bound")
@@ -473,7 +469,7 @@ def _place(
             f"frequencies, more than {spectral.GRAM_SIZE_LIMIT}"
         )
     offsets = candidate.frequencies()
-    block = _gram(s, offsets)
+    block = spectral.gram(s, offsets).entries
     inblock = block - target * np.eye(block.shape[0])
     if _cholesky(inblock) is None:
         return None
@@ -491,6 +487,11 @@ def _place(
     cert = spectral.extreme_eigs(spectral.GramMatrix(grown, build.set_digest))[0]
     blocks = build.blocks + (replace(candidate, shift=shift),)
     return replace(build, blocks=blocks, schedule=build.schedule + (cert,)), grown
+
+
+def thm2_target(gamma: float, n: int) -> float:
+    """(gamma/2)(1 + 1/n): build_lambda_thm2's bound for the union as it places block n."""
+    return (gamma / 2.0) * (1.0 + 1.0 / n)
 
 
 @spectral._one_blas_thread()
@@ -511,6 +512,7 @@ def build_lambda_thm2(
     """
     if s.measure <= 0.0:
         raise InputError("build needs a set of positive measure")
+    count = operator.index(count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if eps is None:
@@ -521,7 +523,7 @@ def build_lambda_thm2(
     build = LambdaBuild((), s.measure / 2.0, (), torus.set_digest(s))
     union = np.empty((0, 0), dtype=np.complex128)  # gram of the placed blocks, carried
     for n in hits:
-        target = (build.gamma / 2.0) * (1.0 + 1.0 / n)
+        target = thm2_target(build.gamma, n)
         placed = _place(s, build, union, BlockSpec(n=n, step=n, length=n, shift=0), target, scan)
         if placed is None:  # good sum, but the block alone misses its target at this scale
             continue
@@ -561,14 +563,12 @@ def step_search_alpha(
     The minimum is at most the grid average, which is what makes small sums
     findable at steps below N^alpha.
     """
-    length = int(length)
+    length = operator.index(length)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if alpha <= 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    if l_cap is None:
-        l_cap = strict_step_cap(length, alpha)
-    l_cap = int(l_cap)
+    l_cap = strict_step_cap(length, alpha) if l_cap is None else operator.index(l_cap)
     if l_cap < 1:
         raise ValueError(f"step cap must be >= 1, got {l_cap}")
     span = l_cap * length
@@ -646,7 +646,7 @@ def build_lambda_thm3(
     jobs = []
     for alpha, lengths in zip(alphas, n_ranges):
         before = len(jobs)
-        for n in map(int, lengths):
+        for n in map(operator.index, lengths):
             if n < 1:
                 raise ValueError(f"lengths must be positive, got {n}")
             cap = strict_step_cap(n, alpha)
@@ -804,7 +804,7 @@ def _partial_grams(s: IntervalSet, build: LambdaBuild) -> Iterator[spectral.Gram
     """Gram of the union of the first k blocks for k = 1, 2, ..., all cut from
     one gram() of the whole union, which comes last."""
     freqs = build.frequencies()
-    g = spectral.gram(s, FrequencySet(tuple(freqs.tolist())))
+    g = spectral.gram(s, freqs)
     owner = np.empty(freqs.size, dtype=np.int64)  # the block each frequency is in
     for k, b in enumerate(build.blocks):
         owner[np.searchsorted(freqs, b.frequencies())] = k

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ SIEVE_LIMIT = 10 ** 7
 
 def check_limit(limit: int, bytes_per_entry: int) -> int:
     """limit as an int, or InputError if a sieve of that size exceeds SIEVE_LIMIT."""
-    limit = int(limit)
+    limit = operator.index(limit)
     if limit > SIEVE_LIMIT:
         raise InputError(
             f"sieve limit {_short(limit)} exceeds cap {SIEVE_LIMIT} "
@@ -88,7 +89,7 @@ def divisor_count_naive(n: int) -> int:
 
 def multiples_block(n: int) -> np.ndarray:
     """The integers {n, 2n, ..., n^2}."""
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return n * np.arange(1, n + 1, dtype=np.int64)
@@ -102,18 +103,21 @@ def block_intersection(m: int, n: int) -> list[int]:
 def prime_blocks_disjoint(limit: int):
     """Brute-force pairwise disjointness of the multiple blocks over primes <= limit.
 
-    Returns (True, None) or (False, (p, q, witness)) with the first violation.
+    Returns (True, None) or (False, (p, q, witness)): the first pair p < q whose
+    blocks meet, and their least common element.  The sum(p) block entries are
+    checked against the sieve cap, then sorted once, so a shared element repeats;
+    the first pair is the least of the first two blocks each shared element is in.
     """
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
-    primes = sieve_primes(limit).tolist()
-    blocks = {p: set(multiples_block(p).tolist()) for p in primes}
-    for i, p in enumerate(primes):
-        for q in primes[i + 1 :]:
-            common = blocks[p] & blocks[q]
-            if common:
-                return False, (p, q, min(common))
-    return True, None
+    primes = sieve_primes(limit)
+    values = np.empty(check_limit(int(primes.sum()), 8), dtype=np.int64)
+    for p, end in zip(primes.tolist(), np.cumsum(primes).tolist()):
+        values[end - p : end] = multiples_block(p)
+    values.sort()
+    shared = np.unique(values[1:][values[1:] == values[:-1]]).tolist()
+    firsts = [(*primes[(v % primes == 0) & (v <= primes * primes)][:2].tolist(), v) for v in shared]
+    return (False, min(firsts)) if firsts else (True, None)
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ def divisor_growth_report(limit: int, exponent: float, lo: int = 1) -> GrowthRep
     """
     if limit < 10:
         raise ValueError(f"limit must be >= 10, got {limit}")
-    lo = max(1, int(lo))
+    lo = max(1, operator.index(lo))
     if lo > limit:
         raise ValueError(f"lo = {lo} exceeds limit = {limit}")
     counts = sieve_divisors(limit)

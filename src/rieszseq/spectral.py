@@ -13,6 +13,7 @@ import ctypes
 import functools
 import glob
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -26,8 +27,8 @@ from .torus import IntervalSet
 # every |frequency| stays below this, so all pairwise differences fit in int64
 FREQ_LIMIT = 2 ** 62
 
-# every FrequencySet, and so every Gram, has at most this many frequencies: the
-# m x m complex Gram of a larger set would take more than 16 * m^2 bytes = 1 GiB
+# every Gram has at most this many frequencies: the m x m complex Gram of a
+# larger set would take more than 16 * m^2 bytes = 1 GiB
 GRAM_SIZE_LIMIT = 2 ** 13
 
 # uniform_rayleigh_ap_many takes lengths up to this: its kernel work grows as
@@ -98,53 +99,51 @@ def _one_blas_thread():
             _set_blas_threads(previous)
 
 
+def _check_size(count: int) -> None:
+    if count < 1:
+        raise ValueError("frequency set must be nonempty")
+    if count > GRAM_SIZE_LIMIT:
+        raise ValueError(f"frequency set must have at most {GRAM_SIZE_LIMIT} frequencies, got {count}")
+
+
 def _check_range(lowest: int, highest: int) -> None:
     if not -FREQ_LIMIT < lowest <= highest < FREQ_LIMIT:
         raise ValueError(f"frequencies must satisfy |f| < 2^62, got {lowest}..{highest}")
 
 
-@dataclass(frozen=True)
-class FrequencySet:
-    """Strictly increasing, nonempty tuple of at most GRAM_SIZE_LIMIT integer
-    frequencies with |f| < FREQ_LIMIT."""
-
-    freqs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.freqs:
-            raise ValueError("frequency set must be nonempty")
-        if len(self.freqs) > GRAM_SIZE_LIMIT:
-            raise ValueError(f"frequency set must have at most {GRAM_SIZE_LIMIT} "
-                             f"frequencies, got {len(self.freqs)}")
-        if any(b <= a for a, b in zip(self.freqs, self.freqs[1:])):
-            raise ValueError("frequencies must be strictly increasing")
-        _check_range(self.freqs[0], self.freqs[-1])
-
-    def __len__(self) -> int:
-        return len(self.freqs)
-
-    def array(self) -> np.ndarray:
-        return np.array(self.freqs, dtype=np.int64)
+def _check_frequencies(f: np.ndarray) -> None:
+    """ValueError unless f is a 1-D integer array of 1 to GRAM_SIZE_LIMIT strictly
+    increasing frequencies, each with |f| < FREQ_LIMIT."""
+    if f.ndim != 1 or f.dtype.kind not in "iu":  # bool is kind "b", float "f"
+        raise ValueError(f"frequencies must be a 1-D integer array, got {f.ndim}-D {f.dtype}")
+    _check_size(f.size)
+    if np.any(f[1:] <= f[:-1]):
+        raise ValueError("frequencies must be strictly increasing")
+    _check_range(int(f[0]), int(f[-1]))
 
 
-def frequency_set(values: Iterable[int]) -> FrequencySet:
-    """Sort and deduplicate integers into a FrequencySet."""
-    return FrequencySet(tuple(sorted({int(v) for v in values})))
+def frequency_set(values: Iterable[int]) -> np.ndarray:
+    """The integers in values, sorted and deduplicated, checked, then cast to int64."""
+    freqs = sorted({operator.index(v) for v in values})
+    _check_size(len(freqs))
+    _check_range(freqs[0], freqs[-1])
+    return np.array(freqs, dtype=np.int64)
 
 
-def arithmetic_progression(shift: int, step: int, length: int) -> FrequencySet:
-    """The progression {shift + step, shift + 2*step, ..., shift + length*step}.
+def arithmetic_progression(shift: int, step: int, length: int) -> np.ndarray:
+    """{shift + step, shift + 2*step, ..., shift + length*step} as an int64 array.
 
     Its extremes and its length are checked before any element is built, so
     an out-of-range or overlong progression fails at once however long it is.
+    Elements are exact integers first: a length-1 progression's step may pass int64.
     """
-    shift, step, length = int(shift), int(step), int(length)  # exact, never int64
+    shift, step, length = map(operator.index, (shift, step, length))
     if step < 1 or length < 1:
         raise ValueError("step and length must be positive")
     _check_range(shift + step, shift + step * length)
     if length > GRAM_SIZE_LIMIT:
         raise ValueError(f"progression length must be at most {GRAM_SIZE_LIMIT}, got {length}")
-    return FrequencySet(tuple(shift + step * k for k in range(1, length + 1)))
+    return np.array([shift + step * k for k in range(1, length + 1)], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -168,11 +167,13 @@ class RieszReport:
     size: int
 
 
-def gram(s: IntervalSet, freqs: FrequencySet) -> GramMatrix:
+def gram(s: IntervalSet, freqs: np.ndarray) -> GramMatrix:
     """Gram matrix with entries G[j][k] = c_hat(l_k - l_j), Hermitian by construction."""
+    f = np.asarray(freqs)
+    _check_frequencies(f)
     if s.measure <= 0.0:
         raise InputError("gram matrix needs a set of positive measure")
-    f = freqs.array()
+    f = f.astype(np.int64, copy=False)
     diff = f[None, :] - f[:, None]
     # one lookup per matrix: ks[0] == 0 is the diagonal, |S|; ks[1:] are the
     # distinct positive differences, each evaluated once
@@ -212,7 +213,7 @@ def rayleigh(g: GramMatrix, c) -> float:
 
 
 @_one_blas_thread()
-def riesz_report(s: IntervalSet, freqs: FrequencySet) -> RieszReport:
+def riesz_report(s: IntervalSet, freqs: np.ndarray) -> RieszReport:
     g = gram(s, freqs)
     return _report(s, g, extreme_eigs(g))
 
@@ -249,7 +250,7 @@ def uniform_rayleigh_ap_many(s: IntervalSet, step: int, lengths) -> list[float]:
     """
     if s.measure <= 0.0:
         raise InputError("rayleigh quotient needs a set of positive measure")
-    step, lengths = int(step), [int(n) for n in lengths]
+    step, lengths = operator.index(step), [operator.index(n) for n in lengths]
     if step < 1 or not lengths or min(lengths) < 1:
         raise ValueError("step and length must be positive")
     top = max(lengths)

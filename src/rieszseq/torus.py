@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -192,7 +193,7 @@ def scale_periodize(delta: float, ell: int) -> IntervalSet:
     measure is exactly 2*delta.  Copies must stay disjoint, which needs
     delta < 1/(2*ell).
     """
-    ell = int(ell)
+    ell = operator.index(ell)
     if ell < 1:
         raise InputError(f"ell must be a positive integer, got {ell}")
     if not (0.0 < delta < 0.5):
@@ -315,7 +316,7 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     the block's chunk partials about B/SPLIT_CHUNK times SPLIT_BLOCK; the
     last chunk is padded with weight-0 endpoints, which add exact zeros.
     """
-    step, count = int(step), int(count)
+    step, count = operator.index(step), operator.index(count)
     if step < 1:
         raise ValueError(f"step must be positive, got {step}")
     if count < 1:
@@ -348,8 +349,7 @@ def quadrature_coeff(s: IntervalSet, k: int, points_per_unit: int) -> complex:
     Test oracle for the closed form.  Requires points_per_unit >= 10*|k| + 10
     so the grid resolves the oscillation.
     """
-    k = int(k)
-    points_per_unit = int(points_per_unit)
+    k, points_per_unit = operator.index(k), operator.index(points_per_unit)
     if points_per_unit < 10 * abs(k) + 10:
         raise InputError(
             f"points_per_unit = {points_per_unit} < 10*|k|+10 = {10 * abs(k) + 10}"

@@ -58,11 +58,11 @@ def test_criterion_2_gram_invariant_suite():
         assert lo <= s.measure + 1e-9 <= hi + 2e-9                 # sandwich
         assert lo >= s.measure - math.sqrt(spectral.offdiag_energy(g)) - 1e-9
         shift = int(rng.randint(-10 ** 6, 10 ** 6 + 1))            # translation, exact
-        g2 = spectral.gram(s, spectral.frequency_set([v + shift for v in freqs.freqs]))
+        g2 = spectral.gram(s, freqs + shift)
         assert np.array_equal(g.entries, g2.entries)
         extra = int(rng.randint(400, 600))                         # interlacing
         lo2, _ = spectral.extreme_eigs(
-            spectral.gram(s, spectral.frequency_set(list(freqs.freqs) + [extra]))
+            spectral.gram(s, np.append(freqs, extra))
         )
         assert lo2 <= lo + 1e-9
     _announce(2, "PSD/sandwich/CS-floor/translation/interlacing on 200 instances", t0, 30)

@@ -139,6 +139,13 @@ def test_riesz_ap_json_size(full_file, tmp_path):
     assert json.loads(out.read_text())["size"] == 4
 
 
+def test_riesz_ap_of_one_frequency_takes_a_step_past_int64(arc03_file, capsys):
+    # the one frequency is -2^70 + (2^70 + 1) = 1; only the step is out of int64
+    assert run(["riesz", arc03_file, "--ap=-1180591620717411303424,1180591620717411303425,1"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "cs_lower": 0.3, "lower": 0.3, "offdiag_energy": 0.0, "size": 1, "upper": 0.3}
+
+
 def test_riesz_invalid_input(full_file, tmp_path):
     assert run(["riesz", tmp_path / "missing.json", "--freqs", "1"]) == 2
     assert run(["riesz", full_file, "--freqs", "not-numbers"]) == 2
@@ -611,6 +618,13 @@ def test_verify_lemma4(capsys):
     assert run(["verify", "lemma4", "--limit", 100]) == 0
     text = capsys.readouterr().out
     assert "pass" in text and "[4]" in text
+
+
+def test_verify_lemma4_refuses_an_oversized_limit_at_once(capsys):
+    start = time.perf_counter()
+    assert run(["verify", "lemma4", "--limit", 100000]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds cap" in capsys.readouterr().err
 
 
 def test_verify_divisors():

@@ -24,7 +24,7 @@ def lambda_min(s, freqs):
 
 def shifted_gram(s, freqs, target):
     """gram(S, freqs) - target*I for strictly increasing freqs."""
-    g = spectral.gram(s, spectral.FrequencySet(tuple(freqs.tolist()))).entries
+    g = spectral.gram(s, freqs).entries
     return g - target * np.eye(g.shape[0])
 
 
@@ -293,9 +293,8 @@ def test_select_shift_decision_matches_eigensolve(rng=np.random.RandomState(5)):
         for m in range(-20, 21):
             cand = newblock.frequencies() + m
             if not np.intersect1d(cand, union).size:
-                lams[m] = lambda_min(s, spectral.frequency_set(np.concatenate([union, cand]).tolist()))
-        floor = min(lambda_min(s, spectral.frequency_set(union.tolist())),
-                    lambda_min(s, spectral.frequency_set(newblock.frequencies().tolist())))
+                lams[m] = lambda_min(s, np.sort(np.concatenate([union, cand])))
+        floor = min(lambda_min(s, union), lambda_min(s, newblock.frequencies()))
         target = rng.uniform(min(lams.values()), max(lams.values()))
         if target >= floor - 1e-8:
             continue
@@ -375,8 +374,7 @@ def test_select_shift_matches_per_candidate_scan(rng=np.random.RandomState(3)):
             old = con.BlockSpec(n1, int(rng.randint(10, 40)), n1, 0)
             new = con.BlockSpec(n2, int(rng.randint(10, 40)), n2, 0)
         partial = con.LambdaBuild((old,), s.measure / 2, (), torus.set_digest(s))
-        floor = min(lambda_min(s, spectral.frequency_set(old.frequencies().tolist())),
-                    lambda_min(s, spectral.frequency_set(new.frequencies().tolist())))
+        floor = min(lambda_min(s, old.frequencies()), lambda_min(s, new.frequencies()))
         target = 0.97 * floor
         wide = con.ScanConfig(start=-30, cap=400)
         expected = scan_outcome(per_candidate_select_shift, s, partial, new, target, wide)
@@ -461,8 +459,7 @@ def test_minor_exclusion_rejects_only_failing_shifts(rng=np.random.RandomState(7
         n1, n2 = (int(v) for v in rng.randint(3, 9, 2))
         old = con.BlockSpec(n1, int(rng.randint(1, 40)), n1, 0)
         new = con.BlockSpec(n2, int(rng.randint(1, 40)), n2, 0)
-        floor = min(lambda_min(s, spectral.frequency_set(old.frequencies().tolist())),
-                    lambda_min(s, spectral.frequency_set(new.frequencies().tolist())))
+        floor = min(lambda_min(s, old.frequencies()), lambda_min(s, new.frequencies()))
         cases.append((s, old, new, rng.uniform(0.9, 0.99) * floor, None))
     checked, multiple = 0, 0
     for s, old, new, target, expected in cases:
@@ -482,7 +479,7 @@ def test_minor_exclusion_rejects_only_failing_shifts(rng=np.random.RandomState(7
                 continue
             failing.update(np.abs(bad).tolist())
             freqs = np.sort(np.concatenate([union, block + m]))
-            assert lambda_min(s, spectral.frequency_set(freqs.tolist())) < target
+            assert lambda_min(s, freqs) < target
             diff = block[None, :] + m - union[:, None]  # C(M)[i, j] = c_hat(b_j + M - e_i)
             cross = torus.fourier_coeff_many(s, diff.ravel()).reshape(diff.shape)
             schur = inblock - cross.conj().T @ np.linalg.solve(shifted_union, cross)
@@ -516,14 +513,14 @@ def test_placed_union_gram_is_gram_of_the_union(rng=np.random.RandomState(11)):
         for _ in range(3):
             n = int(rng.randint(3, 9))
             candidate = con.BlockSpec(n, int(rng.randint(2, 15)), n, 0)
-            floor = lambda_min(s, spectral.frequency_set(candidate.frequencies().tolist()))
+            floor = lambda_min(s, candidate.frequencies())
             if build.blocks:
                 floor = min(floor, build.schedule[-1])
             placed = con._place(s, build, union, candidate, 0.6 * floor, scan)
             assert placed is not None
             before = build.frequencies()
             build, union = placed
-            freqs = spectral.frequency_set(build.frequencies().tolist())
+            freqs = build.frequencies()
             assert np.array_equal(union, spectral.gram(s, freqs).entries)
             assert build.schedule[-1] == lambda_min(s, freqs)
             new = build.blocks[-1].frequencies()
@@ -534,7 +531,7 @@ def test_placed_union_gram_is_gram_of_the_union(rng=np.random.RandomState(11)):
         grams = list(con._partial_grams(s, build))
         assert len(grams) == len(build.blocks)
         for k, g in enumerate(grams, start=1):
-            assert np.array_equal(g.entries, spectral.gram(s, spectral.frequency_set(np.concatenate([b.frequencies() for b in build.blocks[:k]]).tolist())).entries)
+            assert np.array_equal(g.entries, spectral.gram(s, np.sort(np.concatenate([b.frequencies() for b in build.blocks[:k]]))).entries)
     assert covered == {"interleaved", "negative shift"}
 
 
@@ -543,11 +540,11 @@ def test_build_thm3_builds_only_block_grams(monkeypatch):
     # grown union once; no Gram of a union of two or more blocks is built
     grams, eigs = [], []
     gram, extreme_eigs = spectral.gram, spectral.extreme_eigs
-    monkeypatch.setattr(spectral, "gram", lambda s, freqs: grams.append(freqs.freqs) or gram(s, freqs))
+    monkeypatch.setattr(spectral, "gram", lambda s, freqs: grams.append(freqs.tolist()) or gram(s, freqs))
     monkeypatch.setattr(spectral, "extreme_eigs", lambda g: eigs.append(g.size) or extreme_eigs(g))
     s = torus.normalize([(0.1, 0.3), (0.55, 0.8)])
     build, _ = con.build_lambda_thm3(s, [2.0, 1.5], [[6, 7], [12, 13]])
-    assert grams == [tuple(replace(b, shift=0).frequencies().tolist()) for b in build.blocks]
+    assert grams == [replace(b, shift=0).frequencies().tolist() for b in build.blocks]
     assert eigs == np.cumsum([b.length for b in build.blocks]).tolist()
 
 
@@ -573,7 +570,9 @@ def test_build_thm2_arc03_frozen():
     assert build.schedule[2] == pytest.approx(0.11558250773488431, abs=1e-12)
     # schedule targets met, nonincreasing, above gamma/2
     for b, cert in zip(build.blocks, build.schedule):
-        assert cert >= (build.gamma / 2) * (1 + 1 / b.n) - 1e-12
+        target = con.thm2_target(build.gamma, b.n)
+        assert target == (build.gamma / 2) * (1 + 1 / b.n)  # thm2's schedule_target column
+        assert cert >= target - 1e-12
     assert all(b <= a + 1e-12 for a, b in zip(build.schedule, build.schedule[1:]))
     assert all(c >= build.gamma / 2 for c in build.schedule)
 
@@ -757,3 +756,24 @@ def test_verify_build_detects_tampering():
         build.set_digest,
     )
     assert not all(r.ok for r in con.verify_build(ARC03, doctored)[0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: con.build_adversarial_set(0.25, 64.7),
+    lambda: spectral.uniform_rayleigh_ap_many(ARC03, 2.5, [4]),
+    lambda: spectral.uniform_rayleigh_ap_many(ARC03, 2, [4.5]),
+    lambda: con.good_n_search(ARC03, 0.075, (1.5, 4.9)),
+    lambda: con.build_lambda_thm3(ARC03, [2.0], [[4.5]]),
+    lambda: con.build_lambda_thm2(ARC03, 2.5),
+    lambda: con.step_search_alpha(np.zeros(100), 2.0, 4.5),
+    lambda: con.step_search_alpha(np.zeros(100), 2.0, 4, 10.5),
+    lambda: torus.scale_periodize(0.1, 2.5),
+    lambda: numtheory.multiples_block(4.5),
+    lambda: spectral.frequency_set([1, 2.5]),
+    lambda: spectral.arithmetic_progression(0, 1.5, 3),
+], ids=["lmax", "rayleigh-step", "rayleigh-length", "good-n-range", "thm3-length",
+        "thm2-count", "step-length", "step-cap", "periodize-ell", "multiples", "freqs", "ap-step"])
+def test_integer_parameters_are_never_truncated(call):
+    # int() would read 64.7 as 64, 2.5 as 2 and (1.5, 4.9) as (1, 4)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()

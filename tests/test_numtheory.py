@@ -56,6 +56,40 @@ def test_prime_blocks_disjoint():
     assert ok and witness is None
 
 
+def _first_meeting_blocks(numbers):
+    """The pairwise search over the multiple blocks: oracle for the sorted one."""
+    for i, p in enumerate(numbers):
+        for q in numbers[i + 1 :]:
+            common = set(range(p, p * p + 1, p)) & set(range(q, q * q + 1, q))
+            if common:
+                return False, (p, q, min(common))
+    return True, None
+
+
+def test_prime_blocks_disjoint_names_the_first_meeting_pair(monkeypatch):
+    # with 4 passed off as a prime, B_2 = {2, 4} and B_4 = {4, 8, 12, 16} share 4
+    monkeypatch.setattr(numtheory, "sieve_primes", lambda limit: np.array([2, 3, 4]))
+    assert numtheory.prime_blocks_disjoint(100) == (False, (2, 4, 4))
+
+
+@pytest.mark.parametrize("numbers", [
+    [2, 3, 5, 7],
+    [4, 6, 8, 9],  # B_4 and B_6 meet first, at 12, though 8 (B_4 and B_8) is the least shared
+    [5, 6, 9, 10, 15, 21],
+    [7, 11, 13, 49],
+    list(range(2, 40)),
+])
+def test_prime_blocks_disjoint_matches_the_pairwise_search(monkeypatch, numbers):
+    monkeypatch.setattr(numtheory, "sieve_primes", lambda limit: np.array(numbers))
+    assert numtheory.prime_blocks_disjoint(100) == _first_meeting_blocks(numbers)
+
+
+def test_prime_blocks_disjoint_bounds_the_blocks_first():
+    # the blocks {p, 2p, ..., p^2} of the primes up to 10^5 hold 4.5e8 entries
+    with pytest.raises(InputError, match="^sieve limit 454396537 exceeds cap"):
+        numtheory.prime_blocks_disjoint(10 ** 5)
+
+
 def test_block_intersection_examples():
     assert numtheory.block_intersection(2, 3) == []
     assert numtheory.block_intersection(2, 4) == [4]  # primality is necessary

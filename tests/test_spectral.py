@@ -33,30 +33,54 @@ def random_freqs(rng, max_size=30, span=200):
 # --- frequency sets ----------------------------------------------------------
 
 def test_frequency_set_validation():
-    assert spectral.frequency_set([3, -1, 3, 7]).freqs == (-1, 3, 7)
-    with pytest.raises(ValueError):
-        spectral.FrequencySet(())
-    with pytest.raises(ValueError):
-        spectral.FrequencySet((2, 2))
+    f = spectral.frequency_set([3, -1, 3, 7])
+    assert f.dtype == np.int64 and f.tolist() == [-1, 3, 7]
+    with pytest.raises(ValueError, match="^frequency set must be nonempty$"):
+        spectral.frequency_set([])
+    # the range is checked on the exact integers, before the int64 conversion
+    with pytest.raises(ValueError, match=r"\|f\| < 2\^62"):
+        spectral.frequency_set([-(2 ** 70), 0])
+
+
+@pytest.mark.parametrize("freqs, message", [
+    (np.array([], dtype=np.int64), "^frequency set must be nonempty$"),
+    (np.array([3, 3]), "^frequencies must be strictly increasing$"),
+    (np.array([5, 3], dtype=np.uint64), "^frequencies must be strictly increasing$"),
+    (np.array([1.0, 1.5]), "^frequencies must be a 1-D integer array, got 1-D float64$"),
+    (np.array([False, True]), "^frequencies must be a 1-D integer array, got 1-D bool$"),
+    (np.array([[1, 2], [3, 4]]), "^frequencies must be a 1-D integer array, got 2-D int64$"),
+    (np.array([2 ** 62]), r"\|f\| < 2\^62"),
+])
+def test_gram_checks_the_array_it_builds_from(freqs, message):
+    # each would otherwise be built from, silently: 1.5 truncated to 1, a repeat
+    # giving a singular Gram, False and True read as 0 and 1
+    with pytest.raises(ValueError, match=message):
+        spectral.gram(ARC03, freqs)
+    with pytest.raises(ValueError, match=message):
+        spectral.riesz_report(ARC03, freqs)
 
 
 def test_frequency_set_bounds_its_size():
-    # every Gram is built from a FrequencySet, so none takes more than 1 GiB
+    # gram checks the size of every set it builds from, so no Gram takes more than 1 GiB
     limit = spectral.GRAM_SIZE_LIMIT
     assert 16 * limit ** 2 == 2 ** 30
-    assert len(spectral.FrequencySet(tuple(range(limit)))) == limit
+    assert spectral.frequency_set(range(limit)).size == limit
     message = f"^frequency set must have at most {limit} frequencies, got {limit + 1}$"
     with pytest.raises(ValueError, match=message):
-        spectral.FrequencySet(tuple(range(limit + 1)))
+        spectral.frequency_set(range(limit + 1))
+    with pytest.raises(ValueError, match=message):
+        spectral.gram(ARC03, np.arange(limit + 1))
     with pytest.raises(ValueError, match="at most"):
         spectral.frequency_set(range(10 ** 5))
 
 
 def test_arithmetic_progression():
     ap = spectral.arithmetic_progression(5, 3, 4)
-    assert ap.freqs == (8, 11, 14, 17)
+    assert ap.dtype == np.int64 and ap.tolist() == [8, 11, 14, 17]
     with pytest.raises(ValueError):
         spectral.arithmetic_progression(0, 0, 4)
+    # one element in range, though its step is past int64
+    assert spectral.arithmetic_progression(-(2 ** 70), 2 ** 70 + 1, 1).tolist() == [1]
 
 
 @pytest.mark.parametrize("shift,step,length", [
@@ -83,12 +107,11 @@ def test_gram_and_offdiag_energy_match_the_dense_formulas(rng=np.random.RandomSt
     # gram conjugates in place and offdiag_energy squares |G| in place; both give,
     # bit for bit, the entries and the energy of the whole-matrix formulas
     for _ in range(20):
-        s, freqs = random_set(rng), random_freqs(rng, max_size=60, span=500)
-        f = freqs.array()
+        s, f = random_set(rng), random_freqs(rng, max_size=60, span=500)
         diff = f[None, :] - f[:, None]
         ks = np.abs(diff).ravel()
         coeff = np.where(diff == 0, s.measure, torus.fourier_coeff_many(s, ks).reshape(diff.shape))
-        g = spectral.gram(s, freqs)
+        g = spectral.gram(s, f)
         assert np.array_equal(g.entries, np.where(diff >= 0, coeff, np.conj(coeff)))
         off = g.entries.copy()
         np.fill_diagonal(off, 0.0)
@@ -121,7 +144,7 @@ def test_gram_translation_invariance(rng=np.random.RandomState(21)):
         f = random_freqs(rng, max_size=10)
         shift = int(rng.randint(-10 ** 6, 10 ** 6 + 1))
         g0 = spectral.gram(s, f)
-        g1 = spectral.gram(s, spectral.frequency_set([v + shift for v in f.freqs]))
+        g1 = spectral.gram(s, f + shift)
         assert np.array_equal(g0.entries, g1.entries)
 
 
@@ -178,7 +201,7 @@ def test_random_instance_invariants(rng=np.random.RandomState(22)):
         assert lo >= s.measure - math.sqrt(spectral.offdiag_energy(g)) - 1e-9
         # interlacing: adding a frequency cannot raise lambda_min
         extra = int(rng.randint(500, 1000))
-        bigger = spectral.frequency_set(list(f.freqs) + [extra])
+        bigger = np.append(f, extra)
         lo2, _ = spectral.extreme_eigs(spectral.gram(s, bigger))
         assert lo2 <= lo + 1e-9
         # min-max: any Rayleigh quotient lies between the extremes
@@ -286,7 +309,7 @@ def test_cross_block_perturbation_bound(rng=np.random.RandomState(23)):
         lo2, _ = spectral.extreme_eigs(spectral.gram(s, f2))
         union = spectral.frequency_set(all_freqs.tolist())
         g = spectral.gram(s, union)
-        in1 = np.isin(union.array(), f1.array())
+        in1 = np.isin(union, f1)
         cross = np.linalg.norm(g.entries[np.ix_(in1, ~in1)])
         lo, _ = spectral.extreme_eigs(g)
         assert lo >= min(lo1, lo2) - cross - 1e-9
