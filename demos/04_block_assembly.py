@@ -22,12 +22,12 @@ build = con.build_lambda_thm2(s, count=3, eps=0.075, n_range=(1, 40))
 print("\nassembled build, gamma = |S|/2 =", build.gamma)
 print(f"{'k':>2} {'n':>3} {'shift':>6} {'cert lambda_min':>16} {'target':>10}")
 for k, (b, cert) in enumerate(zip(build.blocks, build.schedule), start=1):
-    target = con.thm2_target(build.gamma, b.n)
-    print(f"{k:>2} {b.n:>3} {b.shift:>6} {cert:>16.10f} {target:>10.6f}")
+    target = con.thm2_target(build.gamma, b.length)
+    print(f"{k:>2} {b.length:>3} {b.shift:>6} {cert:>16.10f} {target:>10.6f}")
 
 print("\nthe union contains an AP of length n and step n for each chosen n:")
 for b in build.blocks:
-    print(f"  n={b.n}: {[b.shift + b.step * k for k in range(1, b.length + 1)]}")
+    print(f"  n={b.length}: {b.frequencies().tolist()}")
 
 rows, rep = con.verify_build(s, build)
 print("\nre-verification from scratch:", "all ok" if all(r.ok for r in rows) else "MISMATCH")

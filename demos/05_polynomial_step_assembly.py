@@ -24,12 +24,12 @@ for n in (16, 32):
     res = con.step_search_alpha(powers, alpha, n, cap)
     print(f"{n:>4} {cap:>9} {res.ell:>9} {res.total:>12.3e} {res.grid_sum:>10.6f} {res.divisor_sum:>14.6f}")
 
-build, rows = con.build_lambda_thm3(s, [alpha], [[16, 32]])
+build, _ = con.build_lambda_thm3(s, [alpha], [[16, 32]])
 print("\nassembled build, gamma/2 target =", build.gamma / 2)
-for r in rows:
+for b, cert in zip(build.blocks, build.schedule):
     print(
-        f"  N={r.length:>3} step={r.ell:>3} (< N^{alpha} = {r.length ** alpha:.1f}) "
-        f"shift={r.shift} cert lambda_min={r.cert_lambda_min:.10f}"
+        f"  N={b.length:>3} step={b.step:>3} (< N^{alpha} = {b.length ** alpha:.1f}) "
+        f"shift={b.shift} cert lambda_min={cert:.10f}"
     )
 ok = all(r.ok for r in con.verify_build(s, build)[0])
 print("re-verification from scratch:", "all ok" if ok else "MISMATCH")

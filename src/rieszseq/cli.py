@@ -148,7 +148,7 @@ def _cmd_thm2(args) -> int:
     build = constructions.build_lambda_thm2(
         s, args.count, eps=args.eps, n_range=(1, args.n_max), scan=scan
     )
-    rows = [[k, b.n, b.shift, cert, constructions.thm2_target(build.gamma, b.n)]
+    rows = [[k, b.length, b.shift, cert, constructions.thm2_target(build.gamma, b.length)]
             for k, (b, cert) in enumerate(zip(build.blocks, build.schedule), start=1)]
     _write_rows(args.out, ["k", "n", "shift", "cert_lambda_min", "schedule_target"], rows)
     if args.build_out:
@@ -161,10 +161,9 @@ def _cmd_thm3(args) -> int:
     alphas = [float(tok) for tok in args.alphas.split(",") if tok.strip()]
     ranges = _parse_length_ranges(args.n_ranges)
     scan = constructions.ScanConfig(start=args.scan_start, cap=args.scan_cap)
-    build, records = constructions.build_lambda_thm3(s, alphas, ranges, scan=scan)
-    rows = [
-        [r.alpha, r.length, r.ell, r.total, r.shift, r.cert_lambda_min] for r in records
-    ]
+    build, searches = constructions.build_lambda_thm3(s, alphas, ranges, scan=scan)
+    rows = [[r.alpha, b.length, b.step, r.total, b.shift, cert]
+            for r, b, cert in zip(searches, build.blocks, build.schedule)]
     _write_rows(args.out, ["alpha", "N", "ell", "sum", "shift", "cert_lambda_min"], rows)
     if args.build_out:
         constructions.save_build(build, args.build_out, args.setfile)
@@ -273,8 +272,8 @@ def _decay_plot(path, cells) -> None:
 def _add_assembly_flags(p):
     p.add_argument("--out", default=None, help="CSV report path (stdout if omitted)")
     p.add_argument("--build-out", default=None, help="build file path")
-    p.add_argument("--scan-start", type=int, default=0)
-    p.add_argument("--scan-cap", type=int, default=200_000)
+    p.add_argument("--scan-start", type=int, default=constructions.ScanConfig().start)
+    p.add_argument("--scan-cap", type=int, default=constructions.ScanConfig().cap)
 
 
 @functools.cache

@@ -239,13 +239,12 @@ def thm1_cells(s: IntervalSet, sched: DeltaSchedule, ell: int, lengths) -> list[
 class BlockSpec:
     """A shifted progression {shift + step, shift + 2*step, ..., shift + length*step}."""
 
-    n: int
     step: int
     length: int
     shift: int
 
     def frequencies(self) -> np.ndarray:
-        return self.shift + self.step * np.arange(1, self.length + 1, dtype=np.int64)
+        return spectral.arithmetic_progression(self.shift, self.step, self.length)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -274,7 +273,8 @@ class LambdaBuild:
 
     schedule[k] is the eigensolved lower Riesz bound of the union of the first
     k+1 blocks; entries are nonincreasing (unions only grow) and each must
-    stay above gamma/2.  Blocks sharing a frequency raise ValueError.
+    stay above gamma/2.  More than spectral.GRAM_SIZE_LIMIT frequencies, a block
+    that arithmetic_progression refuses, or blocks sharing a frequency raise ValueError.
     set_digest is torus.set_digest of the set the build was made for, or ""
     when unknown (build files written before the digest was recorded).
     """
@@ -285,6 +285,8 @@ class LambdaBuild:
     set_digest: str = ""
 
     def __post_init__(self):
+        if (size := sum(b.length for b in self.blocks)) > spectral.GRAM_SIZE_LIMIT:
+            raise ValueError(f"build has {size} frequencies, more than {spectral.GRAM_SIZE_LIMIT}")
         freqs = self.frequencies()  # sorted, so a shared frequency repeats in place
         if (repeats := np.flatnonzero(np.diff(freqs) == 0)).size:
             raise ValueError(
@@ -292,9 +294,13 @@ class LambdaBuild:
             )
 
     def frequencies(self) -> np.ndarray:
-        if not self.blocks:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate([b.frequencies() for b in self.blocks]))
+        parts = [np.empty(0, dtype=np.int64)]
+        for k, b in enumerate(self.blocks, start=1):
+            try:
+                parts.append(b.frequencies())
+            except ValueError as exc:  # raised only by __post_init__'s call
+                raise ValueError(f"block {k}: {exc}") from None
+        return np.sort(np.concatenate(parts))
 
 
 def good_n_search(s: IntervalSet, eps: float, n_range: tuple[int, int]) -> Iterator[int]:
@@ -524,7 +530,7 @@ def build_lambda_thm2(
     union = np.empty((0, 0), dtype=np.complex128)  # gram of the placed blocks, carried
     for n in hits:
         target = thm2_target(build.gamma, n)
-        placed = _place(s, build, union, BlockSpec(n=n, step=n, length=n, shift=0), target, scan)
+        placed = _place(s, build, union, BlockSpec(step=n, length=n, shift=0), target, scan)
         if placed is None:  # good sum, but the block alone misses its target at this scale
             continue
         build, union = placed
@@ -543,6 +549,7 @@ def build_lambda_thm2(
 class StepSearchResult:
     """Outcome of one divisor-averaged step search."""
 
+    alpha: float
     ell: int
     total: float            # sum_{n<=N} |c_hat(n*ell)|^2 at the chosen step
     grid_sum: float         # sum over all steps l <= L of the above
@@ -585,7 +592,7 @@ def step_search_alpha(
         raise PropertyViolation(
             f"averaging certificate failed: {grid_sum} > {divisor_sum}"
         )
-    return StepSearchResult(best + 1, total, grid_sum, divisor_sum)
+    return StepSearchResult(alpha, best + 1, total, grid_sum, divisor_sum)
 
 
 def strict_step_cap(length: int, alpha: float) -> int:
@@ -602,23 +609,13 @@ def strict_step_cap(length: int, alpha: float) -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class Thm3Row:
-    alpha: float
-    length: int
-    ell: int
-    total: float
-    shift: int
-    cert_lambda_min: float
-
-
 @spectral._one_blas_thread()
 def build_lambda_thm3(
     s: IntervalSet,
     alphas: Sequence[float],
     n_ranges: Sequence[Sequence[int]],
     scan: ScanConfig = ScanConfig(),
-) -> tuple[LambdaBuild, tuple[Thm3Row, ...]]:
+) -> tuple[LambdaBuild, tuple[StepSearchResult, ...]]:
     """Diagonal assembly: for each alpha_k and each covered length N, one block
     of length N whose step is the divisor-averaged search winner below N^alpha_k,
     shifted to keep every partial union above gamma/2 with gamma = |S|/2.
@@ -628,7 +625,7 @@ def build_lambda_thm3(
     so a range fails at its first oversized length however long it is.  The
     lengths' sum, the build's size, is then checked against
     spectral.GRAM_SIZE_LIMIT, before any coefficient is computed.
-    Returns the build plus per-block search records for reporting.
+    Returns the build plus each block's step search, in block order.
     """
     if s.measure <= 0.0:
         raise InputError("build needs a set of positive measure")
@@ -663,18 +660,17 @@ def build_lambda_thm3(
     build = LambdaBuild((), s.measure / 2.0, (), torus.set_digest(s))
     union = np.empty((0, 0), dtype=np.complex128)  # gram of the placed blocks, carried
     target = build.gamma / 2.0
-    rows: list[Thm3Row] = []
+    searches = []
     for alpha, n, cap in jobs:
         found = step_search_alpha(powers, alpha, n, cap)
-        placed = _place(s, build, union, BlockSpec(n=n, step=found.ell, length=n, shift=0), target, scan)
+        placed = _place(s, build, union, BlockSpec(step=found.ell, length=n, shift=0), target, scan)
         if placed is None:
             raise SearchFailed(
                 f"block of length {n} at step {found.ell} is below gamma/2 = {target}"
             )
         build, union = placed
-        shift, cert = build.blocks[-1].shift, build.schedule[-1]
-        rows.append(Thm3Row(alpha, n, found.ell, found.total, shift, cert))
-    return build, tuple(rows)
+        searches.append(found)
+    return build, tuple(searches)
 
 
 # -------------------------------------------------------------------------
@@ -687,7 +683,7 @@ def build_to_dict(build: LambdaBuild, set_ref: str = "") -> dict:
         "gamma": build.gamma,
         "blocks": [
             {
-                "n": b.n,
+                "n": b.length,
                 "step": b.step,
                 "length": b.length,
                 "shift": b.shift,
@@ -700,22 +696,6 @@ def build_to_dict(build: LambdaBuild, set_ref: str = "") -> dict:
     }
 
 
-def _block_from_dict(b: dict) -> BlockSpec:
-    """A BlockSpec from integer fields whose frequencies all lie strictly within
-    FREQ_LIMIT, so BlockSpec.frequencies and every Gram difference stay in int64."""
-    fields = {key: b[key] for key in ("n", "step", "length", "shift")}
-    for key, v in fields.items():
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"block {key} must be an integer, got {v!r}")
-    spec = BlockSpec(**fields)
-    if spec.step < 1 or spec.length < 1:
-        raise ValueError(f"block step and length must be positive, got {spec}")
-    first, last = spec.shift + spec.step, spec.shift + spec.step * spec.length
-    if any(abs(v) >= spectral.FREQ_LIMIT for v in (*fields.values(), first, last)):
-        raise ValueError(f"block {spec} has a value or frequency with |f| >= 2^62")
-    return spec
-
-
 def _number(key: str, v) -> float:
     """v as a float, if it is a JSON number (not a bool or a string)."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
@@ -726,10 +706,10 @@ def _number(key: str, v) -> float:
 def build_from_dict(d: dict) -> tuple[LambdaBuild, str]:
     """Parse a build object; anything but an object with a "blocks" list of
     objects, a block without one of its five keys (named with the block's
-    1-based index), a block outside int64-safe range, more frequencies in all than
-    spectral.GRAM_SIZE_LIMIT, blocks sharing a frequency, a gamma or
-    cert_lambda_min that is not a number, or a "set_digest" that is not 16
-    lowercase hex digits raises ValueError.  An object without "set_digest"
+    1-based index), a block field that is not an integer, an "n" other than
+    the block's "length", a gamma or cert_lambda_min that is not a number, a
+    "set_digest" that is not 16 lowercase hex digits, or a build that
+    LambdaBuild refuses raises ValueError.  An object without "set_digest"
     parses with the digest "" (unknown)."""
     raw = d.get("blocks") if isinstance(d, dict) else None
     if not isinstance(raw, list) or not all(isinstance(b, dict) for b in raw):
@@ -738,11 +718,12 @@ def build_from_dict(d: dict) -> tuple[LambdaBuild, str]:
         for key in ("n", "step", "length", "shift", "cert_lambda_min"):
             if key not in b:
                 raise ValueError(f'block {k} has no "{key}"')
-    blocks = tuple(_block_from_dict(b) for b in raw)
-    if (size := sum(b.length for b in blocks)) > spectral.GRAM_SIZE_LIMIT:
-        raise ValueError(
-            f"build has {size} frequencies, more than {spectral.GRAM_SIZE_LIMIT}"
-        )
+        for key in ("n", "step", "length", "shift"):
+            if not isinstance(b[key], int) or isinstance(b[key], bool):
+                raise ValueError(f"block {k} {key} must be an integer, got {b[key]!r}")
+        if b["n"] != b["length"]:  # "n" is read only to be checked
+            raise ValueError(f"block {k} has n {b['n']}, which must equal its length {b['length']}")
+    blocks = tuple(BlockSpec(b["step"], b["length"], b["shift"]) for b in raw)
     schedule = tuple(_number("cert_lambda_min", b["cert_lambda_min"]) for b in raw)
     gamma = _number("gamma", d.get("gamma"))
     digest = d.get("set_digest", "")

@@ -111,7 +111,10 @@ def prime_blocks_disjoint(limit: int):
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
     primes = sieve_primes(limit)
-    values = np.empty(check_limit(int(primes.sum()), 8), dtype=np.int64)
+    if (total := int(primes.sum())) > SIEVE_LIMIT:
+        raise InputError(f"prime-block entry total sum(p) = {total} exceeds cap "
+                         f"{SIEVE_LIMIT} (~{(8 * total + 500_000) // 10 ** 6} MB)")
+    values = np.empty(total, dtype=np.int64)
     for p, end in zip(primes.tolist(), np.cumsum(primes).tolist()):
         values[end - p : end] = multiples_block(p)
     values.sort()

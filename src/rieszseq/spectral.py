@@ -122,9 +122,16 @@ def _check_frequencies(f: np.ndarray) -> None:
     _check_range(int(f[0]), int(f[-1]))
 
 
+def _index(v) -> int:
+    """operator.index(v), refusing a bool as it refuses a float: True is not 1 here."""
+    if isinstance(v, (bool, np.bool_)):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(v)
+
+
 def frequency_set(values: Iterable[int]) -> np.ndarray:
     """The integers in values, sorted and deduplicated, checked, then cast to int64."""
-    freqs = sorted({operator.index(v) for v in values})
+    freqs = sorted({_index(v) for v in values})
     _check_size(len(freqs))
     _check_range(freqs[0], freqs[-1])
     return np.array(freqs, dtype=np.int64)
@@ -137,7 +144,7 @@ def arithmetic_progression(shift: int, step: int, length: int) -> np.ndarray:
     an out-of-range or overlong progression fails at once however long it is.
     Elements are exact integers first: a length-1 progression's step may pass int64.
     """
-    shift, step, length = map(operator.index, (shift, step, length))
+    shift, step, length = map(_index, (shift, step, length))
     if step < 1 or length < 1:
         raise ValueError("step and length must be positive")
     _check_range(shift + step, shift + step * length)

@@ -129,15 +129,15 @@ def test_criterion_4_step_linear_build(tmp_path):
 def test_criterion_5_step_polynomial_build():
     t0 = time.perf_counter()
     s = torus.normalize([(0.0, 0.3)])
-    build, rows = con.build_lambda_thm3(s, [1.5], [[16, 32]])
-    assert len(rows) == 2
+    build, _ = con.build_lambda_thm3(s, [1.5], [[16, 32]])
+    assert len(build.blocks) == 2
     span = max(con.strict_step_cap(n, 1.5) * n for n in (16, 32))
     powers = np.abs(torus.fourier_coeff_many(s, np.arange(span + 1))) ** 2
-    for row in rows:
-        assert row.ell < row.length ** 1.5
-        search = con.step_search_alpha(powers, 1.5, row.length, con.strict_step_cap(row.length, 1.5))
+    for b, cert in zip(build.blocks, build.schedule):
+        assert b.step < b.length ** 1.5
+        search = con.step_search_alpha(powers, 1.5, b.length, con.strict_step_cap(b.length, 1.5))
         assert search.grid_sum <= search.divisor_sum + 1e-12  # averaging certificate
-        assert row.cert_lambda_min >= 0.075
+        assert cert >= 0.075
     _announce(5, "steps below N^1.5 with exact averaging certificates; certs >= 0.075", t0, 60)
 
 

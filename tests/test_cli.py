@@ -2,6 +2,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -601,6 +602,18 @@ def test_thm3_rejects_alpha_without_finite_cap(arc03_file, tmp_path, capsys, alp
     assert not out.exists()
 
 
+def test_thm2_writes_no_build_past_the_frequency_range(arc03_file, tmp_path, capsys):
+    # the second block first clears its target at shift 2^62 - 3, where its frequencies
+    # reach 2^62 + 1: the build refuses it, so thm2 never writes a file riesz refuses
+    out, build = tmp_path / "t2.csv", tmp_path / "b.json"
+    assert run(["thm2", arc03_file, "--count", 2, "--eps", 0.075, "--n-max", 60,
+                "--scan-start", 2 ** 62 - 5, "--scan-cap", 2 ** 62 - 1,
+                "--out", out, "--build-out", build]) == 2
+    assert capsys.readouterr().err == (
+        f"invalid input: block 2: frequencies must satisfy |f| < 2^62, got {2 ** 62 - 1}..{2 ** 62 + 1}\n")
+    assert not out.exists() and not build.exists()
+
+
 def test_thm2_scan_exhausted_exits_3(arc03_file, tmp_path, capsys):
     # the second block (n = 2) first clears its target at shift 2, past the cap
     out = tmp_path / "t2.csv"
@@ -624,7 +637,8 @@ def test_verify_lemma4_refuses_an_oversized_limit_at_once(capsys):
     start = time.perf_counter()
     assert run(["verify", "lemma4", "--limit", 100000]) == 2
     assert time.perf_counter() - start < 1.0
-    assert "exceeds cap" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "invalid input: prime-block entry total sum(p) = 454396537 exceeds cap 10000000 (~3635 MB)\n")
 
 
 def test_verify_divisors():
@@ -639,9 +653,9 @@ def test_verify_schedule():
 # --- integer range and build-file shape ------------------------------------------
 
 def _build_doc(*blocks):
-    return {"gamma": 0.15, "set": "", "blocks": [
-        {"n": 1, "step": 1, "length": 1, "shift": 0, "cert_lambda_min": 0.3, **b} for b in blocks
-    ]}
+    # "n" is the block's length, as build_to_dict writes it
+    blocks = [{"step": 1, "length": 1, "shift": 0, "cert_lambda_min": 0.3, **b} for b in blocks]
+    return {"gamma": 0.15, "set": "", "blocks": [{"n": b["length"], **b} for b in blocks]}
 
 
 @pytest.mark.parametrize("doc", [
@@ -666,6 +680,33 @@ def test_riesz_rejects_bad_build_file(arc03_file, tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert run(["riesz", arc03_file, "--build", path, "--verify", "--out", tmp_path / "r.json"]) == 2
     assert "invalid input:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocks,message", [
+    ([{"step": 0}], "block 1: step and length must be positive"),
+    ([{}, {"length": 0, "shift": 5}], "block 2: step and length must be positive"),
+    ([{"shift": 2 ** 62 - 1}],
+     f"block 1: frequencies must satisfy |f| < 2^62, got {2 ** 62}..{2 ** 62}"),
+    ([{}, {"shift": -(2 ** 62) - 1}],
+     f"block 2: frequencies must satisfy |f| < 2^62, got {-(2 ** 62)}..{-(2 ** 62)}"),
+    ([{"length": 8000}, {"length": 193, "shift": 9000}],
+     f"build has 8193 frequencies, more than {spectral.GRAM_SIZE_LIMIT}"),
+    ([{"length": 3}, {"length": 3, "shift": 1}],
+     "build blocks overlap: frequency 2 is in more than one block"),
+    ([{"length": 3, "n": 2}], "block 1 has n 2, which must equal its length 3"),
+], ids=["step-0", "length-0", "freq-2^62", "freq-minus-2^62", "size", "overlap", "n-not-length"])
+def test_builds_and_build_files_refuse_the_same_blocks(arc03_file, tmp_path, capsys, blocks, message):
+    # LambdaBuild owns a build's checks, so a file is refused as the build it names;
+    # "n" is only in the file, which must give it as the block's length
+    doc = _build_doc(*blocks)
+    if all(b["n"] == b["length"] for b in doc["blocks"]):
+        specs = tuple(constructions.BlockSpec(b["step"], b["length"], b["shift"]) for b in doc["blocks"])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            constructions.LambdaBuild(specs, 0.15, (0.3,) * len(specs))
+    path = tmp_path / "build.json"
+    path.write_text(json.dumps(doc))
+    assert run(["riesz", arc03_file, "--build", path]) == 2
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
 
 
 @pytest.mark.parametrize("key", ["n", "step", "length", "shift", "cert_lambda_min"])

@@ -193,7 +193,7 @@ def empty_build(s):
 
 
 def test_select_shift_full_circle_takes_scan_start():
-    nb = con.BlockSpec(3, 3, 3, 0)
+    nb = con.BlockSpec(3, 3, 0)
     assert con.select_shift(FULL, empty_build(FULL), nb, 0.9) == 0
     scan = con.ScanConfig(start=17, cap=100)
     assert con.select_shift(FULL, empty_build(FULL), nb, 0.9, scan) == 17
@@ -209,27 +209,27 @@ def test_scan_config_is_keyword_only():
 def test_select_shift_arc03_frozen():
     # combining the first two good blocks at target |S|/4; end-to-end fixture
     partial = con.LambdaBuild(
-        (con.BlockSpec(1, 1, 1, 0),), 0.15, (0.3,), torus.set_digest(ARC03)
+        (con.BlockSpec(1, 1, 0),), 0.15, (0.3,), torus.set_digest(ARC03)
     )
-    shift = con.select_shift(ARC03, partial, con.BlockSpec(2, 2, 2, 0), 0.075)
+    shift = con.select_shift(ARC03, partial, con.BlockSpec(2, 2, 0), 0.075)
     assert shift == 2
     combined = spectral.frequency_set([1, 2 + shift, 4 + shift])
     assert lambda_min(ARC03, combined) >= 0.075
     # a vacuous target accepts every disjoint shift, but never one meeting the union
     scan = con.ScanConfig(start=-3, cap=5)
-    assert con.select_shift(ARC03, partial, con.BlockSpec(2, 2, 2, 0), -1.0, scan) == -2
+    assert con.select_shift(ARC03, partial, con.BlockSpec(2, 2, 0), -1.0, scan) == -2
 
 
 def test_select_shift_scan_exhausted_reports_counts():
     partial = con.LambdaBuild(
-        (con.BlockSpec(1, 1, 1, 0),), 0.15, (0.3,), torus.set_digest(ARC03)
+        (con.BlockSpec(1, 1, 0),), 0.15, (0.3,), torus.set_digest(ARC03)
     )
     # shifts -3 and -1 are skipped because {2, 4} + m would meet {1}; -4, -2 and 0
     # put |c_hat(1)| = 0.2575 >= 0.3 - 0.12 off the diagonal of a 2x2 minor; the
     # other two are decided, and neither reaches 0.12
     with pytest.raises(SearchFailed) as info:
         con.select_shift(
-            ARC03, partial, con.BlockSpec(2, 2, 2, 0), 0.12, con.ScanConfig(start=-5, cap=1)
+            ARC03, partial, con.BlockSpec(2, 2, 0), 0.12, con.ScanConfig(start=-5, cap=1)
         )
     assert str(info.value) == (
         "no shift in [-5, 1] reached target 0.12: "
@@ -240,11 +240,11 @@ def test_select_shift_scan_exhausted_reports_counts():
 def test_select_shift_scan_exhausted_when_every_shift_meets_the_union():
     # {2, 4} + m meets {1, 2, 3} for every m in [-3, 1], so nothing is decided
     partial = con.LambdaBuild(
-        (con.BlockSpec(3, 1, 3, 0),), 0.15, (0.1,), torus.set_digest(ARC03)
+        (con.BlockSpec(1, 3, 0),), 0.15, (0.1,), torus.set_digest(ARC03)
     )
     with pytest.raises(SearchFailed) as info:
         con.select_shift(
-            ARC03, partial, con.BlockSpec(2, 2, 2, 0), -1.0, con.ScanConfig(start=-3, cap=1)
+            ARC03, partial, con.BlockSpec(2, 2, 0), -1.0, con.ScanConfig(start=-3, cap=1)
         )
     message = str(info.value)
     assert "[-3, 1]" in message
@@ -255,11 +255,11 @@ def test_select_shift_scan_exhausted_when_every_shift_meets_the_union():
 def test_select_shift_refuses_a_union_below_the_target():
     # {1, 2, 3} on [0, 0.3) has lambda_min 0.0037, far below 0.2; the block {1} alone clears it
     partial = con.LambdaBuild(
-        (con.BlockSpec(3, 1, 3, 0),), 0.15, (0.0037,), torus.set_digest(ARC03)
+        (con.BlockSpec(1, 3, 0),), 0.15, (0.0037,), torus.set_digest(ARC03)
     )
     assert lambda_min(ARC03, spectral.frequency_set([1, 2, 3])) == pytest.approx(0.0037, abs=1e-4)
     with pytest.raises(ValueError, match="^existing partial union is below the target bound$"):
-        con.select_shift(ARC03, partial, con.BlockSpec(1, 1, 1, 0), 0.2)
+        con.select_shift(ARC03, partial, con.BlockSpec(1, 1, 0), 0.2)
 
 
 def random_arc_set(rng):
@@ -272,7 +272,7 @@ def random_arc_set(rng):
 
 def random_block(rng):
     n = int(rng.randint(1, 9))
-    return con.BlockSpec(n=n, step=int(rng.randint(1, 12)), length=n, shift=int(rng.randint(-40, 40)))
+    return con.BlockSpec(step=int(rng.randint(1, 12)), length=n, shift=int(rng.randint(-40, 40)))
 
 
 def test_select_shift_decision_matches_eigensolve(rng=np.random.RandomState(5)):
@@ -368,11 +368,11 @@ def test_select_shift_matches_per_candidate_scan(rng=np.random.RandomState(3)):
         n1, n2 = (int(v) for v in rng.randint(3, 9, 2))
         if case % 2 == 0:  # dense differences: multiple blocks {n, 2n, ..., n^2}
             kind = "dense"
-            old, new = con.BlockSpec(n1, n1, n1, 0), con.BlockSpec(n2 + 9, n2 + 9, n2 + 9, 0)
+            old, new = con.BlockSpec(n1, n1, 0), con.BlockSpec(n2 + 9, n2 + 9, 0)
         else:  # sparse differences: Theorem-3 steps far above the length
             kind = "sparse"
-            old = con.BlockSpec(n1, int(rng.randint(10, 40)), n1, 0)
-            new = con.BlockSpec(n2, int(rng.randint(10, 40)), n2, 0)
+            old = con.BlockSpec(int(rng.randint(10, 40)), n1, 0)
+            new = con.BlockSpec(int(rng.randint(10, 40)), n2, 0)
         partial = con.LambdaBuild((old,), s.measure / 2, (), torus.set_digest(s))
         floor = min(lambda_min(s, old.frequencies()), lambda_min(s, new.frequencies()))
         target = 0.97 * floor
@@ -449,16 +449,16 @@ def test_minor_exclusion_rejects_only_failing_shifts(rng=np.random.RandomState(7
     |S| - t + MINOR_MARGIN, and no d + M is 0) has lambda_min(G_union) < t, and the
     dense Schur complement of G_E - tI in G_union - tI has no Cholesky factor."""
     cases = [  # (set, union block, new block, target, K)
-        (torus.normalize([(0.0, 0.1)]), con.BlockSpec(10, 10, 10, 0),
-         con.BlockSpec(11, 11, 11, 0), 0.0275, [1, 2, 3, 4]),
-        (torus.normalize([(0.0, 0.05), (0.3, 0.33), (0.6, 0.62)]), con.BlockSpec(6, 12, 6, 0),
-         con.BlockSpec(8, 16, 8, 0), 0.0275, [3, 7]),
+        (torus.normalize([(0.0, 0.1)]), con.BlockSpec(10, 10, 0),
+         con.BlockSpec(11, 11, 0), 0.0275, [1, 2, 3, 4]),
+        (torus.normalize([(0.0, 0.05), (0.3, 0.33), (0.6, 0.62)]), con.BlockSpec(12, 6, 0),
+         con.BlockSpec(16, 8, 0), 0.0275, [3, 7]),
     ]
     while len(cases) < 12:
         s = random_arc_set(rng)
         n1, n2 = (int(v) for v in rng.randint(3, 9, 2))
-        old = con.BlockSpec(n1, int(rng.randint(1, 40)), n1, 0)
-        new = con.BlockSpec(n2, int(rng.randint(1, 40)), n2, 0)
+        old = con.BlockSpec(int(rng.randint(1, 40)), n1, 0)
+        new = con.BlockSpec(int(rng.randint(1, 40)), n2, 0)
         floor = min(lambda_min(s, old.frequencies()), lambda_min(s, new.frequencies()))
         cases.append((s, old, new, rng.uniform(0.9, 0.99) * floor, None))
     checked, multiple = 0, 0
@@ -512,7 +512,7 @@ def test_placed_union_gram_is_gram_of_the_union(rng=np.random.RandomState(11)):
         union = np.empty((0, 0), dtype=np.complex128)
         for _ in range(3):
             n = int(rng.randint(3, 9))
-            candidate = con.BlockSpec(n, int(rng.randint(2, 15)), n, 0)
+            candidate = con.BlockSpec(int(rng.randint(2, 15)), n, 0)
             floor = lambda_min(s, candidate.frequencies())
             if build.blocks:
                 floor = min(floor, build.schedule[-1])
@@ -550,28 +550,28 @@ def test_build_thm3_builds_only_block_grams(monkeypatch):
 
 def test_select_shift_precondition():
     with pytest.raises(ValueError):
-        con.select_shift(ARC03, empty_build(ARC03), con.BlockSpec(2, 2, 2, 0), 0.29)
+        con.select_shift(ARC03, empty_build(ARC03), con.BlockSpec(2, 2, 0), 0.29)
 
 
 # --- step-O(N) assembly ------------------------------------------------------------
 
 def test_build_thm2_full_circle():
     build = con.build_lambda_thm2(FULL, 3, n_range=(1, 10))
-    assert [b.n for b in build.blocks] == [1, 2, 3]
+    assert [b.length for b in build.blocks] == [1, 2, 3]
     assert build.schedule == (1.0, 1.0, 1.0)
     assert build.gamma == 0.5
 
 
 def test_build_thm2_arc03_frozen():
     build = con.build_lambda_thm2(ARC03, 3, eps=0.075, n_range=(1, 50))
-    assert [(b.n, b.shift) for b in build.blocks] == [(1, 0), (2, 2), (3, 7)]
+    assert [(b.length, b.shift) for b in build.blocks] == [(1, 0), (2, 2), (3, 7)]
     assert build.schedule[0] == pytest.approx(0.3, abs=1e-12)
     assert build.schedule[1] == pytest.approx(0.12225192828088652, abs=1e-12)
     assert build.schedule[2] == pytest.approx(0.11558250773488431, abs=1e-12)
     # schedule targets met, nonincreasing, above gamma/2
     for b, cert in zip(build.blocks, build.schedule):
-        target = con.thm2_target(build.gamma, b.n)
-        assert target == (build.gamma / 2) * (1 + 1 / b.n)  # thm2's schedule_target column
+        target = con.thm2_target(build.gamma, b.length)
+        assert target == (build.gamma / 2) * (1 + 1 / b.length)  # thm2's schedule_target column
         assert cert >= target - 1e-12
     assert all(b <= a + 1e-12 for a, b in zip(build.schedule, build.schedule[1:]))
     assert all(c >= build.gamma / 2 for c in build.schedule)
@@ -584,7 +584,7 @@ def test_build_thm2_structure():
     all_freqs = set(freqs.tolist())
     for b in build.blocks:  # each block is an AP of length n and step n
         ap = [b.shift + b.step * k for k in range(1, b.length + 1)]
-        assert b.step == b.n and b.length == b.n
+        assert b.step == b.length
         assert set(ap) <= all_freqs
 
 
@@ -683,13 +683,14 @@ def test_build_thm3_full_circle():
 
 
 def test_build_thm3_arc03_frozen():
-    build, rows = con.build_lambda_thm3(ARC03, [1.5], [[16, 32]])
-    assert [(r.length, r.ell, r.shift) for r in rows] == [(16, 10, 0), (32, 10, 2)]
-    assert rows[0].cert_lambda_min == pytest.approx(0.3, abs=1e-12)
-    assert rows[1].cert_lambda_min == pytest.approx(0.1381966011250101, abs=1e-12)
-    for r in rows:
-        assert r.ell < r.length ** 1.5
-        assert r.cert_lambda_min >= build.gamma / 2
+    build, searches = con.build_lambda_thm3(ARC03, [1.5], [[16, 32]])
+    assert [(b.length, b.step, b.shift) for b in build.blocks] == [(16, 10, 0), (32, 10, 2)]
+    assert [(r.alpha, r.ell) for r in searches] == [(1.5, 10), (1.5, 10)]
+    assert build.schedule[0] == pytest.approx(0.3, abs=1e-12)
+    assert build.schedule[1] == pytest.approx(0.1381966011250101, abs=1e-12)
+    for b, cert in zip(build.blocks, build.schedule):
+        assert b.step < b.length ** 1.5
+        assert cert >= build.gamma / 2
     # property (i'): an AP of length N and step < N^alpha sits inside the union
     all_freqs = set(build.frequencies().tolist())
     for b in build.blocks:
@@ -718,8 +719,22 @@ def test_build_round_trip(tmp_path):
     assert loaded.set_digest == build.set_digest == torus.set_digest(ARC03)
 
 
+def test_builders_return_builds_that_round_trip_and_verify(rng=np.random.RandomState(13)):
+    # every build either builder returns reads back from its file object as itself
+    for case in range(10):
+        s = random_arc_set(rng)
+        if case % 2 == 0:
+            n0 = int(rng.randint(1, 30))
+            build = con.build_lambda_thm2(s, int(rng.randint(2, 5)), n_range=(n0, n0 + 60))
+        else:
+            n = int(rng.randint(4, 12))
+            build, _ = con.build_lambda_thm3(s, [2.0, 1.5], [[n, n + 1], [n + 4]])
+        assert con.build_from_dict(json.loads(json.dumps(con.build_to_dict(build))))[0] == build
+        assert all(r.ok for r in con.verify_build(s, build)[0])
+
+
 def test_build_file_without_digest_round_trips(tmp_path):
-    build = con.LambdaBuild((con.BlockSpec(1, 1, 1, 0),), 0.15, (0.3,))
+    build = con.LambdaBuild((con.BlockSpec(1, 1, 0),), 0.15, (0.3,))
     path = tmp_path / "build.json"
     con.save_build(build, path)
     assert "set_digest" not in json.loads(path.read_text())
@@ -740,10 +755,10 @@ def test_lambda_build_rejects_overlapping_blocks():
     # {1, 2, 3} and {3, 5} share 3
     message = "^build blocks overlap: frequency 3 is in more than one block$"
     with pytest.raises(ValueError, match=message):
-        con.LambdaBuild((con.BlockSpec(3, 1, 3, 0), con.BlockSpec(2, 2, 2, 1)), 0.15, (0.1, 0.1))
+        con.LambdaBuild((con.BlockSpec(1, 3, 0), con.BlockSpec(2, 2, 1)), 0.15, (0.1, 0.1))
     build = con.build_lambda_thm2(ARC03, 3, eps=0.075, n_range=(1, 50))
     with pytest.raises(ValueError, match="frequency 4 is in more than one block"):
-        replace(build, blocks=build.blocks + (con.BlockSpec(2, 2, 2, 0),))
+        replace(build, blocks=build.blocks + (con.BlockSpec(2, 2, 0),))
 
 
 def test_verify_build_detects_tampering():
@@ -771,9 +786,16 @@ def test_verify_build_detects_tampering():
     lambda: numtheory.multiples_block(4.5),
     lambda: spectral.frequency_set([1, 2.5]),
     lambda: spectral.arithmetic_progression(0, 1.5, 3),
+    lambda: spectral.frequency_set([False, True, 2]),
+    lambda: spectral.frequency_set([np.True_, 2]),
+    lambda: spectral.arithmetic_progression(True, True, 3),
+    lambda: spectral.arithmetic_progression(0, 1, np.True_),
+    lambda: con.BlockSpec(True, 3, 0).frequencies(),
 ], ids=["lmax", "rayleigh-step", "rayleigh-length", "good-n-range", "thm3-length",
-        "thm2-count", "step-length", "step-cap", "periodize-ell", "multiples", "freqs", "ap-step"])
+        "thm2-count", "step-length", "step-cap", "periodize-ell", "multiples", "freqs", "ap-step",
+        "freqs-bool", "freqs-numpy-bool", "ap-bool", "ap-numpy-bool", "block-bool"])
 def test_integer_parameters_are_never_truncated(call):
-    # int() would read 64.7 as 64, 2.5 as 2 and (1.5, 4.9) as (1, 4)
+    # int() would read 64.7 as 64, 2.5 as 2 and (1.5, 4.9) as (1, 4); operator.index
+    # alone would read False and True as 0 and 1
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call()

@@ -86,7 +86,8 @@ def test_prime_blocks_disjoint_matches_the_pairwise_search(monkeypatch, numbers)
 
 def test_prime_blocks_disjoint_bounds_the_blocks_first():
     # the blocks {p, 2p, ..., p^2} of the primes up to 10^5 hold 4.5e8 entries
-    with pytest.raises(InputError, match="^sieve limit 454396537 exceeds cap"):
+    message = r"^prime-block entry total sum\(p\) = 454396537 exceeds cap 10000000 \(~3635 MB\)$"
+    with pytest.raises(InputError, match=message):
         numtheory.prime_blocks_disjoint(10 ** 5)
 
 

@@ -379,7 +379,7 @@ def test_constructions_run_on_one_blas_thread_and_restore_it(two_blas_threads, m
         "build_lambda_thm3": lambda: constructions.build_lambda_thm3(ARC03, [1.5], [[16, 17]]),
         "select_shift": lambda: constructions.select_shift(
             ARC03, constructions.build_lambda_thm2(ARC03, 1, n_range=(2, 9)),
-            constructions.BlockSpec(3, 3, 3, 0), 0.1),
+            constructions.BlockSpec(3, 3, 0), 0.1),
         "verify_build": lambda: constructions.verify_build(
             ARC03, constructions.build_lambda_thm2(ARC03, 2, n_range=(1, 50))),
     }
@@ -397,7 +397,7 @@ def test_one_blas_thread_is_restored_after_errors(two_blas_threads):
     assert blas_threads() == 2
     partial = constructions.build_lambda_thm2(ARC03, 1, n_range=(1, 9))
     with pytest.raises(SearchFailed, match="decided by Cholesky"):
-        constructions.select_shift(ARC03, partial, constructions.BlockSpec(2, 2, 2, 0), 0.14,
+        constructions.select_shift(ARC03, partial, constructions.BlockSpec(2, 2, 0), 0.14,
                                    constructions.ScanConfig(start=-5, cap=1))
     assert blas_threads() == 2
     with pytest.raises(InputError):
