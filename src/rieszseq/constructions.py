@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import re
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
@@ -35,7 +34,7 @@ from . import numtheory, spectral, torus
 from .errors import InputError, PropertyViolation, SearchFailed
 # frequency_set is unused here; bench/tests/test_bench.py reaches it as constructions.frequency_set
 from .spectral import frequency_set
-from .torus import IntervalSet
+from .torus import IntervalSet, _index, _number
 
 SUBSTITUTION_TOL = 1e-9
 
@@ -102,6 +101,7 @@ class DeltaSchedule:
         return _weight_sum_bound()
 
     def delta(self, ell: int) -> float:
+        ell = _index(ell)
         if ell < 1:
             raise InputError(f"ell must be >= 1, got {ell}")
         return (self.epsilon / 2.0) / self.normalizer / (ell * math.log(ell + 1.0) ** 2)
@@ -175,7 +175,7 @@ def build_adversarial_set(epsilon: float, l_max: int) -> IntervalSet:
     k/ell -+ delta(ell)/ell are built and merged as arrays, bitwise the arcs
     that normalizing them and taking the complement give.
     """
-    l_max = operator.index(l_max)
+    l_max = _index(l_max)
     if not 1 <= l_max <= ADVERSARIAL_LMAX_LIMIT:
         raise InputError(f"l_max must lie in [1, {ADVERSARIAL_LMAX_LIMIT}], got {l_max}")
     sched = delta_schedule(epsilon)
@@ -250,12 +250,14 @@ class BlockSpec:
 @dataclass(frozen=True, kw_only=True)
 class ScanConfig:
     """Deterministic shift scan over the consecutive shifts start, start + 1, ..., cap;
-    never empty, and every shift is below FREQ_LIMIT in absolute value."""
+    never empty, and every shift is a Python int below FREQ_LIMIT in absolute value."""
 
     start: int = 0
     cap: int = 200_000
 
     def __post_init__(self):
+        object.__setattr__(self, "start", _index(self.start))
+        object.__setattr__(self, "cap", _index(self.cap))
         if self.start > self.cap:
             raise ValueError(
                 f"shift scan needs start <= cap, got start {self.start}, cap {self.cap}"
@@ -314,7 +316,7 @@ def good_n_search(s: IntervalSet, eps: float, n_range: tuple[int, int]) -> Itera
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    n_lo, n_hi = map(operator.index, n_range)
+    n_lo, n_hi = map(_index, n_range)
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"bad range {n_range}")
 
@@ -377,8 +379,11 @@ def select_shift(
     skipped because they met the union.
 
     This entry point builds G_E and runs the builders' placement step, _place,
-    which also eigensolves the grown union for its certificate.
+    which also eigensolves the grown union for its certificate.  A target that
+    is not finite raises ValueError.
     """
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     freqs = existing.frequencies()
     union = spectral.gram(s, freqs).entries if existing.blocks else np.empty((0, 0), dtype=np.complex128)
     placed = _place(s, existing, union, replace(newblock, shift=0), target, scan)
@@ -518,7 +523,7 @@ def build_lambda_thm2(
     """
     if s.measure <= 0.0:
         raise InputError("build needs a set of positive measure")
-    count = operator.index(count)
+    count = _index(count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if eps is None:
@@ -570,12 +575,12 @@ def step_search_alpha(
     The minimum is at most the grid average, which is what makes small sums
     findable at steps below N^alpha.
     """
-    length = operator.index(length)
+    length = _index(length)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if alpha <= 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    l_cap = strict_step_cap(length, alpha) if l_cap is None else operator.index(l_cap)
+    l_cap = strict_step_cap(length, alpha) if l_cap is None else _index(l_cap)
     if l_cap < 1:
         raise ValueError(f"step cap must be >= 1, got {l_cap}")
     span = l_cap * length
@@ -643,7 +648,7 @@ def build_lambda_thm3(
     jobs = []
     for alpha, lengths in zip(alphas, n_ranges):
         before = len(jobs)
-        for n in map(operator.index, lengths):
+        for n in map(_index, lengths):
             if n < 1:
                 raise ValueError(f"lengths must be positive, got {n}")
             cap = strict_step_cap(n, alpha)
@@ -696,14 +701,7 @@ def build_to_dict(build: LambdaBuild, set_ref: str = "") -> dict:
     }
 
 
-def _number(key: str, v) -> float:
-    """v as a float, if it is a JSON number (not a bool or a string)."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ValueError(f"{key} must be a number, got {v!r}")
-    return float(v)
-
-
-def build_from_dict(d: dict) -> tuple[LambdaBuild, str]:
+def build_from_dict(d: dict) -> LambdaBuild:
     """Parse a build object; anything but an object with a "blocks" list of
     objects, a block without one of its five keys (named with the block's
     1-based index), a block field that is not an integer, an "n" other than
@@ -724,21 +722,21 @@ def build_from_dict(d: dict) -> tuple[LambdaBuild, str]:
         if b["n"] != b["length"]:  # "n" is read only to be checked
             raise ValueError(f"block {k} has n {b['n']}, which must equal its length {b['length']}")
     blocks = tuple(BlockSpec(b["step"], b["length"], b["shift"]) for b in raw)
-    schedule = tuple(_number("cert_lambda_min", b["cert_lambda_min"]) for b in raw)
-    gamma = _number("gamma", d.get("gamma"))
+    schedule = tuple(_number(b["cert_lambda_min"], "cert_lambda_min") for b in raw)
+    gamma = _number(d.get("gamma"), "gamma")
     digest = d.get("set_digest", "")
     if "set_digest" in d and not (isinstance(digest, str) and _DIGEST.fullmatch(digest)):
         raise ValueError(f"set_digest must be 16 lowercase hex digits, got {digest!r}")
-    return LambdaBuild(blocks, gamma, schedule, digest), str(d.get("set", ""))
+    return LambdaBuild(blocks, gamma, schedule, digest)
 
 
 def save_build(build: LambdaBuild, path, set_ref: str = "") -> None:
+    text = json.dumps(build_to_dict(build, set_ref), sort_keys=True, indent=1) + "\n"
     with open(path, "w") as fh:
-        json.dump(build_to_dict(build, set_ref), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
-def load_build(path) -> tuple[LambdaBuild, str]:
+def load_build(path) -> LambdaBuild:
     with open(path) as fh:
         return build_from_dict(json.load(fh))
 
@@ -762,8 +760,9 @@ def verify_build(s: IntervalSet, build: LambdaBuild) -> tuple[list[VerifyRow], s
     The full union's Gram is built once, and each partial union's Gram is its
     principal submatrix at that union's frequencies: the matrix gram() builds
     for the partial union, entry for entry.  A build without blocks raises
-    ValueError, and one whose recorded set digest is not s's raises InputError,
-    both before any Gram.
+    ValueError, and one whose recorded set digest is not s's, or whose gamma is
+    not |S|/2, the gamma both builders store, raises InputError, all before any
+    Gram: a row's floor gamma/2 is s's, not one the build states.
     """
     if not build.blocks:
         raise ValueError("build has no blocks to verify")
@@ -772,6 +771,8 @@ def verify_build(s: IntervalSet, build: LambdaBuild) -> tuple[list[VerifyRow], s
             f"build was made for the set with digest {build.set_digest}, "
             f"but the given set has digest {digest}"
         )
+    if build.gamma != (half := s.measure / 2.0):
+        raise InputError(f"build states gamma {build.gamma!r}, but |S|/2 of the given set is {half!r}")
     rows = []
     for k, g in enumerate(_partial_grams(s, build), start=1):
         eigs = spectral.extreme_eigs(g)

@@ -1,7 +1,7 @@
 """Exception types shared across the package, one per CLI exit code.
 
 InputError exits 2, SearchFailed exits 3 and PropertyViolation exits 1; the
-message says what went wrong.
+message says what went wrong.  InputError is also a ValueError.
 """
 
 
@@ -9,7 +9,7 @@ class RieszSeqError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InputError(RieszSeqError):
+class InputError(RieszSeqError, ValueError):
     """Input that cannot be processed: a malformed or degenerate set, an arc
     out of canonical form, out-of-range parameters, a coefficient table too
     short for a search, or an eigensolver that did not converge on it."""

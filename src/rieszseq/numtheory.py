@@ -3,23 +3,23 @@
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
+from .torus import _index
 
 # hard cap on sieve size; beyond this we error instead of silently crawling
 SIEVE_LIMIT = 10 ** 7
 
 
-def check_limit(limit: int, bytes_per_entry: int) -> int:
-    """limit as an int, or InputError if a sieve of that size exceeds SIEVE_LIMIT."""
-    limit = operator.index(limit)
+def check_limit(limit: int, bytes_per_entry: int, what: str = "sieve limit") -> int:
+    """limit as an int, or InputError naming `what` if that many entries exceed SIEVE_LIMIT."""
+    limit = _index(limit)
     if limit > SIEVE_LIMIT:
         raise InputError(
-            f"sieve limit {_short(limit)} exceeds cap {SIEVE_LIMIT} "
+            f"{what} {_short(limit)} exceeds cap {SIEVE_LIMIT} "
             f"(~{_short((bytes_per_entry * limit + 500_000) // 10 ** 6)} MB)"
         )
     return limit
@@ -89,7 +89,7 @@ def divisor_count_naive(n: int) -> int:
 
 def multiples_block(n: int) -> np.ndarray:
     """The integers {n, 2n, ..., n^2}."""
-    n = operator.index(n)
+    n = _index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return n * np.arange(1, n + 1, dtype=np.int64)
@@ -111,9 +111,7 @@ def prime_blocks_disjoint(limit: int):
     if limit < 3:
         raise ValueError(f"limit must be >= 3, got {limit}")
     primes = sieve_primes(limit)
-    if (total := int(primes.sum())) > SIEVE_LIMIT:
-        raise InputError(f"prime-block entry total sum(p) = {total} exceeds cap "
-                         f"{SIEVE_LIMIT} (~{(8 * total + 500_000) // 10 ** 6} MB)")
+    total = check_limit(int(primes.sum()), 8, "prime-block entry total sum(p) =")
     values = np.empty(total, dtype=np.int64)
     for p, end in zip(primes.tolist(), np.cumsum(primes).tolist()):
         values[end - p : end] = multiples_block(p)
@@ -138,7 +136,7 @@ def divisor_growth_report(limit: int, exponent: float, lo: int = 1) -> GrowthRep
     """
     if limit < 10:
         raise ValueError(f"limit must be >= 10, got {limit}")
-    lo = max(1, operator.index(lo))
+    lo = max(1, _index(lo))
     if lo > limit:
         raise ValueError(f"lo = {lo} exceeds limit = {limit}")
     counts = sieve_divisors(limit)

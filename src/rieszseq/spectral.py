@@ -13,7 +13,6 @@ import ctypes
 import functools
 import glob
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import torus
 from .errors import InputError
-from .torus import IntervalSet
+from .torus import IntervalSet, _index
 
 # every |frequency| stays below this, so all pairwise differences fit in int64
 FREQ_LIMIT = 2 ** 62
@@ -120,13 +119,6 @@ def _check_frequencies(f: np.ndarray) -> None:
     if np.any(f[1:] <= f[:-1]):
         raise ValueError("frequencies must be strictly increasing")
     _check_range(int(f[0]), int(f[-1]))
-
-
-def _index(v) -> int:
-    """operator.index(v), refusing a bool as it refuses a float: True is not 1 here."""
-    if isinstance(v, (bool, np.bool_)):
-        raise TypeError("'bool' object cannot be interpreted as an integer")
-    return operator.index(v)
 
 
 def frequency_set(values: Iterable[int]) -> np.ndarray:
@@ -257,7 +249,7 @@ def uniform_rayleigh_ap_many(s: IntervalSet, step: int, lengths) -> list[float]:
     """
     if s.measure <= 0.0:
         raise InputError("rayleigh quotient needs a set of positive measure")
-    step, lengths = operator.index(step), [operator.index(n) for n in lengths]
+    step, lengths = _index(step), [_index(n) for n in lengths]
     if step < 1 or not lengths or min(lengths) < 1:
         raise ValueError("step and length must be positive")
     top = max(lengths)
@@ -290,6 +282,7 @@ def dirichlet_tail_bound(length: int, delta: float) -> float:
     Comes from |P_N(x)|^2 <= 1/(N sin^2(pi x)) integrated over the complement;
     the sup-bound constant 1 is sharp enough for every grid cell we test.
     """
+    length = _index(length)
     if not (0.0 < delta < 0.5):
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     return 2.0 / (math.pi * length * math.tan(math.pi * delta))

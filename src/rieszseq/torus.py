@@ -79,10 +79,21 @@ class IntervalSet:
         return self.measure == other.measure and np.array_equal(self.arcs, other.arcs)
 
 
-def _endpoint(v) -> float:
-    if isinstance(v, (bool, np.bool_, str, bytes)):
-        raise InputError(f"arc endpoint {v!r} is not a number")
-    return float(v)
+def _index(v) -> int:
+    """operator.index(v), refusing a bool as it refuses a float: True is not 1 here."""
+    if isinstance(v, (bool, np.bool_)):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(v)
+
+
+def _number(v, what: str) -> float:
+    """float(v), or InputError naming `what` for a bool, a string or a value float() refuses."""
+    if not isinstance(v, (bool, np.bool_, str, bytes)):
+        try:
+            return float(v)
+        except (TypeError, OverflowError):  # None, a list; an int past float range
+            pass
+    raise InputError(f"{what} must be a number, got {v!r}")
 
 
 def normalize(raw_arcs: Iterable[Sequence[float]]) -> IntervalSet:
@@ -98,7 +109,7 @@ def normalize(raw_arcs: Iterable[Sequence[float]]) -> IntervalSet:
     end whose start came from another pair by an ulp.
     """
     try:
-        pairs = [(_endpoint(a), _endpoint(b)) for a, b in raw_arcs]
+        pairs = [(_number(a, "arc endpoint"), _number(b, "arc endpoint")) for a, b in raw_arcs]
     except (TypeError, ValueError) as exc:
         raise InputError(f"arcs must be (start, end) pairs of numbers: {exc}") from exc
     if not pairs:
@@ -193,7 +204,7 @@ def scale_periodize(delta: float, ell: int) -> IntervalSet:
     measure is exactly 2*delta.  Copies must stay disjoint, which needs
     delta < 1/(2*ell).
     """
-    ell = operator.index(ell)
+    ell = _index(ell)
     if ell < 1:
         raise InputError(f"ell must be a positive integer, got {ell}")
     if not (0.0 < delta < 0.5):
@@ -316,7 +327,7 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     the block's chunk partials about B/SPLIT_CHUNK times SPLIT_BLOCK; the
     last chunk is padded with weight-0 endpoints, which add exact zeros.
     """
-    step, count = operator.index(step), operator.index(count)
+    step, count = _index(step), _index(count)
     if step < 1:
         raise ValueError(f"step must be positive, got {step}")
     if count < 1:
@@ -349,7 +360,7 @@ def quadrature_coeff(s: IntervalSet, k: int, points_per_unit: int) -> complex:
     Test oracle for the closed form.  Requires points_per_unit >= 10*|k| + 10
     so the grid resolves the oscillation.
     """
-    k, points_per_unit = operator.index(k), operator.index(points_per_unit)
+    k, points_per_unit = _index(k), _index(points_per_unit)
     if points_per_unit < 10 * abs(k) + 10:
         raise InputError(
             f"points_per_unit = {points_per_unit} < 10*|k|+10 = {10 * abs(k) + 10}"
@@ -370,10 +381,6 @@ def set_digest(s: IntervalSet) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def to_dict(s: IntervalSet) -> dict:
-    return {"arcs": s.arcs.tolist()}
-
-
 def from_dict(d: dict) -> IntervalSet:
     if not isinstance(d, dict) or "arcs" not in d:
         raise InputError('a set must be an object with an "arcs" list')
@@ -382,9 +389,9 @@ def from_dict(d: dict) -> IntervalSet:
 
 def save_set(s: IntervalSet, path) -> None:
     """Write the canonical {"arcs": [[a, b], ...]} JSON form."""
+    text = json.dumps({"arcs": s.arcs.tolist()}, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(to_dict(s), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_set(path) -> IntervalSet:

@@ -157,7 +157,8 @@ def test_riesz_invalid_input(full_file, tmp_path):
 
 @pytest.mark.parametrize("doc", ['[[0.1, 0.2]]', '{"sets": [[0.1, 0.2]]}', '{"arcs": [[0.1, NaN]]}',
                                  '{"arcs": [[-Infinity, 0.2]]}', '{"arcs": [0.1, 0.2]}',
-                                 '{"arcs": [[false, true]]}', '{"arcs": [["0.1", "0.4"]]}'])
+                                 '{"arcs": [[false, true]]}', '{"arcs": [["0.1", "0.4"]]}',
+                                 '{"arcs": [[null, 0.3]]}', '{"arcs": [[0, 1%s]]}' % ("0" * 400)])
 def test_riesz_malformed_set_file(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(doc)
@@ -645,6 +646,16 @@ def test_verify_divisors():
     assert run(["verify", "divisors", "--limit", 2000]) == 0
 
 
+def test_verify_divisors_refuses_a_limit_past_the_trial_division_cap_at_once(capsys):
+    # every n <= limit is checked by trial division; the sieve cap alone let 10^7
+    # through, about 40 minutes of it
+    start = time.perf_counter()
+    assert run(["verify", "divisors", "--limit", cli.TRIAL_DIVISION_LIMIT + 1]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "invalid input: trial-division limit 100001 exceeds cap 100000\n")
+
+
 def test_verify_schedule():
     assert run(["verify", "schedule", "--epsilon", 0.25]) == 0
     assert run(["verify", "schedule", "--epsilon", 2.0]) == 2
@@ -674,6 +685,10 @@ def _build_doc(*blocks):
     _build_doc({"cert_lambda_min": "0.3"}),
     {"gamma": 0.15, "blocks": [{"n": 1, "length": 1, "shift": 0, "cert_lambda_min": 0.3}]},
     {"blocks": []},
+    # {1..6} and {7..12} recompute to 1.2e-6 and 6.5e-14, which clear a stated gamma
+    # of 0, though gamma must be |S|/2 = 0.15 on [0, 0.3)
+    {**_build_doc({"length": 6}, {"length": 6, "shift": 6}), "gamma": 0.0},
+    {**_build_doc({}), "gamma": 10 ** 400},                      # past float range
 ])
 def test_riesz_rejects_bad_build_file(arc03_file, tmp_path, capsys, doc):
     path = tmp_path / "build.json"

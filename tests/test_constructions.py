@@ -206,6 +206,25 @@ def test_scan_config_is_keyword_only():
     assert con.ScanConfig() == con.ScanConfig(start=0, cap=200_000)
 
 
+def test_scan_config_stores_python_ints(tmp_path):
+    # np.int64 bounds once gave np.int64 shifts, which save_build could not write
+    scan = con.ScanConfig(start=np.int64(0), cap=np.int64(200_000))
+    assert type(scan.start) is int and type(scan.cap) is int
+    build = con.build_lambda_thm2(ARC03, 2, eps=0.075, n_range=(1, 50), scan=scan)
+    assert all(type(b.shift) is int for b in build.blocks)
+    path = tmp_path / "build.json"
+    con.save_build(build, path)
+    assert con.load_build(path) == build
+
+
+def test_save_build_that_fails_to_serialize_writes_no_file(tmp_path):
+    build = con.LambdaBuild((con.BlockSpec(1, 1, np.int64(0)),), 0.15, (0.3,))
+    path = tmp_path / "build.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        con.save_build(build, path)
+    assert not path.exists()
+
+
 def test_select_shift_arc03_frozen():
     # combining the first two good blocks at target |S|/4; end-to-end fixture
     partial = con.LambdaBuild(
@@ -260,6 +279,16 @@ def test_select_shift_refuses_a_union_below_the_target():
     assert lambda_min(ARC03, spectral.frequency_set([1, 2, 3])) == pytest.approx(0.0037, abs=1e-4)
     with pytest.raises(ValueError, match="^existing partial union is below the target bound$"):
         con.select_shift(ARC03, partial, con.BlockSpec(1, 1, 0), 0.2)
+
+
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf")])
+def test_select_shift_refuses_a_target_that_is_not_finite(target):
+    # a NaN target fails every comparison, so the scan once took the first shift it
+    # reached: 2 after the two-block build, 0 after the empty one
+    two_blocks = con.build_lambda_thm2(ARC03, 2, eps=0.075, n_range=(1, 50))
+    for existing in (two_blocks, empty_build(ARC03)):
+        with pytest.raises(ValueError, match="^target must be finite, got"):
+            con.select_shift(ARC03, existing, con.BlockSpec(3, 3, 0), target)
 
 
 def random_arc_set(rng):
@@ -711,7 +740,7 @@ def test_build_round_trip(tmp_path):
     build = con.build_lambda_thm2(ARC03, 3, eps=0.075, n_range=(1, 50))
     path = tmp_path / "build.json"
     con.save_build(build, path, set_ref="arc03.json")
-    loaded, set_ref = con.load_build(path)
+    loaded, set_ref = con.load_build(path), json.loads(path.read_text())["set"]
     assert set_ref == "arc03.json"
     assert loaded.blocks == build.blocks
     assert loaded.schedule == build.schedule
@@ -729,7 +758,7 @@ def test_builders_return_builds_that_round_trip_and_verify(rng=np.random.RandomS
         else:
             n = int(rng.randint(4, 12))
             build, _ = con.build_lambda_thm3(s, [2.0, 1.5], [[n, n + 1], [n + 4]])
-        assert con.build_from_dict(json.loads(json.dumps(con.build_to_dict(build))))[0] == build
+        assert con.build_from_dict(json.loads(json.dumps(con.build_to_dict(build)))) == build
         assert all(r.ok for r in con.verify_build(s, build)[0])
 
 
@@ -738,7 +767,7 @@ def test_build_file_without_digest_round_trips(tmp_path):
     path = tmp_path / "build.json"
     con.save_build(build, path)
     assert "set_digest" not in json.loads(path.read_text())
-    assert con.load_build(path)[0] == build
+    assert con.load_build(path) == build
 
 
 def test_verify_build_rejects_another_sets_digest():
@@ -746,8 +775,9 @@ def test_verify_build_rejects_another_sets_digest():
     other = torus.normalize([(0.0, 0.4)])
     with pytest.raises(InputError, match=f"digest {build.set_digest}, .* digest {torus.set_digest(other)}$"):
         con.verify_build(other, build)
-    # without a digest the rows are recomputed on the set given, whatever it is
-    rows, report = con.verify_build(other, replace(build, set_digest=""))
+    # without a digest the rows are recomputed on the set given, whatever it is,
+    # once gamma is that set's |S|/2
+    rows, report = con.verify_build(other, replace(build, set_digest="", gamma=other.measure / 2))
     assert [r.index for r in rows] == [1, 2] and report.size == build.frequencies().size
 
 
@@ -771,6 +801,13 @@ def test_verify_build_detects_tampering():
         build.set_digest,
     )
     assert not all(r.ok for r in con.verify_build(ARC03, doctored)[0])
+    # a forged floor: {1..6} and {7..12} state their recomputed certificates, 1.2e-6
+    # and 6.5e-14, which clear a stated gamma of 0 though |S|/4 = 0.075
+    blocks = (con.BlockSpec(1, 6, 0), con.BlockSpec(1, 6, 6))
+    schedule = tuple(lambda_min(ARC03, np.arange(1, n + 1)) for n in (6, 12))
+    forged = con.LambdaBuild(blocks, 0.0, schedule, build.set_digest)
+    with pytest.raises(InputError, match=r"^build states gamma 0\.0, but \|S\|/2 of the given set is 0\.15$"):
+        con.verify_build(ARC03, forged)
 
 
 @pytest.mark.parametrize("call", [
@@ -791,11 +828,49 @@ def test_verify_build_detects_tampering():
     lambda: spectral.arithmetic_progression(True, True, 3),
     lambda: spectral.arithmetic_progression(0, 1, np.True_),
     lambda: con.BlockSpec(True, 3, 0).frequencies(),
+    lambda: torus.scale_periodize(0.1, True),
+    lambda: torus.scale_periodize(0.1, np.True_),
+    lambda: torus.fourier_coeff_real_ap(ARC03, True, 4),
+    lambda: torus.fourier_coeff_real_ap(ARC03, 1, np.True_),
+    lambda: torus.quadrature_coeff(ARC03, True, 100),
+    lambda: torus.quadrature_coeff(ARC03, 1, np.True_),
+    lambda: spectral.uniform_rayleigh_ap_many(ARC03, True, [4]),
+    lambda: spectral.uniform_rayleigh_ap_many(ARC03, 2, [np.True_]),
+    lambda: con.build_adversarial_set(0.25, True),
+    lambda: con.build_adversarial_set(0.25, np.True_),
+    lambda: con.good_n_search(ARC03, 0.075, (True, 3)),
+    lambda: con.good_n_search(ARC03, 0.075, (1, np.True_)),
+    lambda: con.build_lambda_thm2(ARC03, True, eps=0.075),
+    lambda: con.build_lambda_thm2(ARC03, np.True_, eps=0.075),
+    lambda: con.step_search_alpha(np.zeros(100), 2.0, True),
+    lambda: con.step_search_alpha(np.zeros(100), 2.0, 4, np.True_),
+    lambda: con.build_lambda_thm3(ARC03, [2.0], [[True]]),
+    lambda: con.build_lambda_thm3(ARC03, [2.0], [[4, np.True_]]),
+    lambda: numtheory.check_limit(True, 1),
+    lambda: numtheory.check_limit(np.True_, 4),
+    lambda: numtheory.multiples_block(True),
+    lambda: numtheory.multiples_block(np.True_),
+    lambda: numtheory.divisor_growth_report(100, 0.5, lo=True),
+    lambda: numtheory.divisor_growth_report(100, 0.5, lo=np.True_),
+    lambda: con.ScanConfig(start=0.5, cap=1000.5),  # once accepted; the scan then died
+    lambda: con.ScanConfig(cap=True),
+    lambda: spectral.dirichlet_tail_bound(2.5, 0.1),
+    lambda: spectral.dirichlet_tail_bound(True, 0.1),
+    lambda: con.delta_schedule(0.25).delta(2.5),
+    lambda: con.delta_schedule(0.25).delta(True),
 ], ids=["lmax", "rayleigh-step", "rayleigh-length", "good-n-range", "thm3-length",
         "thm2-count", "step-length", "step-cap", "periodize-ell", "multiples", "freqs", "ap-step",
-        "freqs-bool", "freqs-numpy-bool", "ap-bool", "ap-numpy-bool", "block-bool"])
+        "freqs-bool", "freqs-numpy-bool", "ap-bool", "ap-numpy-bool", "block-bool",
+        "periodize-bool", "periodize-numpy-bool", "real-ap-bool", "real-ap-numpy-bool",
+        "quadrature-bool", "quadrature-numpy-bool", "rayleigh-bool", "rayleigh-numpy-bool",
+        "lmax-bool", "lmax-numpy-bool", "good-n-bool", "good-n-numpy-bool",
+        "thm2-bool", "thm2-numpy-bool", "step-bool", "step-cap-numpy-bool",
+        "thm3-bool", "thm3-numpy-bool", "limit-bool", "limit-numpy-bool",
+        "multiples-bool", "multiples-numpy-bool", "growth-bool", "growth-numpy-bool",
+        "scan-float", "scan-bool", "tail-bound-length", "tail-bound-bool", "delta-ell", "delta-bool"])
 def test_integer_parameters_are_never_truncated(call):
     # int() would read 64.7 as 64, 2.5 as 2 and (1.5, 4.9) as (1, 4); operator.index
-    # alone would read False and True as 0 and 1
+    # alone would read False and True as 0 and 1, so build_adversarial_set(0.25, True)
+    # would build the l_max 1 set and multiples_block(True) return [1]
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call()

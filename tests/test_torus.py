@@ -445,6 +445,15 @@ def test_set_file_round_trip(tmp_path):
     assert torus.load_set(path) == s
 
 
+def test_save_set_that_fails_to_serialize_writes_no_file(tmp_path):
+    # the text is made before the file is opened, so no truncated file is left
+    s = torus.IntervalSet(np.array([[0.0, np.float32(0.3)]], dtype=object), 0.3)
+    path = tmp_path / "set.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        torus.save_set(s, path)
+    assert not path.exists()
+
+
 def test_load_normalizes(tmp_path):
     path = tmp_path / "raw.json"
     path.write_text('{"arcs": [[0.0, 0.2], [0.1, 0.3]]}')
