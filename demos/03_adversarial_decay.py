@@ -13,7 +13,7 @@ from rieszseq import constructions as con
 EPSILON = 0.25
 L_MAX = 64
 
-sched = con.delta_schedule(EPSILON)
+sched = con.DeltaSchedule(EPSILON)
 print("width schedule: delta(ell) = (eps/2C0) / (ell log^2(ell+1)), C0 =", sched.normalizer)
 bound, budget = con.schedule_condition_a(sched)
 print(f"summability: certified total {bound:.6f} < eps/2 = {budget}")

@@ -10,7 +10,6 @@ from .constructions import (
     build_adversarial_set,
     build_lambda_thm2,
     build_lambda_thm3,
-    delta_schedule,
     good_n_search,
     select_shift,
     step_search_alpha,

@@ -130,7 +130,7 @@ def _cmd_thm1(args) -> int:
     for n in lengths:
         if not 1 <= n <= spectral.RAYLEIGH_LENGTH_LIMIT:
             raise ValueError(f"N = {n} must lie in [1, {spectral.RAYLEIGH_LENGTH_LIMIT}]")
-    sched = constructions.delta_schedule(args.epsilon)
+    sched = constructions.DeltaSchedule(args.epsilon)
     s = constructions.build_adversarial_set(args.epsilon, args.lmax)
 
     def run(ell):
@@ -202,7 +202,7 @@ def _cmd_verify(args) -> int:
             if lhs != rhs:
                 failures.append(f"hyperbola identity fails at {cap}")
     else:  # schedule
-        sched = constructions.delta_schedule(args.epsilon)
+        sched = constructions.DeltaSchedule(args.epsilon)
         bound, budget = constructions.schedule_condition_a(sched)
         print(f"condition (a): certified sum bound {bound!r} < {budget!r}: {bound < budget}")
         if not bound < budget:

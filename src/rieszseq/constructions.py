@@ -34,7 +34,7 @@ from . import numtheory, spectral, torus
 from .errors import InputError, PropertyViolation, SearchFailed
 # frequency_set is unused here; bench/tests/test_bench.py reaches it as constructions.frequency_set
 from .spectral import frequency_set
-from .torus import IntervalSet, _index, _number
+from .torus import IntervalSet, _at_least, _index, _inside, _number
 
 SUBSTITUTION_TOL = 1e-9
 
@@ -91,30 +91,26 @@ class DeltaSchedule:
     Summable with total < epsilon/2, yet decaying only a log factor faster
     than 1/ell, so delta(ell) * ell^(1/alpha) still grows without bound for
     every alpha in (0, 1).  C0 is _weight_sum_bound(), which makes the sum
-    of delta(ell) less than epsilon/2.
+    of delta(ell) less than epsilon/2.  epsilon must lie in (0, 1), and is
+    stored as a float.
     """
 
     epsilon: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "epsilon", _inside(self.epsilon, 0.0, 1.0, "epsilon"))
 
     @property
     def normalizer(self) -> float:
         return _weight_sum_bound()
 
     def delta(self, ell: int) -> float:
-        ell = _index(ell)
-        if ell < 1:
-            raise InputError(f"ell must be >= 1, got {ell}")
+        ell = _at_least(ell, 1, "ell")
         return (self.epsilon / 2.0) / self.normalizer / (ell * math.log(ell + 1.0) ** 2)
 
     def delta_array(self, ells: np.ndarray) -> np.ndarray:
         ells = np.asarray(ells, dtype=np.float64)
         return (self.epsilon / 2.0) / self.normalizer / (ells * np.log(ells + 1.0) ** 2)
-
-
-def delta_schedule(epsilon: float) -> DeltaSchedule:
-    if not (0.0 < epsilon < 1.0):
-        raise InputError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return DeltaSchedule(float(epsilon))
 
 
 def schedule_condition_a(sched: DeltaSchedule):
@@ -168,7 +164,7 @@ def schedule_widths_ok(sched: DeltaSchedule) -> bool:
 
 def build_adversarial_set(epsilon: float, l_max: int) -> IntervalSet:
     """Complement of the union over ell <= l_max of periodized width-delta(ell) arcs,
-    delta from delta_schedule(epsilon).
+    delta from DeltaSchedule(epsilon).
 
     Measure exceeds 1 - epsilon because the removed arcs total less than
     2 * sum delta(ell) < epsilon.  The l_max * (l_max + 1) / 2 raw arcs
@@ -178,7 +174,7 @@ def build_adversarial_set(epsilon: float, l_max: int) -> IntervalSet:
     l_max = _index(l_max)
     if not 1 <= l_max <= ADVERSARIAL_LMAX_LIMIT:
         raise InputError(f"l_max must lie in [1, {ADVERSARIAL_LMAX_LIMIT}], got {l_max}")
-    sched = delta_schedule(epsilon)
+    sched = DeltaSchedule(epsilon)
     if sched.delta(l_max) >= 1.0 / (2 * l_max):
         raise InputError(f"delta({l_max}) too wide for disjoint periodization")
     ells = np.arange(1, l_max + 1)
@@ -314,10 +310,10 @@ def good_n_search(s: IntervalSet, eps: float, n_range: tuple[int, int]) -> Itera
     what it costs.  An exhausted scan is a legitimate outcome of truncating an
     infinitary statement, so callers decide whether it is fatal.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    n_lo, n_hi = map(_index, n_range)
-    if n_lo < 1 or n_hi < n_lo:
+    eps = _inside(eps, 0.0, math.inf, "eps")
+    lo, hi = n_range
+    n_lo, n_hi = _at_least(lo, 1, "n_lo"), _index(hi)
+    if n_hi < n_lo:
         raise ValueError(f"bad range {n_range}")
 
     def energy(n: int) -> float:
@@ -502,7 +498,7 @@ def _place(
 
 def thm2_target(gamma: float, n: int) -> float:
     """(gamma/2)(1 + 1/n): build_lambda_thm2's bound for the union as it places block n."""
-    return (gamma / 2.0) * (1.0 + 1.0 / n)
+    return (gamma / 2.0) * (1.0 + 1.0 / _at_least(n, 1, "n"))
 
 
 @spectral._one_blas_thread()
@@ -523,9 +519,7 @@ def build_lambda_thm2(
     """
     if s.measure <= 0.0:
         raise InputError("build needs a set of positive measure")
-    count = _index(count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = _at_least(count, 1, "count")
     if eps is None:
         eps = s.measure / 4.0
     if not (0.0 < eps <= s.measure / 4.0):
@@ -575,14 +569,8 @@ def step_search_alpha(
     The minimum is at most the grid average, which is what makes small sums
     findable at steps below N^alpha.
     """
-    length = _index(length)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if alpha <= 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    l_cap = strict_step_cap(length, alpha) if l_cap is None else _index(l_cap)
-    if l_cap < 1:
-        raise ValueError(f"step cap must be >= 1, got {l_cap}")
+    length, alpha = _at_least(length, 1, "length"), _inside(alpha, 1.0, math.inf, "alpha")
+    l_cap = strict_step_cap(length, alpha) if l_cap is None else _at_least(l_cap, 1, "step cap")
     span = l_cap * length
     if powers.shape[0] <= span:
         raise InputError(f"powers cover k <= {powers.shape[0] - 1} < L*N = {span}")
@@ -602,6 +590,7 @@ def step_search_alpha(
 
 def strict_step_cap(length: int, alpha: float) -> int:
     """Largest integer strictly below length^alpha."""
+    length = _at_least(length, 1, "length")
     try:
         la = float(length) ** alpha
         cap = int(math.floor(la))
@@ -649,9 +638,7 @@ def build_lambda_thm3(
     for alpha, lengths in zip(alphas, n_ranges):
         before = len(jobs)
         for n in map(_index, lengths):
-            if n < 1:
-                raise ValueError(f"lengths must be positive, got {n}")
-            cap = strict_step_cap(n, alpha)
+            cap = strict_step_cap(n, alpha)  # refuses n < 1
             numtheory.check_limit(cap * n, 4)
             jobs.append((alpha, n, cap))
         if len(jobs) == before:

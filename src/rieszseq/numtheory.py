@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .torus import _index
+from .torus import _at_least, _index
 
 # hard cap on sieve size; beyond this we error instead of silently crawling
 SIEVE_LIMIT = 10 ** 7
@@ -35,9 +35,7 @@ def _short(n: int) -> str:
 
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, by the classic sieve."""
-    limit = check_limit(limit, 1)
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
+    limit = check_limit(_at_least(limit, 2, "limit"), 1)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, int(limit ** 0.5) + 1):
@@ -52,9 +50,7 @@ def sieve_divisors(limit: int) -> np.ndarray:
     Divisors of k pair up as i * (k/i) with i <= sqrt(k), so each i <= sqrt(limit)
     marks its multiples from i^2 on twice, and the square i^2 once.
     """
-    limit = check_limit(limit, 4)
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+    limit = check_limit(_at_least(limit, 1, "limit"), 4)
     counts = np.zeros(limit + 1, dtype=np.int32)
     for i in range(1, math.isqrt(limit) + 1):
         counts[i * i :: i] += 2
@@ -64,6 +60,7 @@ def sieve_divisors(limit: int) -> np.ndarray:
 
 def is_prime_naive(n: int) -> bool:
     """Trial division; oracle for the sieve."""
+    n = _index(n)
     if n < 2:
         return False
     f = 2
@@ -76,8 +73,7 @@ def is_prime_naive(n: int) -> bool:
 
 def divisor_count_naive(n: int) -> int:
     """Count divisors by trial division; oracle for the sieve."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _at_least(n, 1, "n")
     count = 0
     f = 1
     while f * f <= n:
@@ -89,9 +85,7 @@ def divisor_count_naive(n: int) -> int:
 
 def multiples_block(n: int) -> np.ndarray:
     """The integers {n, 2n, ..., n^2}."""
-    n = _index(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _at_least(n, 1, "n")
     return n * np.arange(1, n + 1, dtype=np.int64)
 
 
@@ -108,9 +102,7 @@ def prime_blocks_disjoint(limit: int):
     checked against the sieve cap, then sorted once, so a shared element repeats;
     the first pair is the least of the first two blocks each shared element is in.
     """
-    if limit < 3:
-        raise ValueError(f"limit must be >= 3, got {limit}")
-    primes = sieve_primes(limit)
+    primes = sieve_primes(_at_least(limit, 3, "limit"))
     total = check_limit(int(primes.sum()), 8, "prime-block entry total sum(p) =")
     values = np.empty(total, dtype=np.int64)
     for p, end in zip(primes.tolist(), np.cumsum(primes).tolist()):
@@ -134,8 +126,7 @@ def divisor_growth_report(limit: int, exponent: float, lo: int = 1) -> GrowthRep
     exclude a prefix via lo.  The underlying o(n^eps) claim is asymptotic and
     only this finite scan is reported.
     """
-    if limit < 10:
-        raise ValueError(f"limit must be >= 10, got {limit}")
+    limit = _at_least(limit, 10, "limit")
     lo = max(1, _index(lo))
     if lo > limit:
         raise ValueError(f"lo = {lo} exceeds limit = {limit}")

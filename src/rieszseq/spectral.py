@@ -21,7 +21,7 @@ import numpy as np
 
 from . import torus
 from .errors import InputError
-from .torus import IntervalSet, _index
+from .torus import IntervalSet, _at_least, _index, _inside
 
 # every |frequency| stays below this, so all pairwise differences fit in int64
 FREQ_LIMIT = 2 ** 62
@@ -136,9 +136,7 @@ def arithmetic_progression(shift: int, step: int, length: int) -> np.ndarray:
     an out-of-range or overlong progression fails at once however long it is.
     Elements are exact integers first: a length-1 progression's step may pass int64.
     """
-    shift, step, length = map(_index, (shift, step, length))
-    if step < 1 or length < 1:
-        raise ValueError("step and length must be positive")
+    shift, step, length = _index(shift), _at_least(step, 1, "step"), _at_least(length, 1, "length")
     _check_range(shift + step, shift + step * length)
     if length > GRAM_SIZE_LIMIT:
         raise ValueError(f"progression length must be at most {GRAM_SIZE_LIMIT}, got {length}")
@@ -249,9 +247,9 @@ def uniform_rayleigh_ap_many(s: IntervalSet, step: int, lengths) -> list[float]:
     """
     if s.measure <= 0.0:
         raise InputError("rayleigh quotient needs a set of positive measure")
-    step, lengths = _index(step), [_index(n) for n in lengths]
-    if step < 1 or not lengths or min(lengths) < 1:
-        raise ValueError("step and length must be positive")
+    step, lengths = _at_least(step, 1, "step"), [_at_least(n, 1, "length") for n in lengths]
+    if not lengths:
+        raise ValueError("need at least one length")
     top = max(lengths)
     if top > RAYLEIGH_LENGTH_LIMIT:
         raise ValueError(f"length must be at most {RAYLEIGH_LENGTH_LIMIT}, got {top}")
@@ -270,8 +268,7 @@ def dirichlet_tail_many(lengths, delta: float) -> list[float]:
     Gram matrix of {1..N} on the complement arc.  Equals 1 minus the energy
     inside the deleted arc.
     """
-    if not (0.0 < delta < 0.5):
-        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
+    delta = _inside(delta, 0.0, 0.5, "delta")
     outside = torus.complement(torus.normalize([(-delta, delta)]))
     return uniform_rayleigh_ap_many(outside, 1, lengths)
 
@@ -282,7 +279,5 @@ def dirichlet_tail_bound(length: int, delta: float) -> float:
     Comes from |P_N(x)|^2 <= 1/(N sin^2(pi x)) integrated over the complement;
     the sup-bound constant 1 is sharp enough for every grid cell we test.
     """
-    length = _index(length)
-    if not (0.0 < delta < 0.5):
-        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
+    length, delta = _at_least(length, 1, "length"), _inside(delta, 0.0, 0.5, "delta")
     return 2.0 / (math.pi * length * math.tan(math.pi * delta))

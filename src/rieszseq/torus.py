@@ -96,6 +96,22 @@ def _number(v, what: str) -> float:
     raise InputError(f"{what} must be a number, got {v!r}")
 
 
+def _at_least(v, least: int, what: str) -> int:
+    """_index(v), or InputError naming `what` if it is below `least`."""
+    v = _index(v)
+    if v < least:
+        raise InputError(f"{what} must be >= {least}, got {v}")
+    return v
+
+
+def _inside(v, lo: float, hi: float, what: str) -> float:
+    """_number(v, what), or InputError naming `what` unless lo < v < hi, which NaN is not."""
+    x = _number(v, what)
+    if not lo < x < hi:
+        raise InputError(f"{what} must lie in ({lo:g}, {hi:g}), got {x}")
+    return x
+
+
 def normalize(raw_arcs: Iterable[Sequence[float]]) -> IntervalSet:
     """Canonicalize raw (start, end) pairs into a disjoint sorted arc union.
 
@@ -204,11 +220,7 @@ def scale_periodize(delta: float, ell: int) -> IntervalSet:
     measure is exactly 2*delta.  Copies must stay disjoint, which needs
     delta < 1/(2*ell).
     """
-    ell = _index(ell)
-    if ell < 1:
-        raise InputError(f"ell must be a positive integer, got {ell}")
-    if not (0.0 < delta < 0.5):
-        raise InputError(f"delta must lie in (0, 1/2), got {delta}")
+    ell, delta = _at_least(ell, 1, "ell"), _inside(delta, 0.0, 0.5, "delta")
     if delta >= 1.0 / (2 * ell):
         raise InputError(f"delta = {delta} >= 1/(2*{ell}); periodized copies would overlap")
     half = delta / ell
@@ -327,9 +339,7 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     the block's chunk partials about B/SPLIT_CHUNK times SPLIT_BLOCK; the
     last chunk is padded with weight-0 endpoints, which add exact zeros.
     """
-    step, count = _index(step), _index(count)
-    if step < 1:
-        raise ValueError(f"step must be positive, got {step}")
+    step, count = _at_least(step, 1, "step"), _index(count)
     if count < 1:
         return np.empty(0, dtype=np.float64)
     g = SPLIT_CHUNK

@@ -85,7 +85,7 @@ THM1_FROZEN = {
 
 def test_criterion_3_small_step_decay_demo():
     t0 = time.perf_counter()
-    sched = con.delta_schedule(0.25)
+    sched = con.DeltaSchedule(0.25)
     s = con.build_adversarial_set(0.25, 64)
     assert s.measure > 0.75
     for ell in (2, 4, 8):

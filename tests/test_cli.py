@@ -368,7 +368,7 @@ def test_thm1_runs_one_kernel_pass_per_step(tmp_path, monkeypatch):
     assert on_s == [(2, 1023), (4, 1023), (8, 1023)]
     assert len(calls) == 6  # and one on each step's Dirichlet complement arc
     # each step's row at its largest N is the one-length value, to the last bit
-    sched = constructions.delta_schedule(0.25)
+    sched = constructions.DeltaSchedule(0.25)
     rows = [line.split(",") for line in out.read_text().splitlines()[1:] if ",1024," in line]
     assert [r[3] for r in rows] == [
         repr(constructions.thm1_cells(adversarial, sched, ell, [1024])[0].rayleigh_uniform)
@@ -698,8 +698,8 @@ def test_riesz_rejects_bad_build_file(arc03_file, tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize("blocks,message", [
-    ([{"step": 0}], "block 1: step and length must be positive"),
-    ([{}, {"length": 0, "shift": 5}], "block 2: step and length must be positive"),
+    ([{"step": 0}], "block 1: step must be >= 1, got 0"),
+    ([{}, {"length": 0, "shift": 5}], "block 2: length must be >= 1, got 0"),
     ([{"shift": 2 ** 62 - 1}],
      f"block 1: frequencies must satisfy |f| < 2^62, got {2 ** 62}..{2 ** 62}"),
     ([{}, {"shift": -(2 ** 62) - 1}],

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from itertools import islice
 
@@ -32,14 +33,14 @@ def shifted_gram(s, freqs, target):
 
 def test_schedule_rejects_bad_epsilon():
     with pytest.raises(InputError, match="epsilon must lie in"):
-        con.delta_schedule(1.5)
+        con.DeltaSchedule(1.5)
     with pytest.raises(InputError, match="epsilon must lie in"):
-        con.delta_schedule(0.0)
+        con.DeltaSchedule(0.0)
 
 
 def test_schedule_values_frozen():
     # derived once from the certified normalizer; regression anchors
-    sched = con.delta_schedule(0.25)
+    sched = con.DeltaSchedule(0.25)
     assert sched.normalizer == pytest.approx(3.3887355352008424, rel=1e-12)
     assert sched.delta(2) == pytest.approx(0.015281058397072538, rel=1e-12)
     assert sched.delta(4) == pytest.approx(0.0035601138766767583, rel=1e-12)
@@ -48,7 +49,7 @@ def test_schedule_values_frozen():
 
 def test_schedule_condition_a_strict():
     for eps in (0.1, 0.25, 0.9):
-        sched = con.delta_schedule(eps)
+        sched = con.DeltaSchedule(eps)
         bound, budget = con.schedule_condition_a(sched)
         assert bound < budget
 
@@ -60,7 +61,7 @@ def test_schedule_condition_b_growth():
     lies beyond ell = 10^5 (near exp(2*alpha/(1-alpha))), so the sampled
     decades start there rather than at 10.
     """
-    sched = con.delta_schedule(0.25)
+    sched = con.DeltaSchedule(0.25)
     report = con.schedule_condition_b(sched)
     assert set(report) == {0.5, 0.75, 0.9}
     assert report[0.5][0] == 10
@@ -72,7 +73,7 @@ def test_schedule_condition_b_growth():
 
 
 def test_schedule_widths():
-    sched = con.delta_schedule(0.99)
+    sched = con.DeltaSchedule(0.99)
     assert con.schedule_widths_ok(sched)
     ells = np.arange(1, 1001)
     d = sched.delta_array(ells)
@@ -83,7 +84,7 @@ def test_schedule_widths():
 # --- adversarial set ---------------------------------------------------------
 
 def test_adversarial_single_term():
-    sched = con.delta_schedule(0.25)
+    sched = con.DeltaSchedule(0.25)
     s = con.build_adversarial_set(0.25, 1)
     assert s.measure == pytest.approx(1 - 2 * sched.delta(1), abs=1e-12)
 
@@ -102,7 +103,7 @@ def test_adversarial_monotone_in_lmax():
 
 
 def test_adversarial_omits_periodized_arcs():
-    sched = con.delta_schedule(0.25)
+    sched = con.DeltaSchedule(0.25)
     s = con.build_adversarial_set(0.25, 8)
     for ell in (1, 2, 5, 8):
         for j in range(ell):
@@ -113,14 +114,14 @@ def test_adversarial_omits_periodized_arcs():
 
 def test_thm1_cell_trivial_cell():
     s = con.build_adversarial_set(0.25, 4)
-    cell = con.thm1_cells(s, con.delta_schedule(0.25), 1, [1])[0]
+    cell = con.thm1_cells(s, con.DeltaSchedule(0.25), 1, [1])[0]
     assert cell.rayleigh_uniform == pytest.approx(s.measure, abs=1e-12)
     assert cell.rayleigh_uniform <= 1.0
 
 
 def test_theorem1_chain_small_grid():
     """Uniform energy <= exact Dirichlet tail <= cotangent bound, per cell."""
-    sched = con.delta_schedule(0.25)
+    sched = con.DeltaSchedule(0.25)
     s = con.build_adversarial_set(0.25, 8)
     for ell in (1, 2, 4, 8):
         for n in (16, 64, 256):
@@ -131,7 +132,7 @@ def test_theorem1_chain_small_grid():
 
 
 def test_theorem1_doubling_decay():
-    sched = con.delta_schedule(0.25)
+    sched = con.DeltaSchedule(0.25)
     s = con.build_adversarial_set(0.25, 8)
     for ell in (2, 4):
         a = con.thm1_cells(s, sched, ell, [512])[0]
@@ -856,8 +857,11 @@ def test_verify_build_detects_tampering():
     lambda: con.ScanConfig(cap=True),
     lambda: spectral.dirichlet_tail_bound(2.5, 0.1),
     lambda: spectral.dirichlet_tail_bound(True, 0.1),
-    lambda: con.delta_schedule(0.25).delta(2.5),
-    lambda: con.delta_schedule(0.25).delta(True),
+    lambda: con.DeltaSchedule(0.25).delta(2.5),
+    lambda: con.DeltaSchedule(0.25).delta(True),
+    lambda: numtheory.is_prime_naive(7.5),  # once True
+    lambda: numtheory.divisor_count_naive(6.5),  # once 0
+    lambda: con.strict_step_cap(4.5, 2.0),  # once 20
 ], ids=["lmax", "rayleigh-step", "rayleigh-length", "good-n-range", "thm3-length",
         "thm2-count", "step-length", "step-cap", "periodize-ell", "multiples", "freqs", "ap-step",
         "freqs-bool", "freqs-numpy-bool", "ap-bool", "ap-numpy-bool", "block-bool",
@@ -867,10 +871,32 @@ def test_verify_build_detects_tampering():
         "thm2-bool", "thm2-numpy-bool", "step-bool", "step-cap-numpy-bool",
         "thm3-bool", "thm3-numpy-bool", "limit-bool", "limit-numpy-bool",
         "multiples-bool", "multiples-numpy-bool", "growth-bool", "growth-numpy-bool",
-        "scan-float", "scan-bool", "tail-bound-length", "tail-bound-bool", "delta-ell", "delta-bool"])
+        "scan-float", "scan-bool", "tail-bound-length", "tail-bound-bool", "delta-ell", "delta-bool",
+        "prime-naive", "divisor-naive", "step-cap-length"])
 def test_integer_parameters_are_never_truncated(call):
     # int() would read 64.7 as 64, 2.5 as 2 and (1.5, 4.9) as (1, 4); operator.index
     # alone would read False and True as 0 and 1, so build_adversarial_set(0.25, True)
     # would build the l_max 1 set and multiples_block(True) return [1]
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: spectral.dirichlet_tail_bound(0, 0.1), "length must be >= 1, got 0"),
+    (lambda: spectral.dirichlet_tail_bound(-4, 0.1), "length must be >= 1, got -4"),
+    (lambda: con.DeltaSchedule(2.0), "epsilon must lie in (0, 1), got 2.0"),
+    (lambda: con.DeltaSchedule(-1.0), "epsilon must lie in (0, 1), got -1.0"),
+    (lambda: con.DeltaSchedule(float("nan")), "epsilon must lie in (0, 1), got nan"),
+    (lambda: con.good_n_search(ARC03, float("nan"), (1, 50)), "eps must lie in (0, inf), got nan"),
+    (lambda: con.thm2_target(0.15, 0), "n must be >= 1, got 0"),
+    (lambda: spectral.dirichlet_tail_many([4], float("nan")), "delta must lie in (0, 0.5), got nan"),
+    (lambda: torus.scale_periodize(float("nan"), 2), "delta must lie in (0, 0.5), got nan"),
+], ids=["tail-bound-0", "tail-bound-negative", "epsilon-2", "epsilon-negative", "epsilon-nan",
+        "good-n-eps-nan", "thm2-target-0", "regression-tail-many-nan", "regression-periodize-nan"])
+def test_bounds_refuse_values_outside_the_domain(call, message):
+    # each once returned a value or raised an uncaught error: a ZeroDivisionError
+    # at length 0 and a negative majorant at -4, delta(3) = 0.0512, -0.0256 and
+    # nan, an empty scan, and a ZeroDivisionError; the two regression cases were
+    # already refused.  good_n_search raises at the call, before any next()
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call()

@@ -167,7 +167,7 @@ def test_array_merge_matches_loop_reference(rng=np.random.RandomState(31)):
 
 @pytest.mark.parametrize("epsilon", [0.1, 0.17, 0.25, 0.3])
 def test_adversarial_set_matches_loop_reference(epsilon):
-    sched = constructions.delta_schedule(epsilon)
+    sched = constructions.DeltaSchedule(epsilon)
     for l_max in (1, 2, 5, 48, 64, 96, 256):
         raw = []
         for ell in range(1, l_max + 1):
