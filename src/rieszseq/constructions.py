@@ -6,7 +6,10 @@ progressions of step O(N) and step O(N^alpha), alpha > 1.
 Builders are sequential (each shift depends on the previous partial union)
 and share one placement step, whose shift scan rejects most candidates by a
 2x2 principal minor and decides the rest by a Schur-complement Cholesky, and
-whose certificate is a full-union eigensolve.
+whose certificate is a full-union eigensolve.  The minor test evaluates only
+the coefficients small enough in |k| to fail it; a decided candidate takes
+its own, and the union's Cholesky factor is inverted once per placement, by
+halves.
 A builder carries the union's Gram from one placement to the next: each
 placement builds only the new block's Gram, takes the accepted shift's cross
 block from the scan, and assembles the grown union's Gram from the three.
@@ -48,6 +51,10 @@ ADVERSARIAL_LMAX_LIMIT = 1024
 # a - |c| is at most -MINOR_MARGIN.  The margin leaves every closer call, where
 # rounding could flip the sign, to the Cholesky, which decides it as before
 MINOR_MARGIN = 1e-9
+
+# _lower_inverse hands a triangle of at most this many rows to np.linalg.inv;
+# 16 to 64 rows time alike at 295 to 1600 rows
+INVERSE_BASE = 32
 
 # verify_build accepts a recomputed certificate within this of the stated one,
 # and one at most this below gamma/2
@@ -109,13 +116,19 @@ class DeltaSchedule:
         return (self.epsilon / 2.0) / self.normalizer / (ell * math.log(ell + 1.0) ** 2)
 
     def delta_array(self, ells: np.ndarray) -> np.ndarray:
-        ells = np.asarray(ells, dtype=np.float64)
+        """delta(ell) for every ell of an integer array; each ell must be at least 1."""
+        ells = np.asarray(ells)
+        if ells.dtype.kind not in "iu":  # bool is kind "b", float "f"
+            raise TypeError(f"an array of {ells.dtype} cannot be interpreted as an integer array")
+        if ells.size and (low := ells.min()) < 1:
+            raise InputError(f"ell must be >= 1, got {low}")
+        ells = ells.astype(np.float64)
         return (self.epsilon / 2.0) / self.normalizer / (ells * np.log(ells + 1.0) ** 2)
 
 
 def schedule_condition_a(sched: DeltaSchedule):
     """(certified bound for sum of delta(ell), epsilon/2); the bound must be smaller."""
-    ells = np.arange(1, _SCHEDULE_PARTIAL_TERMS + 1, dtype=np.float64)
+    ells = np.arange(1, _SCHEDULE_PARTIAL_TERMS + 1, dtype=np.int64)
     partial = float(np.sum(sched.delta_array(ells)))
     tail = (sched.epsilon / 2.0) / sched.normalizer / math.log(_SCHEDULE_PARTIAL_TERMS)
     return partial + tail, sched.epsilon / 2.0
@@ -142,7 +155,7 @@ def schedule_condition_b(sched: DeltaSchedule):
     out = {}
     for alpha in GROWTH_ALPHAS:
         k0 = _growth_start_decade(alpha)
-        ells = [10.0 ** k for k in range(k0, k0 + GROWTH_DECADES)]
+        ells = [10 ** k for k in range(k0, k0 + GROWTH_DECADES)]
         vals = [
             float(sched.delta_array(np.array([e]))[0] * e ** (1.0 / alpha)) for e in ells
         ]
@@ -153,7 +166,7 @@ def schedule_condition_b(sched: DeltaSchedule):
 
 def schedule_widths_ok(sched: DeltaSchedule) -> bool:
     """delta decreasing and delta(ell) < 1/(2*ell) over the operating range."""
-    ells = np.arange(1, WIDTH_TERMS + 1, dtype=np.float64)
+    ells = np.arange(1, WIDTH_TERMS + 1, dtype=np.int64)
     d = sched.delta_array(ells)
     return bool(np.all(np.diff(d) < 0.0) and np.all(d < 1.0 / (2.0 * ells)))
 
@@ -353,26 +366,32 @@ def select_shift(
     either way.
 
     Candidates are taken in windows of consecutive shifts, one shift wide at
-    first and doubling after each window, and each window evaluates every
-    coefficient it needs once: c_hat(d + M) over the distinct differences d
-    in D and the shifts M in the window.  A scan that accepts its first
-    candidate thus evaluates exactly the |D| coefficients of that candidate,
-    and the unused tail of the last window bounds the waste.  Each
-    coefficient is evaluated on its own, so the values, and hence the
-    decisions, are those of a per-candidate evaluation.
+    first and doubling after each window.  C(M) takes the values c_hat(d + M)
+    over the distinct differences d in D.
 
     Most candidates never reach the Cholesky.  A shift with b_j + M - e_i = k
     for some k in K = {k != 0 : |c_hat(k)| >= |S| - t + MINOR_MARGIN} puts the
     2x2 principal minor [[|S| - t, c_hat(k)], [conj(c_hat(k)), |S| - t]] into
     G - tI, and that minor's eigenvalue |S| - t - |c_hat(k)| is negative, so
     the Cholesky would fail.  K is small, since |c_hat(k)| <= arcs/(pi |k|):
-    on [0, 0.3) it is {-1, 1} for every target in [0.043, 0.112].  Each
-    window picks out the k in K among the coefficients it evaluated and marks
-    the shifts they reject at O(|K| |D|).  The remaining candidates are
-    decided in ascending order, each by an |E|^2 n product and an n^3/3
-    Cholesky on one BLAS thread.  An exhausted scan reports how many shifts
-    it decided by Cholesky, how many failed a 2x2 minor and how many it
-    skipped because they met the union.
+    every k in K has |k| <= near = floor(arcs/(pi (|S| - t + MINOR_MARGIN))
+    (1 + 1e-6)) + 1, and on [0, 0.3) K is {-1, 1} for every target in
+    [0.043, 0.112].  So each window evaluates only its keys d + M within
+    near, picks out the k in K among them and marks the shifts they reject
+    at O(|K| |D|).  The candidates left, the survivors, are decided in
+    ascending order, each by an |E|^2 n product with L^{-1} and an n^3/3
+    Cholesky on one BLAS thread.  L^{-1} is formed once per placement, by
+    halves (_lower_inverse).
+
+    The placement's first survivor is decided from its own |D| coefficients,
+    so a scan that accepts it evaluates, besides those, only each window's
+    keys within near.  Later survivors in a window share one run of
+    keys, c_hat(d + M) for M from the first of them to the window's end.  A
+    key a window has already evaluated is read, not evaluated again.  Each
+    coefficient is evaluated on its own, so the values, and hence the
+    decisions, are those of a per-candidate evaluation.  An exhausted scan
+    reports how many shifts it decided by Cholesky, how many failed a 2x2
+    minor and how many it skipped because they met the union.
 
     This entry point builds G_E and runs the builders' placement step, _place,
     which also eigensolves the grown union for its certificate.  A target that
@@ -402,13 +421,22 @@ def _scan(
     factor = _cholesky(shifted)
     if factor is None:
         raise ValueError("existing partial union is below the target bound")
-    linv = np.linalg.inv(factor)  # once per placement; W = linv @ C(M) per candidate
+    linv = _lower_inverse(factor)  # once per placement; W = linv @ C(M) per candidate
+
+    def accepts(cross: np.ndarray) -> bool:
+        w = linv @ cross
+        return _cholesky(inblock - w.conj().T @ w) is not None
+
     # C(M) takes only the values c_hat(d + M) over the distinct differences d, sorted
     diff = offsets[None, :] - existing_freqs[:, None]
     diffs, where = np.unique(diff, return_inverse=True)
     where = where.reshape(diff.shape)  # numpy 1.x returns the inverse flat
     least = s.measure - target + MINOR_MARGIN  # the |c_hat| that fails a 2x2 minor
+    # |c_hat(k)| <= arcs/(pi |k|) < least for |k| > near, so only keys within near
+    # can fail a 2x2 minor; the factor 1 + 1e-6 leaves room for the kernel's rounding
+    near = int(len(s.arcs) / (math.pi * least) * (1.0 + 1e-6)) + 1
     met = failed = 0
+    first = True  # no survivor decided yet
     m, width = scan.start, 1
     while m <= scan.cap:  # the window is m, m + 1, ..., m + width - 1
         width = min(width, scan.cap - m + 1)
@@ -416,24 +444,35 @@ def _scan(
         meets = _window_marks(-diffs, m, width)
         met += int(np.count_nonzero(meets))
         if not meets.all():
-            # run i holds c_hat(d_i + M) for M = m, m + 1, ... within the window, cut
-            # short where d_i + M reaches d_{i+1} + m, the first key of run i + 1; so
-            # c_hat(d_i + M) sits at at[i] + M - m for every M, and no key repeats
-            runs = np.minimum(np.diff(diffs, append=diffs[-1:] + width), width)
-            at = np.cumsum(runs) - runs
-            keys = np.repeat(diffs + m - at, runs) + np.arange(runs.sum())
-            vals = torus.fourier_coeff_many(s, keys)
-            at = at[where]
+            # the window's keys d + M within near, its runs clipped to [-near, near]
+            starts, runs = _runs(diffs, m, width)
+            lo, hi = np.maximum(starts, -near), np.minimum(starts + runs, near + 1)
+            near_keys = _run_keys(lo, np.maximum(hi - lo, 0))
+            near_vals = torus.fourier_coeff_many(s, near_keys)
             # it fails a 2x2 minor when d + M is a key k with |c_hat(k)| >= least
             fails = np.zeros(width, dtype=bool)
-            for k in keys[np.abs(vals) >= least].tolist():
+            for k in near_keys[np.abs(near_vals) >= least].tolist():
                 fails |= _window_marks(k - diffs, m, width)
             fails &= ~meets
             failed += int(np.count_nonzero(fails))
-            for t in np.flatnonzero(~(meets | fails)).tolist():
-                w = linv @ vals[at + t]
-                if _cholesky(inblock - w.conj().T @ w) is not None:
-                    return m + t, vals[at + t]
+            survivors = np.flatnonzero(~(meets | fails)).tolist()
+            known, known_vals = near_keys, near_vals
+            if survivors and first:  # the placement's first survivor takes only its |D| values
+                first, t = False, survivors.pop(0)
+                keys = diffs + (m + t)
+                vals = _values(s, keys, known, known_vals)
+                if accepts(vals[where]):
+                    return m + t, vals[where]
+                known = np.concatenate([known, keys])
+                order = np.argsort(known, kind="stable")
+                known, known_vals = known[order], np.concatenate([known_vals, vals])[order]
+            if survivors:  # the window's later survivors share one run of keys from the first on
+                starts, runs = _runs(diffs, m + survivors[0], width - survivors[0])
+                vals = _values(s, _run_keys(starts, runs), known, known_vals)
+                at = (np.cumsum(runs) - runs)[where] - survivors[0]
+                for t in survivors:
+                    if accepts(vals[at + t]):
+                        return m + t, vals[at + t]
         m, width = m + width, 2 * width
     raise SearchFailed(
         f"no shift in [{scan.start}, {scan.cap}] reached target {target}: "
@@ -442,11 +481,63 @@ def _scan(
     )
 
 
+def _runs(diffs: np.ndarray, m: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The keys d + M over the ascending distinct d and the shifts M = m, m + 1, ...,
+    m + width - 1, as runs of consecutive keys: run i starts at d_i + m and is cut
+    short where it reaches d_{i+1} + m, the start of run i + 1.  So no key repeats,
+    and d_i + M sits at position at_i + M - m of the runs laid end to end, at_i
+    the total length of the runs before run i.  Returns (starts, lengths)."""
+    return diffs + m, np.minimum(np.diff(diffs, append=diffs[-1:] + width), width)
+
+
+def _run_keys(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The keys start, start + 1, ..., start + length - 1 of every run, run after run."""
+    at = np.cumsum(lengths) - lengths
+    return np.repeat(starts - at, lengths) + np.arange(lengths.sum())
+
+
+def _values(s: IntervalSet, keys: np.ndarray, known: np.ndarray, known_vals: np.ndarray) -> np.ndarray:
+    """c_hat at the keys: read from known_vals for the keys in the ascending `known`,
+    evaluated in one call for the rest."""
+    at = np.searchsorted(known, keys)
+    hit = at < known.size
+    hit[hit] = known[at[hit]] == keys[hit]
+    vals = np.empty(keys.size, dtype=np.complex128)
+    vals[hit] = known_vals[at[hit]]
+    vals[~hit] = torus.fourier_coeff_many(s, keys[~hit])
+    return vals
+
+
 def _window_marks(points: np.ndarray, m: int, width: int) -> np.ndarray:
     """Marks the shifts in the window m, m + 1, ..., m + width - 1 that are in `points`."""
     marks = np.zeros(width, dtype=bool)
     marks[points[(points >= m) & (points < m + width)] - m] = True
     return marks
+
+
+def _lower_inverse(lower: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of a lower-triangular matrix with no zero on its diagonal,
+    written into `out` (zeros of lower's shape when None) and returned.
+
+    Blockwise, [[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]], so past
+    INVERSE_BASE rows the work is matrix products (Du Croz and Higham, IMA J.
+    Numer. Anal. 12, 1992); a block of at most INVERSE_BASE rows is inverted by
+    np.linalg.inv.  Each block is written in place, so the peak is the result
+    and one quarter-size product.  On one BLAS thread of a 2-vCPU machine it
+    took 2.2 ms at 295 rows and 54 ms at 1010, against 10.6 and 241 ms for
+    np.linalg.inv.
+    """
+    out = np.zeros_like(lower) if out is None else out
+    m = lower.shape[0]
+    if m <= INVERSE_BASE:
+        out[...] = np.linalg.inv(lower)
+        return out
+    h = m // 2
+    a_inv = _lower_inverse(lower[:h, :h], out[:h, :h])
+    d_inv = _lower_inverse(lower[h:, h:], out[h:, h:])
+    np.matmul(d_inv, lower[h:, :h] @ a_inv, out=out[h:, :h])
+    np.negative(out[h:, :h], out=out[h:, :h])
+    return out
 
 
 def _place(

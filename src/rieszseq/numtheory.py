@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .torus import _at_least, _index
+from .torus import _at_least, _index, _inside
 
 # hard cap on sieve size; beyond this we error instead of silently crawling
 SIEVE_LIMIT = 10 ** 7
@@ -126,7 +126,7 @@ def divisor_growth_report(limit: int, exponent: float, lo: int = 1) -> GrowthRep
     exclude a prefix via lo.  The underlying o(n^eps) claim is asymptotic and
     only this finite scan is reported.
     """
-    limit = _at_least(limit, 10, "limit")
+    limit, exponent = _at_least(limit, 10, "limit"), _inside(exponent, 0.0, math.inf, "exponent")
     lo = max(1, _index(lo))
     if lo > limit:
         raise ValueError(f"lo = {lo} exceeds limit = {limit}")

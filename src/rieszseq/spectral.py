@@ -171,13 +171,15 @@ def gram(s: IntervalSet, freqs: np.ndarray) -> GramMatrix:
     if s.measure <= 0.0:
         raise InputError("gram matrix needs a set of positive measure")
     f = f.astype(np.int64, copy=False)
-    diff = f[None, :] - f[:, None]
-    # one lookup per matrix: ks[0] == 0 is the diagonal, |S|; ks[1:] are the
-    # distinct positive differences, each evaluated once
-    ks, where = np.unique(np.abs(diff), return_inverse=True)
-    vals = np.concatenate(([s.measure], torus.fourier_coeff_many(s, ks[1:])))
-    entries = vals[where.reshape(diff.shape)]  # numpy 1.x returns the inverse flat
-    np.conjugate(entries, out=entries, where=diff < 0)
+    # one lookup per matrix over the strict upper triangle, whose differences
+    # are positive (f increases): each distinct one is evaluated once.  The
+    # lower triangle is its conjugate transpose and the diagonal is |S|
+    rows, cols = np.triu_indices(f.size, 1)
+    ks, where = np.unique(f[cols] - f[rows], return_inverse=True)
+    entries = np.empty((f.size, f.size), dtype=np.complex128)
+    entries[rows, cols] = torus.fourier_coeff_many(s, ks)[where]
+    entries[cols, rows] = np.conjugate(entries[rows, cols])
+    np.fill_diagonal(entries, s.measure)
     return GramMatrix(entries, torus.set_digest(s))
 
 

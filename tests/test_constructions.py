@@ -472,6 +472,71 @@ def test_select_shift_coefficient_work(monkeypatch):
     assert 0 < sum(requested) <= 70_000
 
 
+def test_scan_accepting_its_first_survivor_requests_its_keys_and_the_near_window_keys(monkeypatch):
+    # a placement whose first survivor is accepted requests, in each window up to
+    # the accepting one, the keys d + M within near = floor(arcs/(pi least)(1 + 1e-6)) + 1
+    # (only those can fail a 2x2 minor), and then the accepted shift's other keys
+    placements, inside = [], [False]
+    coeff, scan, cholesky = torus.fourier_coeff_many, con._scan, con._cholesky
+
+    def counting(s, ks):
+        if inside[0]:
+            placements[-1]["keys"].extend(np.asarray(ks).tolist())
+        return coeff(s, ks)
+
+    def deciding(a):
+        if inside[0]:
+            placements[-1]["choleskys"] += 1
+        return cholesky(a)
+
+    def scanning(*args):
+        placements.append({"args": args, "keys": [], "choleskys": 0})
+        inside[0] = True
+        try:
+            shift, cross = scan(*args)
+        finally:
+            inside[0] = False
+        placements[-1]["shift"] = shift
+        return shift, cross
+
+    monkeypatch.setattr(torus, "fourier_coeff_many", counting)
+    monkeypatch.setattr(con, "_cholesky", deciding)
+    monkeypatch.setattr(con, "_scan", scanning)
+    con.build_lambda_thm2(ARC03, 3, n_range=(40, 2000))
+    checked = 0
+    for p in placements[1:]:  # the first block is placed against an empty union
+        s, existing, _, offsets, _, target, scan_config = p["args"]
+        assert p["choleskys"] == 2  # the union's factor, then the one candidate decided
+        diffs = np.unique(offsets[None, :] - existing[:, None])
+        least = s.measure - target + con.MINOR_MARGIN
+        near = int(len(s.arcs) / (np.pi * least) * (1.0 + 1e-6)) + 1
+        expected = []
+        m, width = scan_config.start, 1
+        while m <= p["shift"]:
+            shifts = np.arange(m, m + width)
+            if not np.isin(-shifts, diffs).all():
+                keys = set((diffs[:, None] + shifts[None, :]).ravel().tolist())
+                window = {k for k in keys if abs(k) <= near}
+                expected.extend(window)
+            m, width = m + width, 2 * width
+        accepted = set((diffs + p["shift"]).tolist())
+        expected.extend(accepted - window)
+        assert sorted(p["keys"]) == sorted(expected)
+        assert len(accepted - window) > 0 and len(window) > 0
+        checked += 1
+    assert checked == 2
+
+
+@pytest.mark.parametrize("m", [0, 1, con.INVERSE_BASE - 1, con.INVERSE_BASE, con.INVERSE_BASE + 1, 300])
+def test_lower_inverse_matches_lu(m, rng=np.random.RandomState(11)):
+    x = rng.standard_normal((m, 2 * m)) + 1j * rng.standard_normal((m, 2 * m))
+    factor = np.linalg.cholesky(x @ x.conj().T / max(m, 1) + 0.1 * np.eye(m))
+    got, ref = con._lower_inverse(factor), np.linalg.inv(factor)
+    assert got.shape == ref.shape == (m, m)
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
+    assert not np.triu(got, 1).any()
+
+
 # --- the 2x2-minor exclusion ----------------------------------------------------------
 
 def test_minor_exclusion_rejects_only_failing_shifts(rng=np.random.RandomState(7)):
@@ -862,6 +927,8 @@ def test_verify_build_detects_tampering():
     lambda: numtheory.is_prime_naive(7.5),  # once True
     lambda: numtheory.divisor_count_naive(6.5),  # once 0
     lambda: con.strict_step_cap(4.5, 2.0),  # once 20
+    lambda: con.DeltaSchedule(0.25).delta_array(np.array([1.5, 2.0])),  # once a width for no ell
+    lambda: con.DeltaSchedule(0.25).delta_array(np.array([True])),
 ], ids=["lmax", "rayleigh-step", "rayleigh-length", "good-n-range", "thm3-length",
         "thm2-count", "step-length", "step-cap", "periodize-ell", "multiples", "freqs", "ap-step",
         "freqs-bool", "freqs-numpy-bool", "ap-bool", "ap-numpy-bool", "block-bool",
@@ -872,7 +939,7 @@ def test_verify_build_detects_tampering():
         "thm3-bool", "thm3-numpy-bool", "limit-bool", "limit-numpy-bool",
         "multiples-bool", "multiples-numpy-bool", "growth-bool", "growth-numpy-bool",
         "scan-float", "scan-bool", "tail-bound-length", "tail-bound-bool", "delta-ell", "delta-bool",
-        "prime-naive", "divisor-naive", "step-cap-length"])
+        "prime-naive", "divisor-naive", "step-cap-length", "delta-array-float", "delta-array-bool"])
 def test_integer_parameters_are_never_truncated(call):
     # int() would read 64.7 as 64, 2.5 as 2 and (1.5, 4.9) as (1, 4); operator.index
     # alone would read False and True as 0 and 1, so build_adversarial_set(0.25, True)
@@ -891,8 +958,15 @@ def test_integer_parameters_are_never_truncated(call):
     (lambda: con.thm2_target(0.15, 0), "n must be >= 1, got 0"),
     (lambda: spectral.dirichlet_tail_many([4], float("nan")), "delta must lie in (0, 0.5), got nan"),
     (lambda: torus.scale_periodize(float("nan"), 2), "delta must lie in (0, 0.5), got nan"),
+    (lambda: con.DeltaSchedule(0.25).delta_array(np.array([0, 1])), "ell must be >= 1, got 0"),
+    (lambda: con.DeltaSchedule(0.25).delta_array(np.array([-3])), "ell must be >= 1, got -3"),
+    (lambda: numtheory.divisor_growth_report(100, float("nan")), "exponent must lie in (0, inf), got nan"),
+    (lambda: numtheory.divisor_growth_report(100, float("inf")), "exponent must lie in (0, inf), got inf"),
+    (lambda: numtheory.divisor_growth_report(100, -1e400), "exponent must lie in (0, inf), got -inf"),
 ], ids=["tail-bound-0", "tail-bound-negative", "epsilon-2", "epsilon-negative", "epsilon-nan",
-        "good-n-eps-nan", "thm2-target-0", "regression-tail-many-nan", "regression-periodize-nan"])
+        "good-n-eps-nan", "thm2-target-0", "regression-tail-many-nan", "regression-periodize-nan",
+        "delta-array-0", "delta-array-negative", "growth-exponent-nan", "growth-exponent-inf",
+        "growth-exponent-negative-overflow"])
 def test_bounds_refuse_values_outside_the_domain(call, message):
     # each once returned a value or raised an uncaught error: a ZeroDivisionError
     # at length 0 and a negative majorant at -4, delta(3) = 0.0512, -0.0256 and
@@ -900,3 +974,10 @@ def test_bounds_refuse_values_outside_the_domain(call, message):
     # already refused.  good_n_search raises at the call, before any next()
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_delta_array_is_delta_at_every_ell():
+    sched = con.DeltaSchedule(0.25)
+    ells = np.array([1, 2, 7, 64, 10 ** 6], dtype=np.int64)
+    assert sched.delta_array(ells).tolist() == pytest.approx([sched.delta(e) for e in ells.tolist()],
+                                                             rel=1e-15)

@@ -118,6 +118,32 @@ def test_gram_and_offdiag_energy_match_the_dense_formulas(rng=np.random.RandomSt
         assert spectral.offdiag_energy(g) == float(np.sum(np.abs(off) ** 2))
 
 
+def whole_matrix_gram(s, f):
+    """gram's entries by one np.unique over every |l_k - l_j| of the m x m matrix,
+    conjugated where l_k < l_j."""
+    diff = f[None, :] - f[:, None]
+    ks, where = np.unique(np.abs(diff), return_inverse=True)
+    vals = np.concatenate(([s.measure], torus.fourier_coeff_many(s, ks[1:])))
+    entries = vals[where.reshape(diff.shape)]
+    np.conjugate(entries, out=entries, where=diff < 0)
+    return entries
+
+
+def test_gram_over_the_upper_triangle_equals_the_whole_matrix_lookup_bitwise(
+        rng=np.random.RandomState(31)):
+    # gram evaluates the strict upper triangle and mirrors it; sign bits of zeros included
+    for case in range(24):
+        s = random_set(rng)
+        if case % 2:
+            f = random_freqs(rng, max_size=80, span=400)
+        else:
+            f = spectral.arithmetic_progression(int(rng.randint(-50, 50)), int(rng.randint(1, 30)),
+                                                int(rng.randint(1, 80)))
+        assert spectral.gram(s, f).entries.tobytes() == whole_matrix_gram(s, f).tobytes()
+    half = spectral.arithmetic_progression(0, 2, 9)  # c_hat(2k) = 0 on the half circle
+    assert spectral.gram(HALF, half).entries.tobytes() == whole_matrix_gram(HALF, half).tobytes()
+
+
 def test_gram_full_circle_is_identity():
     g = spectral.gram(FULL, spectral.frequency_set([3, 7, 20]))
     assert np.array_equal(g.entries, np.eye(3, dtype=complex))
