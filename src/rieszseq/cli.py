@@ -122,14 +122,18 @@ def _cmd_thm1(args) -> int:
     lengths = _parse_int_list(args.enns)
     if not ells or not lengths:
         raise ValueError("--ells and --enns must each name at least one value")
-    for ell in ells:
+    for i, ell in enumerate(ells):
         if ell < 1:
             raise ValueError(f"ell = {ell} must be >= 1")
         if ell > args.lmax:
             raise ValueError(f"ell = {ell} exceeds lmax = {args.lmax}")
-    for n in lengths:
+        if ell in ells[:i]:
+            raise ValueError(f"ell = {ell} is given twice")
+    for i, n in enumerate(lengths):
         if not 1 <= n <= spectral.RAYLEIGH_LENGTH_LIMIT:
             raise ValueError(f"N = {n} must lie in [1, {spectral.RAYLEIGH_LENGTH_LIMIT}]")
+        if n in lengths[:i]:
+            raise ValueError(f"N = {n} is given twice")
     sched = constructions.DeltaSchedule(args.epsilon)
     s = constructions.build_adversarial_set(args.epsilon, args.lmax)
 

@@ -37,7 +37,7 @@ from . import numtheory, spectral, torus
 from .errors import InputError, PropertyViolation, SearchFailed
 # frequency_set is unused here; bench/tests/test_bench.py reaches it as constructions.frequency_set
 from .spectral import frequency_set
-from .torus import IntervalSet, _at_least, _index, _inside, _number
+from .torus import IntervalSet, _at_least, _index, _inside, _number, _one_blas_thread
 
 SUBSTITUTION_TOL = 1e-9
 
@@ -347,7 +347,7 @@ def _cholesky(a: np.ndarray) -> np.ndarray | None:
         return None
 
 
-@spectral._one_blas_thread()
+@_one_blas_thread()
 def select_shift(
     s: IntervalSet,
     existing: LambdaBuild,
@@ -592,7 +592,7 @@ def thm2_target(gamma: float, n: int) -> float:
     return (gamma / 2.0) * (1.0 + 1.0 / _at_least(n, 1, "n"))
 
 
-@spectral._one_blas_thread()
+@_one_blas_thread()
 def build_lambda_thm2(
     s: IntervalSet,
     count: int,
@@ -694,7 +694,7 @@ def strict_step_cap(length: int, alpha: float) -> int:
     return cap
 
 
-@spectral._one_blas_thread()
+@_one_blas_thread()
 def build_lambda_thm3(
     s: IntervalSet,
     alphas: Sequence[float],
@@ -827,7 +827,7 @@ class VerifyRow:
     ok: bool
 
 
-@spectral._one_blas_thread()
+@_one_blas_thread()
 def verify_build(s: IntervalSet, build: LambdaBuild) -> tuple[list[VerifyRow], spectral.RieszReport]:
     """Re-derive every partial-union certificate by a fresh eigensolve; a row
     is ok when it matches the stated bound and clears gamma/2, both within

@@ -8,20 +8,15 @@ bounds of the finite system.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import glob
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from . import torus
 from .errors import InputError
-from .torus import IntervalSet, _at_least, _index, _inside
+from .torus import IntervalSet, _at_least, _index, _inside, _one_blas_thread
 
 # every |frequency| stays below this, so all pairwise differences fit in int64
 FREQ_LIMIT = 2 ** 62
@@ -31,71 +26,9 @@ FREQ_LIMIT = 2 ** 62
 GRAM_SIZE_LIMIT = 2 ** 13
 
 # uniform_rayleigh_ap_many takes lengths up to this: its kernel work grows as
-# arc endpoints times length (0.85-0.87 s per step at l_max 256, 33,000
-# endpoints, on 2 cores)
+# arc endpoints times length (0.57-0.80 s per step at this length, l_max 256,
+# 33,000 endpoints, with the kernel's runs on 2 cores)
 RAYLEIGH_LENGTH_LIMIT = 2 ** 16
-
-
-# where numpy's wheels bundle OpenBLAS (Linux, Windows, macOS), and the names
-# its openblas_set_num_threads_local has had, plain or with a 64-bit-integer suffix
-_OPENBLAS_FILES = (
-    "numpy.libs/*openblas*.so*",
-    "numpy.libs/*openblas*.dll",
-    "numpy/.dylibs/*openblas*.dylib",
-)
-_SET_THREADS_LOCAL = (
-    "openblas_set_num_threads_local",
-    "scipy_openblas_set_num_threads_local64_",
-    "openblas_set_num_threads_local64_",
-)
-
-
-@functools.cache
-def _blas_thread_setter():
-    """openblas_set_num_threads_local of the OpenBLAS that numpy bundles, or None.
-
-    It sets the calling thread's BLAS thread count and returns the previous
-    one.  None where numpy bundles no OpenBLAS (a build against another BLAS),
-    or an older OpenBLAS without the symbol.
-    """
-    site = Path(np.__file__).resolve().parent.parent
-    for path in sorted(p for pattern in _OPENBLAS_FILES for p in glob.glob(str(site / pattern))):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _SET_THREADS_LOCAL:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-                return setter
-    return None
-
-
-def _set_blas_threads(count: int) -> int | None:
-    """Set the calling thread's BLAS thread count; the previous count, or None
-    (and nothing set) when there is no setter."""
-    setter = _blas_thread_setter()
-    return None if setter is None else setter(count)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body's BLAS and LAPACK calls on one thread of the calling thread,
-    restoring its previous count on the way out; a no-op without a setter.
-
-    On 2 cores a 2-thread split of the small products, Choleskys and
-    eigensolves of the constructions stalls whenever another thread holds a
-    core, and its results depend on the thread count in the last bits.  Each
-    public call that does dense linear algebra enters this once, so every
-    decision and every certificate comes from the same single-thread calls.
-    """
-    previous = _set_blas_threads(1)
-    try:
-        yield
-    finally:
-        if previous is not None:
-            _set_blas_threads(previous)
 
 
 def _check_size(count: int) -> None:

@@ -19,17 +19,27 @@ about 4*N^(1/4) sine/cosine pairs.  Its products are summed by batched
 matrix products over chunks of SPLIT_CHUNK endpoints, and the chunk partials
 by numpy's pairwise sum: short GEMM sums plus a pairwise sum over chunks
 keep the accuracy of a pairwise sum over all endpoints, which one GEMM over
-all of them loses.
+all of them loses.  The chunks of each block of endpoints are split into
+contiguous runs, one per CPU the process may run on, each computed on its own
+thread with one BLAS thread; the partials are summed in chunk order as one
+thread sums them, so no value depends on the number of CPUs.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
+import ctypes
+import functools
+import glob
 import hashlib
 import json
 import math
 import operator
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,6 +66,91 @@ SPLIT_BLOCK = 1 << 16
 # elementwise pairwise sum 4.7e-15, one GEMM over all endpoints 8.5e-14,
 # 64 endpoints per GEMM 1.9e-14, and 32 per GEMM, summed pairwise, 8.3e-15
 SPLIT_CHUNK = 32
+
+# where numpy's wheels bundle OpenBLAS (Linux, Windows, macOS), and the names
+# its openblas_set_num_threads_local has had, plain or with a 64-bit-integer suffix
+_OPENBLAS_FILES = (
+    "numpy.libs/*openblas*.so*",
+    "numpy.libs/*openblas*.dll",
+    "numpy/.dylibs/*openblas*.dylib",
+)
+_SET_THREADS_LOCAL = (
+    "openblas_set_num_threads_local",
+    "scipy_openblas_set_num_threads_local64_",
+    "openblas_set_num_threads_local64_",
+)
+
+
+@functools.cache
+def _blas_thread_setter():
+    """openblas_set_num_threads_local of the OpenBLAS that numpy bundles, or None.
+
+    It sets the calling thread's BLAS thread count and returns the previous
+    one.  None where numpy bundles no OpenBLAS (a build against another BLAS),
+    or an older OpenBLAS without the symbol.
+    """
+    site = Path(np.__file__).resolve().parent.parent
+    for path in sorted(p for pattern in _OPENBLAS_FILES for p in glob.glob(str(site / pattern))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _SET_THREADS_LOCAL:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+                return setter
+    return None
+
+
+def _set_blas_threads(count: int) -> int | None:
+    """Set the calling thread's BLAS thread count; the previous count, or None
+    (and nothing set) when there is no setter."""
+    setter = _blas_thread_setter()
+    return None if setter is None else setter(count)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body's BLAS and LAPACK calls on one thread of the calling thread,
+    restoring its previous count on the way out; a no-op without a setter.
+
+    On 2 cores a 2-thread split of small products, Choleskys and eigensolves
+    stalls whenever another thread holds a core, and a factorization's results
+    depend on the thread count in the last bits.  Each public call of the
+    constructions that does dense linear algebra enters this once, so every
+    decision and every certificate comes from the same single-thread calls;
+    each run of fourier_coeff_real_ap enters it too, so its runs do not
+    compete with BLAS threads of their own for the cores.
+    """
+    previous = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _kernel_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
+    """The threads that run all but the first run of fourier_coeff_real_ap's blocks.
+
+    Made on first use, never at import.  A fork child has none of its parent's
+    threads, so the cache is cleared in the child, which makes its own pool.
+    """
+    return concurrent.futures.ThreadPoolExecutor(workers, thread_name_prefix="rieszseq-kernel")
+
+
+if hasattr(os, "register_at_fork"):  # every platform with fork has it
+    os.register_at_fork(after_in_child=_kernel_pool.cache_clear)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,37 +377,64 @@ def fourier_coeff_many(s: IntervalSet, ks) -> np.ndarray:
     return out
 
 
+def _sin_cos(steps: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of 2pi steps[i] x, as two arrays of shape (chunks, len(steps), g).
+
+    steps[0] must be 0.  Row 0's phase is then exactly +0.0, since x >= 0, so
+    its sine is exactly 0.0 and its cosine 1.0: they are filled, not evaluated.
+    Every other phase is reduced mod 1 exactly (see _frac).
+    """
+    chunks, _, g = x.shape
+    phase = _frac(steps[None, 1:, None] * x)
+    phase *= 2 * np.pi
+    sin = np.empty((chunks, steps.size, g))
+    cos = np.empty((chunks, steps.size, g))
+    sin[:, 0], cos[:, 0] = 0.0, 1.0
+    np.sin(phase, out=sin[:, 1:])
+    np.cos(phase, out=cos[:, 1:])
+    return sin, cos
+
+
 def _angle_table(x: np.ndarray, unit: float, n: int, w=None, cos_first=False) -> np.ndarray:
     """Rows i = 0..n-1 of [w sin(2pi i unit x) | w cos(2pi i unit x)] for each chunk of x.
 
     x has shape (chunks, 1, g); the result has shape (chunks, n, 2g), with the
     cosines first if cos_first, and w = 1 if w is None.  Writing i = i1*R + i0
     with R = isqrt(n - 1) + 1, sine and cosine are evaluated only on the short
-    tables i1*R*unit*x and i0*unit*x, each phase reduced mod 1 exactly (see
-    _frac); every other row is their angle sum, sin(a + b) = sin a cos b +
-    cos a sin b and cos(a + b) = cos a cos b - sin a sin b, at 4 multiplies and
-    2 adds.  A row with i1 = 0 or i0 = 0 is bitwise the direct sine and cosine,
-    since its other factors are exactly 0 and 1.  The g endpoints stay the
-    innermost axis of every product.
+    tables i1*R*unit*x and i0*unit*x, and not on their rows i1 = 0 and i0 = 0
+    (see _sin_cos); every other row is their angle sum, sin(a + b) =
+    sin a cos b + cos a sin b and cos(a + b) = cos a cos b - sin a sin b, at
+    4 multiplies and 2 adds.  A row with i1 = 0 or i0 = 0 is bitwise the direct
+    sine and cosine, since its other factors are exactly 0 and 1, but for the
+    sign of a zero where w is 0.  The g endpoints stay the innermost axis of
+    every product.
     """
     chunks, _, g = x.shape
     r = math.isqrt(n - 1) + 1
     n1 = -(-n // r)
-    coarse = _frac(np.arange(0, n1 * r, r, dtype=np.float64)[None, :, None] * unit * x)
-    coarse *= 2 * np.pi
-    fine = _frac(np.arange(r, dtype=np.float64)[None, :, None] * unit * x)
-    fine *= 2 * np.pi
-    sa, ca = np.sin(coarse), np.cos(coarse)
+    sa, ca = _sin_cos(np.arange(0, n1 * r, r, dtype=np.float64) * unit, x)
     if w is not None:
         sa *= w
         ca *= w
-    sb, cb = np.sin(fine), np.cos(fine)
+    sb, cb = _sin_cos(np.arange(r, dtype=np.float64) * unit, x)
     # both halves of a row in one pass: [sin | cos] = [sa | ca] [cb | cb] + [ca | -sa] [sb | sb],
     # bitwise the two formulas, since x + (-y) rounds as x - y
     pair, turned = ((ca, sa), (-sa, ca)) if cos_first else ((sa, ca), (ca, -sa))
     table = np.concatenate(pair, axis=-1)[:, :, None] * np.concatenate((cb, cb), axis=-1)[:, None]
     table += np.concatenate(turned, axis=-1)[:, :, None] * np.concatenate((sb, sb), axis=-1)[:, None]
     return table.reshape(chunks, n1 * r, 2 * g)[:, :n]
+
+
+def _chunk_partials(x: np.ndarray, w: np.ndarray, step: int, out: np.ndarray) -> None:
+    """One run of fourier_coeff_real_ap: write the partials of the chunks of
+    endpoints x, weights w, into out, of shape (q rows, B, chunks), on one BLAS thread."""
+    rows, b, _ = out.shape
+    with _one_blas_thread():
+        left = _angle_table(x, float(b * step), rows, w)
+        right = _angle_table(x, float(step), b, cos_first=True)
+        # copied into the GEMM's (2g, r) layout: a transposed operand is summed
+        # in another order by BLAS, and is no faster than the copy
+        out[...] = np.matmul(left, np.ascontiguousarray(right.transpose(0, 2, 1))).transpose(1, 2, 0)
 
 
 def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
@@ -325,8 +447,8 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     One table row per q and one per r, about 2*sqrt(count) rows per endpoint
     instead of count complex exponentials.  Each table is itself built by
     _angle_table from two short tables of about sqrt(rows) sine/cosine pairs,
-    so an endpoint costs about 4*count^(1/4) sin/cos pairs (24 at count 1023)
-    plus a few multiplies per row.
+    so an endpoint costs about 4*count^(1/4) sin/cos pairs (24 at count 1023,
+    less the 4 of rows 0, which are exact) plus a few multiplies per row.
 
     The products are summed by BLAS, SPLIT_CHUNK endpoints at a time: for each
     chunk, the (q rows) x (2 SPLIT_CHUNK) factor [w sin(hi) | w cos(hi)] times
@@ -338,6 +460,14 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     SPLIT_BLOCK / B endpoints, so each holds about 2*SPLIT_BLOCK doubles and
     the block's chunk partials about B/SPLIT_CHUNK times SPLIT_BLOCK; the
     last chunk is padded with weight-0 endpoints, which add exact zeros.
+
+    A block's chunks are split into one contiguous run per CPU the process may
+    run on (at most one per chunk).  Each run builds its own tables and GEMMs
+    on one BLAS thread, the first on the calling thread and the others on a
+    pool of threads made on first use; numpy releases the interpreter lock in
+    all of them.  A chunk's partial does not depend on the run that computes
+    it, and the partials are summed in chunk order, block after block, as a
+    serial pass would, so every value is bitwise the same on any number of CPUs.
     """
     step, count = _at_least(step, 1, "step"), _index(count)
     if count < 1:
@@ -351,15 +481,20 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     rows = count // b + 1
     acc = np.zeros((rows, b), dtype=np.float64)
     width = g * max(1, SPLIT_BLOCK // (b * g))
+    cpus = _cpu_count()
     for j in range(0, xs.size, width):
         x = xs[j : j + width].reshape(-1, 1, g)
         w = ws[j : j + width].reshape(-1, 1, g)
-        left = _angle_table(x, float(b * step), rows, w)
-        right = _angle_table(x, float(step), b, cos_first=True)
-        # copied into the GEMM's (2g, r) layout: a transposed operand is summed
-        # in another order by BLAS, and is no faster than the copy
-        partial = np.matmul(left, np.ascontiguousarray(right.transpose(0, 2, 1)))
-        acc += np.ascontiguousarray(partial.transpose(1, 2, 0)).sum(axis=-1)
+        chunks = x.shape[0]
+        parts = min(cpus, chunks)
+        cuts = [chunks * i // parts for i in range(parts + 1)]
+        stacked = np.empty((rows, b, chunks))
+        runs = [(x[lo:hi], w[lo:hi], step, stacked[:, :, lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        others = [_kernel_pool(parts - 1).submit(_chunk_partials, *run) for run in runs[1:]]
+        _chunk_partials(*runs[0])
+        for future in others:
+            future.result()
+        acc += stacked.sum(axis=-1)
     k = np.arange(1, count + 1, dtype=np.float64) * float(step)
     return acc.ravel()[1 : count + 1] / ((2 * np.pi) * k)
 

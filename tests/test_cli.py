@@ -310,7 +310,30 @@ def test_thm1_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 @pytest.mark.skipif(
-    spectral._blas_thread_setter() is None,
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs a second CPU to pin away from",
+)
+def test_thm1_bytes_do_not_depend_on_cpu_count(tmp_path):
+    # the kernel splits each block over the CPUs the process may run on; pinned
+    # to one CPU it runs every block in one run, and must write the same bytes
+    src = str(Path(rieszseq.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cpu = min(os.sched_getaffinity(0))
+    outputs = []
+    for pin in (lambda: os.sched_setaffinity(0, {cpu}), None):
+        out = tmp_path / f"t1-{pin is None}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rieszseq.cli", "thm1", "--lmax", "96", "--ells", "3,7",
+             "--enns", "256,1024", "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env=env, preexec_fn=pin)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert len(outputs[0].splitlines()) == 5
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(
+    torus._blas_thread_setter() is None,
     reason="numpy bundles no OpenBLAS with openblas_set_num_threads_local",
 )
 def test_thm3_and_verify_bytes_do_not_depend_on_blas_threads(arc03_file, tmp_path):
@@ -382,6 +405,8 @@ def test_thm1_runs_one_kernel_pass_per_step(tmp_path, monkeypatch):
     ("0,2", "64", "ell = 0 must be >= 1"),
     ("2", "64,0", "N = 0 must lie in [1, 65536]"),
     ("2", "65537", "N = 65537 must lie in [1, 65536]"),
+    ("2,2", "64", "ell = 2 is given twice"),
+    ("2", "64,64", "N = 64 is given twice"),
 ])
 def test_thm1_rejects_bad_grid(tmp_path, capsys, ells, enns, message):
     assert run(["thm1", "--lmax", 8, "--ells", ells, "--enns", enns, "--out", tmp_path / "t1.csv"]) == 2

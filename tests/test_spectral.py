@@ -374,12 +374,12 @@ def test_dirichlet_tail_bound_grid():
 # --- one BLAS thread for the constructions ----------------------------------------
 
 needs_setter = pytest.mark.skipif(
-    spectral._blas_thread_setter() is None,
+    torus._blas_thread_setter() is None,
     reason="numpy bundles no OpenBLAS with openblas_set_num_threads_local",
 )
 
 
-def blas_threads(set_threads=spectral._set_blas_threads):
+def blas_threads(set_threads=torus._set_blas_threads):
     """The calling thread's BLAS thread count."""
     previous = set_threads(1)
     set_threads(previous)
@@ -388,9 +388,9 @@ def blas_threads(set_threads=spectral._set_blas_threads):
 
 @pytest.fixture
 def two_blas_threads():
-    previous = spectral._set_blas_threads(2)
+    previous = torus._set_blas_threads(2)
     yield
-    spectral._set_blas_threads(previous)
+    torus._set_blas_threads(previous)
 
 
 @needs_setter
@@ -434,34 +434,34 @@ def test_one_blas_thread_is_restored_after_errors(two_blas_threads):
         constructions.verify_build(other, partial)
     assert blas_threads() == 2
     with pytest.raises(RuntimeError):
-        with spectral._one_blas_thread():
+        with torus._one_blas_thread():
             assert blas_threads() == 1
             raise RuntimeError
     assert blas_threads() == 2
 
 
 def test_one_blas_thread_is_a_no_op_without_the_library(monkeypatch):
-    real = spectral._blas_thread_setter()
+    real = torus._blas_thread_setter()
     before = None if real is None else blas_threads(real)
     freqs = spectral.frequency_set([1, 4, 9])
     expected = spectral.riesz_report(ARC03, freqs)
-    monkeypatch.setattr(spectral, "_blas_thread_setter", lambda: None)
-    assert spectral._set_blas_threads(1) is None
-    with spectral._one_blas_thread():
+    monkeypatch.setattr(torus, "_blas_thread_setter", lambda: None)
+    assert torus._set_blas_threads(1) is None
+    with torus._one_blas_thread():
         if before is not None:
             assert blas_threads(real) == before
     assert spectral.riesz_report(ARC03, freqs) == expected
 
 
 def test_blas_thread_setter_lookup_falls_back_to_none(monkeypatch):
-    lookup = spectral._blas_thread_setter.__wrapped__  # the uncached lookup
-    monkeypatch.setattr(spectral.glob, "glob", lambda pattern: [])
+    lookup = torus._blas_thread_setter.__wrapped__  # the uncached lookup
+    monkeypatch.setattr(torus.glob, "glob", lambda pattern: [])
     assert lookup() is None
-    monkeypatch.setattr(spectral.glob, "glob", lambda pattern: ["/nonexistent/libopenblas.so"])
+    monkeypatch.setattr(torus.glob, "glob", lambda pattern: ["/nonexistent/libopenblas.so"])
     assert lookup() is None
     libm = ctypes.util.find_library("m")
     if libm is not None:  # a library without the symbol
-        monkeypatch.setattr(spectral.glob, "glob", lambda pattern: [libm])
+        monkeypatch.setattr(torus.glob, "glob", lambda pattern: [libm])
         assert lookup() is None
 
 
@@ -474,9 +474,9 @@ def test_blas_thread_setter_lookup_finds_a_suffixed_symbol(monkeypatch):
         scipy_openblas_set_num_threads_local64_ = Setter()
 
     opened = []
-    monkeypatch.setattr(spectral.glob, "glob", lambda pattern: ["/fake/libscipy_openblas64_.so"])
-    monkeypatch.setattr(spectral.ctypes, "CDLL", lambda path: opened.append(path) or Library())
-    setter = spectral._blas_thread_setter.__wrapped__()
+    monkeypatch.setattr(torus.glob, "glob", lambda pattern: ["/fake/libscipy_openblas64_.so"])
+    monkeypatch.setattr(torus.ctypes, "CDLL", lambda path: opened.append(path) or Library())
+    setter = torus._blas_thread_setter.__wrapped__()
     assert setter is Library.scipy_openblas_set_num_threads_local64_
     assert setter.argtypes == [ctypes.c_int] and setter.restype is ctypes.c_int
     assert opened == ["/fake/libscipy_openblas64_.so"]

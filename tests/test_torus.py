@@ -1,5 +1,6 @@
 import hashlib
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -353,6 +354,84 @@ def test_fourier_coeff_real_ap_edges():
     assert np.array_equal(torus.fourier_coeff_real_ap(full, 5, 40), np.zeros(40))
     with pytest.raises(ValueError):
         torus.fourier_coeff_real_ap(s, 0, 5)
+
+
+def _angle_table_evaluating_rows_zero(x, unit, n, w=None, cos_first=False):
+    """torus._angle_table with np.sin and np.cos evaluated on rows i1 = 0 and i0 = 0 too."""
+    chunks, _, g = x.shape
+    r = math.isqrt(n - 1) + 1
+    n1 = -(-n // r)
+    coarse = 2 * np.pi * torus._frac(np.arange(0, n1 * r, r, dtype=np.float64)[None, :, None] * unit * x)
+    fine = 2 * np.pi * torus._frac(np.arange(r, dtype=np.float64)[None, :, None] * unit * x)
+    sa, ca = np.sin(coarse), np.cos(coarse)
+    if w is not None:
+        sa *= w
+        ca *= w
+    sb, cb = np.sin(fine), np.cos(fine)
+    pair, turned = ((ca, sa), (-sa, ca)) if cos_first else ((sa, ca), (ca, -sa))
+    table = np.concatenate(pair, axis=-1)[:, :, None] * np.concatenate((cb, cb), axis=-1)[:, None]
+    table += np.concatenate(turned, axis=-1)[:, :, None] * np.concatenate((sb, sb), axis=-1)[:, None]
+    return table.reshape(chunks, n1 * r, 2 * g)[:, :n]
+
+
+def test_angle_table_fills_rows_zero_bitwise(rng=np.random.RandomState(14)):
+    # rows i1 = 0 and i0 = 0 have phase +0.0; filled with 0.0 and 1.0 and then
+    # weighted, they keep every bit, the sign of each zero included
+    x = np.concatenate([[0.0], rng.uniform(0.0, 1.0, 94), [1.0]]).reshape(3, 1, 32)
+    w = rng.choice([-1.0, 0.0, 1.0], 96).reshape(3, 1, 32)
+    for n in (1, 2, 3, 5, 16, 17, 32, 64, 129):
+        for unit in (1.0, 3.0, 64.0, 4096.0):
+            for kwargs in ({"w": w}, {"cos_first": True}, {}):
+                got = torus._angle_table(x, unit, n, **kwargs)
+                want = _angle_table_evaluating_rows_zero(x, unit, n, **kwargs)
+                assert got.tobytes() == want.tobytes(), (n, unit, kwargs)
+
+
+def test_fourier_coeff_real_ap_bits_do_not_depend_on_cpu_count(monkeypatch, rng=np.random.RandomState(15)):
+    # a block's chunks are split into one run per CPU; every value must be the
+    # one CPU's, bit for bit, including blocks with fewer chunks than CPUs
+    sets = [constructions.build_adversarial_set(0.25, lmax) for lmax in (16, 64, 96)]
+    for _ in range(50):
+        pts = np.sort(rng.uniform(0.0, 1.0, 2 * rng.randint(1, 6)))
+        sets.append(torus.normalize(list(zip(pts[0::2], pts[1::2]))))
+    calls = [(s, step, count) for s in sets[:3] for step in (1, 3) for count in (1, 255, 1023, 4095)]
+    calls += [(s, 7, 1023) for s in sets[3:]]
+    outputs = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(torus, "_cpu_count", lambda: cpus)
+        outputs[cpus] = [torus.fourier_coeff_real_ap(*call).tobytes() for call in calls]
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
+
+
+def _send_kernel_bytes(s, conn):
+    conn.send(torus.fourier_coeff_real_ap(s, 1, 1023).tobytes())
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork here")
+# forking a process that has threads is what this test checks
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_fourier_coeff_real_ap_runs_in_a_fork_child(monkeypatch):
+    # the parent's kernel threads do not exist in a fork child; a pool kept
+    # across the fork would take the child's runs and never run them
+    monkeypatch.setattr(torus, "_cpu_count", lambda: 2)
+    s = constructions.build_adversarial_set(0.25, 64)
+    want = torus.fourier_coeff_real_ap(s, 1, 1023).tobytes()
+    assert torus._kernel_pool.cache_info().currsize >= 1  # the parent has made a pool
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_kernel_bytes, args=(s, send))
+    child.start()
+    try:
+        assert receive.poll(60), "the fork child's kernel call did not return"
+        assert receive.recv() == want
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert not child.is_alive() and child.exitcode == 0
 
 
 def test_quadrature_basics():
