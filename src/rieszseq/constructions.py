@@ -115,6 +115,12 @@ class DeltaSchedule:
         ell = _at_least(ell, 1, "ell")
         return (self.epsilon / 2.0) / self.normalizer / (ell * math.log(ell + 1.0) ** 2)
 
+    def half_widths(self, l_max: int) -> list[float]:
+        """delta(ell) / ell for ell = 1..l_max, each bitwise delta's scalar value
+        divided by ell: the same math.log expression, with ell checked once."""
+        scale = (self.epsilon / 2.0) / self.normalizer
+        return [scale / (ell * math.log(ell + 1.0) ** 2) / ell for ell in range(1, _index(l_max) + 1)]
+
     def delta_array(self, ells: np.ndarray) -> np.ndarray:
         """delta(ell) for every ell of an integer array; each ell must be at least 1."""
         ells = np.asarray(ells)
@@ -194,7 +200,7 @@ def build_adversarial_set(epsilon: float, l_max: int) -> IntervalSet:
     ell = np.repeat(ells, ells)
     k = np.arange(ell.size) - np.repeat(np.cumsum(ells) - ells, ells)
     # delta(ell) from the scalar formula, so math.log rounds every width
-    half = np.repeat([sched.delta(e) / e for e in range(1, l_max + 1)], ells)
+    half = np.repeat(sched.half_widths(l_max), ells)
     center = k / ell
     removed = torus.merge_arcs(center - half, center + half)
     return torus.from_arrays(*torus.complement_arcs(*removed))
@@ -219,8 +225,8 @@ def thm1_cells(s: IntervalSet, sched: DeltaSchedule, ell: int, lengths) -> list[
     half-width delta(ell) (change of variables tau = ell * x maps the
     quadratic form into that tail), which in turn sits under the closed-form
     cotangent majorant.  Both inequalities are asserted for every cell.  The
-    energies come from one kernel pass on S and the tails from one on the
-    complement arc, each at the largest N.
+    energies come from one kernel pass on S at the largest N, and the tails
+    from the complement arc's closed-form coefficients.
     """
     d = sched.delta(ell)
     values = spectral.uniform_rayleigh_ap_many(s, ell, lengths)

@@ -26,8 +26,8 @@ FREQ_LIMIT = 2 ** 62
 GRAM_SIZE_LIMIT = 2 ** 13
 
 # uniform_rayleigh_ap_many takes lengths up to this: its kernel work grows as
-# arc endpoints times length (0.57-0.80 s per step at this length, l_max 256,
-# 33,000 endpoints, with the kernel's runs on 2 cores)
+# arc endpoints times length (0.28-0.37 s per step at this length, l_max 256,
+# 33,000 endpoints, steps 2 and 8, with the kernel's runs on 2 cores)
 RAYLEIGH_LENGTH_LIMIT = 2 ** 16
 
 
@@ -163,49 +163,68 @@ def _report(s: IntervalSet, g: GramMatrix, eigs: tuple[float, float]) -> RieszRe
     )
 
 
-def uniform_rayleigh_ap_many(s: IntervalSet, step: int, lengths) -> list[float]:
-    """Rayleigh quotient of the all-ones vector on gram(S, {step, 2*step, ..., N*step})
-    for every N in lengths, from one kernel pass.  Shift-invariant, so no shift
-    argument.
-
-    Uses the Toeplitz structure: |S| + (2/N) * sum_{d=1}^{N-1} (N-d) Re c_hat(d*step),
-    so only the real part of one coefficient per off-diagonal stripe is needed,
-    never the N x N matrix.  The values for the largest N come from one
-    torus.fourier_coeff_real_ap call, which splits d = q*B + r with
-    B = isqrt(max N - 1) + 1 and builds each of its two tables of about
-    sqrt(N) rows from two shorter ones, so it needs about 4*N^(1/4)
-    sine/cosine pairs per arc endpoint instead of N complex exponentials;
-    every shorter N reads their prefix.  A prefix is split with the largest
-    N's B, so it may differ in the last bits from a call with that N alone.
-    The kernel sums endpoints by GEMMs over torus.SPLIT_CHUNK of them and
-    pairwise across those; the stripe sums here are numpy pairwise sums.
-    """
-    if s.measure <= 0.0:
-        raise InputError("rayleigh quotient needs a set of positive measure")
-    step, lengths = _at_least(step, 1, "step"), [_at_least(n, 1, "length") for n in lengths]
+def _lengths(lengths) -> tuple[list[int], int]:
+    """The lengths as ints, each in [1, RAYLEIGH_LENGTH_LIMIT], and the largest;
+    ValueError for none."""
+    lengths = [_at_least(n, 1, "length") for n in lengths]
     if not lengths:
         raise ValueError("need at least one length")
     top = max(lengths)
     if top > RAYLEIGH_LENGTH_LIMIT:
         raise ValueError(f"length must be at most {RAYLEIGH_LENGTH_LIMIT}, got {top}")
-    re = torus.fourier_coeff_real_ap(s, step, top - 1)
-    d = np.arange(1, top, dtype=np.int64)
-    return [
-        float(s.measure + (2.0 / n) * np.sum((n - d[: n - 1]) * re[: n - 1])) for n in lengths
-    ]
+    return lengths, top
+
+
+def _toeplitz_quotients(measure: float, re: np.ndarray, lengths: list[int]) -> list[float]:
+    """|S| + (2/N) * sum_{d=1}^{N-1} (N-d) re[d-1] for every N in lengths.
+
+    The all-ones Rayleigh quotient of the Toeplitz Gram of {1..N} with
+    diagonal |S| = measure and stripes Re c_hat(d) = re[d-1]; each stripe
+    sum is a numpy pairwise sum.
+    """
+    d = np.arange(1, re.size + 1, dtype=np.int64)
+    return [float(measure + (2.0 / n) * np.sum((n - d[: n - 1]) * re[: n - 1])) for n in lengths]
+
+
+def uniform_rayleigh_ap_many(s: IntervalSet, step: int, lengths) -> list[float]:
+    """Rayleigh quotient of the all-ones vector on gram(S, {step, 2*step, ..., N*step})
+    for every N in lengths, from one kernel pass.  Shift-invariant, so no shift
+    argument.
+
+    Uses the Toeplitz structure (_toeplitz_quotients), so only the real part
+    of one coefficient per off-diagonal stripe is needed, never the N x N
+    matrix.  The values for the largest N come from one
+    torus.fourier_coeff_real_ap call, which splits d = q*B + r with
+    B = isqrt(max N - 1) + 1 and builds each of its two tables of about
+    sqrt(N) rows from short tables by angle sums, so it evaluates four
+    sine/cosine pairs per arc endpoint instead of N complex exponentials;
+    every shorter N reads their prefix.  A prefix is split with the largest
+    N's B, so it may differ in the last bits from a call with that N alone.
+    The kernel sums endpoints by GEMMs over torus.SPLIT_CHUNK of them and
+    pairwise across those.
+    """
+    if s.measure <= 0.0:
+        raise InputError("rayleigh quotient needs a set of positive measure")
+    step = _at_least(step, 1, "step")
+    lengths, top = _lengths(lengths)
+    return _toeplitz_quotients(s.measure, torus.fourier_coeff_real_ap(s, step, top - 1), lengths)
 
 
 def dirichlet_tail_many(lengths, delta: float) -> list[float]:
     """Energy of the normalized Dirichlet polynomial of length N outside the arc
-    of half-width delta at 0, for every N in lengths, from one kernel pass.
+    of half-width delta at 0, for every N in lengths.
 
     Exact closed-form evaluation: the uniform-vector Rayleigh quotient of the
-    Gram matrix of {1..N} on the complement arc.  Equals 1 minus the energy
-    inside the deleted arc.
+    Gram matrix of {1..N} on the complement arc, of measure 1 - 2 delta and
+    Re c_hat(d) = -sin(2 pi d delta) / (pi d), the phase d delta reduced
+    mod 1 exactly (torus._frac).  Equals 1 minus the energy inside the
+    deleted arc.
     """
     delta = _inside(delta, 0.0, 0.5, "delta")
-    outside = torus.complement(torus.normalize([(-delta, delta)]))
-    return uniform_rayleigh_ap_many(outside, 1, lengths)
+    lengths, top = _lengths(lengths)
+    d = np.arange(1, top, dtype=np.float64)
+    re = np.sin((2 * np.pi) * torus._frac(d * delta)) / (-np.pi * d)
+    return _toeplitz_quotients(1.0 - 2.0 * delta, re, lengths)
 
 
 def dirichlet_tail_bound(length: int, delta: float) -> float:

@@ -14,15 +14,16 @@ frequencies a caller asks for; no coefficient is kept between calls.  Where
 only Re c_hat along a progression d*step, d = 1..N, is needed,
 `fourier_coeff_real_ap` splits each phase as d = q*B + r with B ~ sqrt(N),
 so each endpoint needs about 2*sqrt(N) table rows.  Each table is split once
-more, and its rows are angle sums of two short tables, so an endpoint costs
-about 4*N^(1/4) sine/cosine pairs.  Its products are summed by batched
-matrix products over chunks of SPLIT_CHUNK endpoints, and the chunk partials
-by numpy's pairwise sum: short GEMM sums plus a pairwise sum over chunks
-keep the accuracy of a pairwise sum over all endpoints, which one GEMM over
-all of them loses.  The chunks of each block of endpoints are split into
-contiguous runs, one per CPU the process may run on, each computed on its own
-thread with one BLAS thread; the partials are summed in chunk order as one
-thread sums them, so no value depends on the number of CPUs.
+more, and its rows are complex products of the rows of two short tables,
+which are themselves angle sums of one base phase each, so an endpoint costs
+four sine/cosine pairs per call.  Its products are summed by batched matrix
+products over chunks of SPLIT_CHUNK endpoints, and the chunk partials in
+numpy's pairwise order: short GEMM sums plus a pairwise sum over chunks keep
+the accuracy of a pairwise sum over all endpoints, which one GEMM over all of
+them loses.  The chunks of each block of endpoints are split into contiguous
+runs, one per CPU the process may run on, each computed on its own thread
+with one BLAS thread; the partials are summed in one fixed order, so no value
+depends on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -66,6 +67,15 @@ SPLIT_BLOCK = 1 << 16
 # elementwise pairwise sum 4.7e-15, one GEMM over all endpoints 8.5e-14,
 # 64 endpoints per GEMM 1.9e-14, and 32 per GEMM, summed pairwise, 8.3e-15
 SPLIT_CHUNK = 32
+
+# a block's chunks are split over the CPUs only into runs of at least this many
+# chunk partial entries (chunks x q rows x B): a smaller run loses more to the
+# thread hand-off and the shared memory bandwidth than the second CPU gives.
+# On 2 vCPUs (in-process medians of 61, one run per block against two): count
+# 255 on S_0.25 at l_max 96, blocks of 128 chunks, 1.19 against 1.33 ms;
+# count 1023 at l_max 48, one block of 38 chunks, 0.75 against 0.96 ms; and at
+# l_max 64, a block of 64 chunks, 1.91 against 1.71 ms
+SPLIT_RUN_MIN = 1 << 15
 
 # where numpy's wheels bundle OpenBLAS (Linux, Windows, macOS), and the names
 # its openblas_set_num_threads_local has had, plain or with a 64-bit-integer suffix
@@ -377,64 +387,108 @@ def fourier_coeff_many(s: IntervalSet, ks) -> np.ndarray:
     return out
 
 
-def _sin_cos(steps: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sin and cos of 2pi steps[i] x, as two arrays of shape (chunks, len(steps), g).
+def _angle_sums(phase: np.ndarray, n: int) -> np.ndarray:
+    """Rows k = 0..n-1 of e^{i k phase} = cos(k phase) + i sin(k phase), complex, of shape (n, *phase.shape).
 
-    steps[0] must be 0.  Row 0's phase is then exactly +0.0, since x >= 0, so
-    its sine is exactly 0.0 and its cosine 1.0: they are filled, not evaluated.
-    Every other phase is reduced mod 1 exactly (see _frac).
+    np.cos and np.sin run on row 1 only.  Row 0 is exactly 1 + 0i.  The other
+    rows are angle sums, complex products, filled level by level: at level
+    h = 2, 4, 8, ..., row h is row h/2 times row h/2, then rows h+1..2h-1 are
+    rows 1..h-1 times row h, in one call.  Row k goes through at most
+    2 log2(k) products, each a few roundings.
     """
-    chunks, _, g = x.shape
-    phase = _frac(steps[None, 1:, None] * x)
-    phase *= 2 * np.pi
-    sin = np.empty((chunks, steps.size, g))
-    cos = np.empty((chunks, steps.size, g))
-    sin[:, 0], cos[:, 0] = 0.0, 1.0
-    np.sin(phase, out=sin[:, 1:])
-    np.cos(phase, out=cos[:, 1:])
-    return sin, cos
+    rows = np.empty((max(n, 2),) + phase.shape, dtype=np.complex128)
+    rows[0] = 1.0
+    rows[1].real, rows[1].imag = np.cos(phase), np.sin(phase)
+    h = 2
+    while h < n:
+        np.multiply(rows[h // 2], rows[h // 2], out=rows[h])
+        top = min(2 * h, n)
+        np.multiply(rows[1 : top - h], rows[h], out=rows[h + 1 : top])
+        h *= 2
+    return rows[:n]
 
 
-def _angle_table(x: np.ndarray, unit: float, n: int, w=None, cos_first=False) -> np.ndarray:
-    """Rows i = 0..n-1 of [w sin(2pi i unit x) | w cos(2pi i unit x)] for each chunk of x.
+def _split(n: int) -> int:
+    """R = isqrt(n - 1) + 1, the fine table's length when rows 0..n-1 are written i = i1*R + i0."""
+    return math.isqrt(n - 1) + 1
 
-    x has shape (chunks, 1, g); the result has shape (chunks, n, 2g), with the
-    cosines first if cos_first, and w = 1 if w is None.  Writing i = i1*R + i0
-    with R = isqrt(n - 1) + 1, sine and cosine are evaluated only on the short
-    tables i1*R*unit*x and i0*unit*x, and not on their rows i1 = 0 and i0 = 0
-    (see _sin_cos); every other row is their angle sum, sin(a + b) =
-    sin a cos b + cos a sin b and cos(a + b) = cos a cos b - sin a sin b, at
-    4 multiplies and 2 adds.  A row with i1 = 0 or i0 = 0 is bitwise the direct
-    sine and cosine, since its other factors are exactly 0 and 1, but for the
-    sign of a zero where w is 0.  The g endpoints stay the innermost axis of
-    every product.
+
+def _angle_table(coarse: np.ndarray, fine: np.ndarray, n: int, w=None) -> np.ndarray:
+    """Rows i = 0..n-1 of w e^{i i t x} for endpoints x, as a complex array of shape (n, endpoints).
+
+    coarse and fine are _angle_sums rows at the phases R t x and t x,
+    R = _split(n), and w = 1 if w is None.  Row i = i1*R + i0 is coarse row
+    i1, weighted by w, times fine row i0: one complex product, 4 multiplies
+    and 2 adds, over all the endpoints at once.  Row 0 is exactly w + (w 0.0)i,
+    the sign of each zero included.
     """
-    chunks, _, g = x.shape
-    r = math.isqrt(n - 1) + 1
+    r = _split(n)
     n1 = -(-n // r)
-    sa, ca = _sin_cos(np.arange(0, n1 * r, r, dtype=np.float64) * unit, x)
+    coarse = coarse[:n1]
     if w is not None:
-        sa *= w
-        ca *= w
-    sb, cb = _sin_cos(np.arange(r, dtype=np.float64) * unit, x)
-    # both halves of a row in one pass: [sin | cos] = [sa | ca] [cb | cb] + [ca | -sa] [sb | sb],
-    # bitwise the two formulas, since x + (-y) rounds as x - y
-    pair, turned = ((ca, sa), (-sa, ca)) if cos_first else ((sa, ca), (ca, -sa))
-    table = np.concatenate(pair, axis=-1)[:, :, None] * np.concatenate((cb, cb), axis=-1)[:, None]
-    table += np.concatenate(turned, axis=-1)[:, :, None] * np.concatenate((sb, sb), axis=-1)[:, None]
-    return table.reshape(chunks, n1 * r, 2 * g)[:, :n]
+        # weighted part by part, each w times a real, so that each zero keeps its sign
+        coarse = (coarse.view(np.float64) * np.repeat(w, 2)).view(np.complex128)
+    table = np.empty((n, coarse.shape[-1]), dtype=np.complex128)
+    full = n // r
+    np.multiply(coarse[:full, None], fine[None, :r], out=table[: full * r].reshape(full, r, -1))
+    if full < n1:
+        np.multiply(coarse[full], fine[: n - full * r], out=table[full * r :])
+    return table
 
 
 def _chunk_partials(x: np.ndarray, w: np.ndarray, step: int, out: np.ndarray) -> None:
     """One run of fourier_coeff_real_ap: write the partials of the chunks of
-    endpoints x, weights w, into out, of shape (q rows, B, chunks), on one BLAS thread."""
-    rows, b, _ = out.shape
+    endpoints x, weights w, both of shape (chunks, g), into out, of shape
+    (chunks, q rows, B), on one BLAS thread."""
+    chunks, rows, b = out.shape
+    g = x.shape[1]
+    rq, rr = _split(rows), _split(b)
     with _one_blas_thread():
-        left = _angle_table(x, float(b * step), rows, w)
-        right = _angle_table(x, float(step), b, cos_first=True)
-        # copied into the GEMM's (2g, r) layout: a transposed operand is summed
-        # in another order by BLAS, and is no faster than the copy
-        out[...] = np.matmul(left, np.ascontiguousarray(right.transpose(0, 2, 1))).transpose(1, 2, 0)
+        # the four base phases of both tables' short tables, in one array
+        units = np.array([rq * b * step, b * step, rr * step, step], dtype=np.float64)
+        phase = _frac(units[:, None] * x.reshape(1, -1))
+        phase *= 2 * np.pi
+        short = _angle_sums(phase, max(-(-rows // rq), rq, -(-b // rr), rr))
+        left = _angle_table(short[:, 0], short[:, 1], rows, w.reshape(-1))
+        right = _angle_table(short[:, 2], short[:, 3], b)
+        # each chunk's GEMM pairs [w cos(hi), w sin(hi)] with [sin(lo), cos(lo)]
+        # per endpoint.  The q table goes to it as a strided view per chunk; the
+        # r table is copied into the GEMM's (2g, r) layout, its pairs turned: a
+        # transposed operand is summed in another order by BLAS, and is no
+        # faster than the copy
+        left = left.view(np.float64).reshape(rows, chunks, 2 * g).transpose(1, 0, 2)
+        right = right.view(np.float64).reshape(b, chunks, g, 2)[..., ::-1].transpose(1, 2, 3, 0)
+        np.matmul(left, np.ascontiguousarray(right).reshape(chunks, 2 * g, b), out=out)
+
+
+def _pairwise_sum(parts: np.ndarray) -> np.ndarray:
+    """The sum of parts over axis 0 in numpy's pairwise order, from whole-row passes; overwrites parts.
+
+    numpy sums an axis of k <= 128 terms in 8 running sums, each over every
+    8th term, combined pairwise, and splits a longer axis into halves of a
+    multiple of 8 terms; fewer than 8 terms it sums in turn.  Here each step
+    of that order is one elementwise pass over whole rows, so the result is
+    bitwise np.sum over a contiguous chunk axis, but for the sign of a zero,
+    at a third of its cost: on a block at count 65535 (8 chunks of 256 x 256),
+    the one-output-at-a-time sum over a contiguous chunk axis took 1.5 ms, and
+    these passes 0.5 ms.
+    """
+    k = parts.shape[0]
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _pairwise_sum(parts[:half]) + _pairwise_sum(parts[half:])
+    if k < 8:
+        for i in range(1, k):
+            parts[0] += parts[i]
+        return parts[0]
+    sums, top = parts[:8], k - k % 8
+    for i in range(8, top, 8):
+        sums += parts[i : i + 8]
+    sums = sums[0::2] + sums[1::2]
+    total = (sums[0] + sums[1]) + (sums[2] + sums[3])
+    for i in range(top, k):
+        total += parts[i]
+    return total
 
 
 def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
@@ -443,31 +497,37 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     Re c_hat(k) = sum over endpoints x of w_x sin(2pi k x) / (2pi k), with
     w = -1 at arc starts and +1 at arc ends.  Writing d = q*B + r with
     B = isqrt(count) + 1 splits the phase: sin(2pi d step x) =
-    sin(2pi qB step x) cos(2pi r step x) + cos(2pi qB step x) sin(2pi r step x).
+    cos(2pi qB step x) sin(2pi r step x) + sin(2pi qB step x) cos(2pi r step x).
     One table row per q and one per r, about 2*sqrt(count) rows per endpoint
-    instead of count complex exponentials.  Each table is itself built by
-    _angle_table from two short tables of about sqrt(rows) sine/cosine pairs,
-    so an endpoint costs about 4*count^(1/4) sin/cos pairs (24 at count 1023,
-    less the 4 of rows 0, which are exact) plus a few multiplies per row.
+    instead of count complex exponentials.  Each table is built by
+    _angle_table from two short tables of about sqrt(rows) rows, and the four
+    short tables of a run come from one _angle_sums call on their four base
+    phases, 2pi frac(u x) for u = R_q B step, B step, R_r step and step
+    (R = _split of each table's length).  So np.sin and np.cos run four times
+    per endpoint, and every other entry is an angle sum: row k of a short
+    table carries about k times the rounding of its float64 base phase t, and
+    stays within 2k units of 2^-53 of e^{ikt}.
 
     The products are summed by BLAS, SPLIT_CHUNK endpoints at a time: for each
-    chunk, the (q rows) x (2 SPLIT_CHUNK) factor [w sin(hi) | w cos(hi)] times
-    the (2 SPLIT_CHUNK) x (r rows) factor [cos(lo) ; sin(lo)] is one GEMM of a
-    batched matmul.  A GEMM sums in its kernel's own order, whose error grows
-    with the length of the sum, so the chunk keeps each sum short; the chunk
-    partials are then combined by numpy's pairwise sum, and the blocks of
-    endpoints accumulated in turn.  Tables are built per block of about
-    SPLIT_BLOCK / B endpoints, so each holds about 2*SPLIT_BLOCK doubles and
-    the block's chunk partials about B/SPLIT_CHUNK times SPLIT_BLOCK; the
-    last chunk is padded with weight-0 endpoints, which add exact zeros.
+    chunk, the (q rows) x (2 SPLIT_CHUNK) factor of [w cos(hi), w sin(hi)]
+    pairs times the (2 SPLIT_CHUNK) x (r rows) factor of [sin(lo), cos(lo)]
+    pairs is one GEMM of a batched matmul.  A GEMM sums in its kernel's own
+    order, whose error grows with the length of the sum, so the chunk keeps
+    each sum short; the chunk partials are then combined in numpy's pairwise
+    order (_pairwise_sum), and the blocks of endpoints accumulated in turn.
+    Tables are built per block of about SPLIT_BLOCK / B endpoints, so each
+    holds about 2*SPLIT_BLOCK doubles and the block's chunk partials about
+    B/SPLIT_CHUNK times SPLIT_BLOCK; the last chunk is padded with weight-0
+    endpoints, which add exact zeros.
 
     A block's chunks are split into one contiguous run per CPU the process may
-    run on (at most one per chunk).  Each run builds its own tables and GEMMs
+    run on (at most one per chunk, and none of fewer than SPLIT_RUN_MIN
+    partial entries).  Each run builds its own tables and GEMMs
     on one BLAS thread, the first on the calling thread and the others on a
     pool of threads made on first use; numpy releases the interpreter lock in
     all of them.  A chunk's partial does not depend on the run that computes
-    it, and the partials are summed in chunk order, block after block, as a
-    serial pass would, so every value is bitwise the same on any number of CPUs.
+    it, and the partials are summed in the same order, block after block,
+    whatever the runs, so every value is bitwise the same on any number of CPUs.
     """
     step, count = _at_least(step, 1, "step"), _index(count)
     if count < 1:
@@ -483,18 +543,18 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     width = g * max(1, SPLIT_BLOCK // (b * g))
     cpus = _cpu_count()
     for j in range(0, xs.size, width):
-        x = xs[j : j + width].reshape(-1, 1, g)
-        w = ws[j : j + width].reshape(-1, 1, g)
+        x = xs[j : j + width].reshape(-1, g)
+        w = ws[j : j + width].reshape(-1, g)
         chunks = x.shape[0]
-        parts = min(cpus, chunks)
+        parts = max(1, min(cpus, chunks, chunks * rows * b // SPLIT_RUN_MIN))
         cuts = [chunks * i // parts for i in range(parts + 1)]
-        stacked = np.empty((rows, b, chunks))
-        runs = [(x[lo:hi], w[lo:hi], step, stacked[:, :, lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        stacked = np.empty((chunks, rows, b))
+        runs = [(x[lo:hi], w[lo:hi], step, stacked[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
         others = [_kernel_pool(parts - 1).submit(_chunk_partials, *run) for run in runs[1:]]
         _chunk_partials(*runs[0])
         for future in others:
             future.result()
-        acc += stacked.sum(axis=-1)
+        acc += _pairwise_sum(stacked)
     k = np.arange(1, count + 1, dtype=np.float64) * float(step)
     return acc.ravel()[1 : count + 1] / ((2 * np.pi) * k)
 

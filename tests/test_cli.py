@@ -389,7 +389,7 @@ def test_thm1_runs_one_kernel_pass_per_step(tmp_path, monkeypatch):
     adversarial = constructions.build_adversarial_set(0.25, 16)
     on_s = sorted((step, count) for s, step, count in calls if s == adversarial)
     assert on_s == [(2, 1023), (4, 1023), (8, 1023)]
-    assert len(calls) == 6  # and one on each step's Dirichlet complement arc
+    assert len(calls) == 3  # the Dirichlet tails are closed forms, with no kernel pass
     # each step's row at its largest N is the one-length value, to the last bit
     sched = constructions.DeltaSchedule(0.25)
     rows = [line.split(",") for line in out.read_text().splitlines()[1:] if ",1024," in line]

@@ -348,6 +348,17 @@ def test_dirichlet_tail_single_term():
         assert spectral.dirichlet_tail_many([1], delta)[0] == pytest.approx(1 - 2 * delta, abs=1e-12)
 
 
+@pytest.mark.parametrize("delta", [0.001, 0.1, 0.37])
+def test_dirichlet_tail_closed_form_matches_the_kernel_on_the_complement_arc(delta):
+    # the tails read Re c_hat(d) = -sin(2 pi d delta) / (pi d) of the complement
+    # arc directly; the kernel on that arc as a set gives the same quotients
+    outside = torus.complement(torus.normalize([(-delta, delta)]))
+    lengths = [1, 2, 255, 1024, 65536]
+    got = spectral.dirichlet_tail_many(lengths, delta)
+    want = spectral.uniform_rayleigh_ap_many(outside, 1, lengths)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13
+
+
 def test_dirichlet_tail_near_half_width():
     assert spectral.dirichlet_tail_many([100], 0.499)[0] < 1e-2
     assert spectral.dirichlet_tail_many([128], 0.499)[0] < 1e-2

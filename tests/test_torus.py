@@ -356,35 +356,48 @@ def test_fourier_coeff_real_ap_edges():
         torus.fourier_coeff_real_ap(s, 0, 5)
 
 
-def _angle_table_evaluating_rows_zero(x, unit, n, w=None, cos_first=False):
-    """torus._angle_table with np.sin and np.cos evaluated on rows i1 = 0 and i0 = 0 too."""
-    chunks, _, g = x.shape
-    r = math.isqrt(n - 1) + 1
-    n1 = -(-n // r)
-    coarse = 2 * np.pi * torus._frac(np.arange(0, n1 * r, r, dtype=np.float64)[None, :, None] * unit * x)
-    fine = 2 * np.pi * torus._frac(np.arange(r, dtype=np.float64)[None, :, None] * unit * x)
-    sa, ca = np.sin(coarse), np.cos(coarse)
-    if w is not None:
-        sa *= w
-        ca *= w
-    sb, cb = np.sin(fine), np.cos(fine)
-    pair, turned = ((ca, sa), (-sa, ca)) if cos_first else ((sa, ca), (ca, -sa))
-    table = np.concatenate(pair, axis=-1)[:, :, None] * np.concatenate((cb, cb), axis=-1)[:, None]
-    table += np.concatenate(turned, axis=-1)[:, :, None] * np.concatenate((sb, sb), axis=-1)[:, None]
-    return table.reshape(chunks, n1 * r, 2 * g)[:, :n]
+def test_angle_tables_keep_rows_zero_exact(rng=np.random.RandomState(14)):
+    # row 0 of a short table is exactly 1 + 0i, and row 0 of a weighted table
+    # exactly w + (w 0.0)i, the sign of each zero included
+    x = np.concatenate([[0.0], rng.uniform(0.0, 1.0, 94), [1.0]])
+    w = rng.choice([-1.0, 0.0, 1.0], 96)
+    for unit in (1.0, 3.0, 64.0, 4096.0):
+        phase = 2 * np.pi * torus._frac(unit * x)
+        for n in (1, 2, 3, 5, 16, 17, 32, 64, 129):
+            rows = torus._angle_sums(phase, torus._split(n))
+            assert rows[0].tobytes() == np.full(96, 1 + 0j).tobytes()
+            table = torus._angle_table(rows, rows, n, w)
+            assert table.shape == (n, 96)
+            assert table[0].real.tobytes() == (w * 1.0).tobytes(), (unit, n)
+            assert table[0].imag.tobytes() == (w * 0.0).tobytes(), (unit, n)
+            assert torus._angle_table(rows, rows, n)[0].tobytes() == rows[0].tobytes()
 
 
-def test_angle_table_fills_rows_zero_bitwise(rng=np.random.RandomState(14)):
-    # rows i1 = 0 and i0 = 0 have phase +0.0; filled with 0.0 and 1.0 and then
-    # weighted, they keep every bit, the sign of each zero included
-    x = np.concatenate([[0.0], rng.uniform(0.0, 1.0, 94), [1.0]]).reshape(3, 1, 32)
-    w = rng.choice([-1.0, 0.0, 1.0], 96).reshape(3, 1, 32)
-    for n in (1, 2, 3, 5, 16, 17, 32, 64, 129):
-        for unit in (1.0, 3.0, 64.0, 4096.0):
-            for kwargs in ({"w": w}, {"cos_first": True}, {}):
-                got = torus._angle_table(x, unit, n, **kwargs)
-                want = _angle_table_evaluating_rows_zero(x, unit, n, **kwargs)
-                assert got.tobytes() == want.tobytes(), (n, unit, kwargs)
+def test_short_table_rows_stay_near_their_angle(rng=np.random.RandomState(16)):
+    # row k of a short table comes from its base phase t by at most 2 log2(k)
+    # angle sums, not from a sine and cosine of its own: it carries k times
+    # row 1's rounding plus the products' own, and stays within 2k u of e^{ikt}
+    # (u = 2^-53; 1.14k u seen).  The reference takes the same float64 t, in
+    # long double
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("np.longdouble is not wider than float64 here")
+    u = np.finfo(np.float64).eps / 2
+    x = np.concatenate([[0.0, 0.25, 0.5], rng.uniform(0.0, 1.0, 5000)])
+    for unit in (1, 3, 7, 96, 4095, 65536, 12345678, 2 ** 28 - 1, 2 ** 28):
+        phase = 2 * np.pi * torus._frac(float(unit) * x)
+        for n in (1, 2, 3, 5, 8, 9, 16):
+            rows = torus._angle_sums(phase, n)
+            k = np.arange(n)
+            angle = k.astype(np.longdouble)[:, None] * phase.astype(np.longdouble)
+            err = np.maximum(abs(rows.real - np.cos(angle)), abs(rows.imag - np.sin(angle)))
+            assert np.all(err.max(axis=1).astype(float) <= 2 * k * u), (unit, n)
+
+
+def test_pairwise_sum_is_numpys_sum_over_a_contiguous_axis(rng=np.random.RandomState(17)):
+    for k in list(range(1, 140)) + [255, 256, 257, 1000, 1024]:
+        parts = rng.standard_normal((k, 40)) * 10.0 ** rng.randint(-8, 8, (k, 40))
+        want = np.ascontiguousarray(parts.T).sum(axis=-1)
+        assert torus._pairwise_sum(parts.copy()).tobytes() == want.tobytes(), k
 
 
 def test_fourier_coeff_real_ap_bits_do_not_depend_on_cpu_count(monkeypatch, rng=np.random.RandomState(15)):
