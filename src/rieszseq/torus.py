@@ -150,13 +150,17 @@ def _cpu_count() -> int:
 
 
 @functools.cache
-def _kernel_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
+def _kernel_pool() -> concurrent.futures.ThreadPoolExecutor:
     """The threads that run all but the first run of fourier_coeff_real_ap's blocks.
 
-    Made on first use, never at import.  A fork child has none of its parent's
-    threads, so the cache is cleared in the child, which makes its own pool.
+    One pool per process, of one thread per CPU past the first, whatever the
+    number of runs a block splits into.  Made on first use, never at import.
+    A fork child has none of its parent's threads, so the cache is cleared in
+    the child, which makes its own pool.
     """
-    return concurrent.futures.ThreadPoolExecutor(workers, thread_name_prefix="rieszseq-kernel")
+    return concurrent.futures.ThreadPoolExecutor(
+        max(1, _cpu_count() - 1), thread_name_prefix="rieszseq-kernel"
+    )
 
 
 if hasattr(os, "register_at_fork"):  # every platform with fork has it
@@ -550,7 +554,7 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
         cuts = [chunks * i // parts for i in range(parts + 1)]
         stacked = np.empty((chunks, rows, b))
         runs = [(x[lo:hi], w[lo:hi], step, stacked[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-        others = [_kernel_pool(parts - 1).submit(_chunk_partials, *run) for run in runs[1:]]
+        others = [_kernel_pool().submit(_chunk_partials, *run) for run in runs[1:]]
         _chunk_partials(*runs[0])
         for future in others:
             future.result()

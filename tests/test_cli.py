@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -358,6 +359,22 @@ def test_thm3_and_verify_bytes_do_not_depend_on_blas_threads(arc03_file, tmp_pat
         outputs.append([path.read_bytes() for path in (csv, build, report)])
     assert len(outputs[0][0].splitlines()) == 5
     assert outputs[0] == outputs[1]
+
+
+def test_thm1_computes_on_the_calling_thread(tmp_path, monkeypatch):
+    # --workers is ignored: every step runs on the caller's thread, and only the
+    # kernel's own pool splits the work over the CPUs
+    threads = []
+    cells = constructions.thm1_cells
+
+    def spy(*args):
+        threads.append(threading.current_thread())
+        return cells(*args)
+
+    monkeypatch.setattr(constructions, "thm1_cells", spy)
+    assert run(["thm1", "--lmax", 8, "--ells", "2,4,8", "--enns", "64,256", "--workers", 3,
+                "--out", tmp_path / "t1.csv"]) == 0
+    assert threads == [threading.main_thread()] * 3
 
 
 @pytest.mark.parametrize("workers", [0, -3])

@@ -1,6 +1,11 @@
 import hashlib
+import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -445,6 +450,44 @@ def test_fourier_coeff_real_ap_runs_in_a_fork_child(monkeypatch):
             child.kill()
             child.join(10)
     assert not child.is_alive() and child.exitcode == 0
+
+
+# counts the runs and the kernel threads of three calls whose one block splits
+# into 2, 3 and 4 runs on 4 CPUs (20, 40 and 60 arcs are 2, 3 and 4 chunks)
+_POOL_SCRIPT = """
+import json
+import threading
+import numpy as np
+from rieszseq import torus
+rng = np.random.RandomState(16)
+runs, chunk_partials = [], torus._chunk_partials
+def counted(*args):
+    runs.append(None)
+    chunk_partials(*args)
+torus._chunk_partials = counted
+torus._cpu_count = lambda: 4
+calls = [(torus.normalize(list(zip(pts[0::2], pts[1::2]))), 1, 65535)
+         for pts in (np.sort(rng.uniform(0.0, 1.0, 2 * n)) for n in (20, 40, 60))]
+split = []
+for call in calls:
+    del runs[:]
+    torus.fourier_coeff_real_ap(*call)
+    split.append(len(runs))
+kernel = [t for t in threading.enumerate() if t.name.startswith("rieszseq-kernel")]
+print(json.dumps([split, len(kernel)]))
+"""
+
+
+def test_one_kernel_pool_whatever_the_number_of_runs():
+    # blocks that split into 2, 3 and 4 runs share one pool of cpus - 1 threads
+    src = str(Path(torus.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _POOL_SCRIPT],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    split, threads = json.loads(proc.stdout)
+    assert split == [2, 3, 4]
+    assert 1 <= threads <= 3
 
 
 def test_quadrature_basics():
