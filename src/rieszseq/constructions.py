@@ -186,9 +186,23 @@ def build_adversarial_set(epsilon: float, l_max: int) -> IntervalSet:
     delta from DeltaSchedule(epsilon).
 
     Measure exceeds 1 - epsilon because the removed arcs total less than
-    2 * sum delta(ell) < epsilon.  The l_max * (l_max + 1) / 2 raw arcs
-    k/ell -+ delta(ell)/ell are built and merged as arrays, bitwise the arcs
-    that normalizing them and taking the complement give.
+    2 * sum delta(ell) < epsilon.
+
+    The set removes the arc around (ell - k)/ell with the one around k/ell, so
+    it is symmetric under x -> 1 - x, and it is stored so bit for bit: the
+    arcs of the complement that end above 1/2 are kept, and each kept arc
+    [a, b) gains its mirror [1 - b, 1 - a).  For u in [1/2, 1], 1 - u is exact
+    (Sterbenz), so 1 - (1 - u) == u.  At l_max = 1 the one arc runs across
+    1/2 and becomes [1 - b, b).  An endpoint of the lower half thus differs
+    by at most 2^-53, one ulp of its mirror, from the complement's own.
+    torus.fourier_coeff_real_ap folds each mirror pair of endpoints into one.
+
+    Only the raw arcs that reach above 1/2 are built, as arrays: k/ell -+
+    delta(ell)/ell for k/ell >= 1/2 (an arc centred below 1/2 ends below it,
+    as delta(ell)/ell < 1/(2 ell)), and for k = 0 the piece
+    [1 - delta(ell)/ell, 1) that the arc around 0 leaves there.  Their merge
+    and complement above 1/2 are bitwise those of all l_max * (l_max + 1) / 2
+    raw arcs, normalized.
     """
     l_max = _index(l_max)
     if not 1 <= l_max <= ADVERSARIAL_LMAX_LIMIT:
@@ -197,13 +211,27 @@ def build_adversarial_set(epsilon: float, l_max: int) -> IntervalSet:
     if sched.delta(l_max) >= 1.0 / (2 * l_max):
         raise InputError(f"delta({l_max}) too wide for disjoint periodization")
     ells = np.arange(1, l_max + 1)
-    ell = np.repeat(ells, ells)
-    k = np.arange(ell.size) - np.repeat(np.cumsum(ells) - ells, ells)
+    arcs = 1 + ells // 2  # k = 0 and k = ceil(ell/2) .. ell - 1
+    ell = np.repeat(ells, arcs)
+    j = np.arange(ell.size) - np.repeat(np.cumsum(arcs) - arcs, arcs)
+    k = np.where(j == 0, 0, (ell + 1) // 2 + j - 1)
     # delta(ell) from the scalar formula, so math.log rounds every width
-    half = np.repeat(sched.half_widths(l_max), ells)
+    half = np.repeat(sched.half_widths(l_max), arcs)
     center = k / ell
-    removed = torus.merge_arcs(center - half, center + half)
-    return torus.from_arrays(*torus.complement_arcs(*removed))
+    # 1 - half is the start merge_arcs gives the arc (-half, half), and the
+    # piece's length 1 - (1 - half) is exact, so it ends at 1 exactly
+    lo = np.where(k == 0, 1.0 - half, center - half)
+    hi = np.where(k == 0, 1.0, center + half)
+    a, b = torus.complement_arcs(*torus.merge_arcs(lo, hi))
+    upper = b > 0.5
+    a, b = a[upper], b[upper]
+    across = int(a[0] < 0.5)  # 1 at l_max = 1 only
+    mirror_a, mirror_b = 1.0 - b[::-1], 1.0 - a[::-1]
+    if across:
+        mirror_b[-1] = b[0]
+    return torus.from_arrays(
+        np.concatenate([mirror_a, a[across:]]), np.concatenate([mirror_b, b[across:]])
+    )
 
 
 @dataclass(frozen=True)

@@ -194,10 +194,12 @@ def uniform_rayleigh_ap_many(s: IntervalSet, step: int, lengths) -> list[float]:
     Uses the Toeplitz structure (_toeplitz_quotients), so only the real part
     of one coefficient per off-diagonal stripe is needed, never the N x N
     matrix.  The values for the largest N come from one
-    torus.fourier_coeff_real_ap call, which splits d = q*B + r with
+    torus.fourier_coeff_real_ap call, which folds each endpoint x > 1/2 onto
+    1 - x (so a set symmetric under x -> 1 - x, such as S_epsilon, costs half
+    its endpoints), splits d = q*B + r with
     B = isqrt(max N - 1) + 1 and builds each of its two tables of about
     sqrt(N) rows from short tables by angle sums, so it evaluates four
-    sine/cosine pairs per arc endpoint instead of N complex exponentials;
+    sine/cosine pairs per folded endpoint instead of N complex exponentials;
     every shorter N reads their prefix.  A prefix is split with the largest
     N's B, so it may differ in the last bits from a call with that N alone.
     The kernel sums endpoints by GEMMs over torus.SPLIT_CHUNK of them and

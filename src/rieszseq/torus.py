@@ -12,7 +12,9 @@ Every coefficient comes from the closed form, one complex exponential per
 arc endpoint and frequency (`fourier_coeff_many`), evaluated at exactly the
 frequencies a caller asks for; no coefficient is kept between calls.  Where
 only Re c_hat along a progression d*step, d = 1..N, is needed,
-`fourier_coeff_real_ap` splits each phase as d = q*B + r with B ~ sqrt(N),
+`fourier_coeff_real_ap` first folds every endpoint x > 1/2 onto 1 - x with
+its weight negated, which merges the endpoints of a set symmetric under
+x -> 1 - x in pairs, then splits each phase as d = q*B + r with B ~ sqrt(N),
 so each endpoint needs about 2*sqrt(N) table rows.  Each table is split once
 more, and its rows are complex products of the rows of two short tables,
 which are themselves angle sums of one base phase each, so an endpoint costs
@@ -95,9 +97,11 @@ _SET_THREADS_LOCAL = (
 def _blas_thread_setter():
     """openblas_set_num_threads_local of the OpenBLAS that numpy bundles, or None.
 
-    It sets the calling thread's BLAS thread count and returns the previous
-    one.  None where numpy bundles no OpenBLAS (a build against another BLAS),
-    or an older OpenBLAS without the symbol.
+    It sets the BLAS thread count and returns the previous one.  Despite its
+    name, in the OpenBLAS that numpy bundles the count it sets is the
+    process's: a count set on one thread is the one every thread sees.  None
+    where numpy bundles no OpenBLAS (a build against another BLAS), or an
+    older OpenBLAS without the symbol.
     """
     site = Path(np.__file__).resolve().parent.parent
     for path in sorted(p for pattern in _OPENBLAS_FILES for p in glob.glob(str(site / pattern))):
@@ -114,24 +118,27 @@ def _blas_thread_setter():
 
 
 def _set_blas_threads(count: int) -> int | None:
-    """Set the calling thread's BLAS thread count; the previous count, or None
-    (and nothing set) when there is no setter."""
+    """Set the BLAS thread count, the process's in numpy's OpenBLAS (see
+    _blas_thread_setter); the previous count, or None (and nothing set) when
+    there is no setter."""
     setter = _blas_thread_setter()
     return None if setter is None else setter(count)
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body's BLAS and LAPACK calls on one thread of the calling thread,
-    restoring its previous count on the way out; a no-op without a setter.
+    """Run the body's BLAS and LAPACK calls on one BLAS thread, restoring the
+    previous count on the way out; a no-op without a setter.
 
     On 2 cores a 2-thread split of small products, Choleskys and eigensolves
     stalls whenever another thread holds a core, and a factorization's results
     depend on the thread count in the last bits.  Each public call of the
     constructions that does dense linear algebra enters this once, so every
-    decision and every certificate comes from the same single-thread calls;
-    each run of fourier_coeff_real_ap enters it too, so its runs do not
-    compete with BLAS threads of their own for the cores.
+    decision and every certificate comes from the same single-thread calls.
+    fourier_coeff_real_ap enters it once around all its runs, so they do not
+    compete with BLAS threads of their own for the cores; a count that is
+    process-wide is then restored only after the last run.  Each run enters
+    it as well, for a build whose count is the calling thread's own.
     """
     previous = _set_blas_threads(1)
     try:
@@ -448,9 +455,11 @@ def _chunk_partials(x: np.ndarray, w: np.ndarray, step: int, out: np.ndarray) ->
     g = x.shape[1]
     rq, rr = _split(rows), _split(b)
     with _one_blas_thread():
-        # the four base phases of both tables' short tables, in one array
+        # the four base phases of both tables' short tables, in one array,
+        # reduced to [-1/2, 1/2] turns as p - round(p), exact as _frac is
         units = np.array([rq * b * step, b * step, rr * step, step], dtype=np.float64)
-        phase = _frac(units[:, None] * x.reshape(1, -1))
+        phase = units[:, None] * x.reshape(1, -1)
+        phase -= np.rint(phase)
         phase *= 2 * np.pi
         short = _angle_sums(phase, max(-(-rows // rq), rq, -(-b // rr), rr))
         left = _angle_table(short[:, 0], short[:, 1], rows, w.reshape(-1))
@@ -495,22 +504,57 @@ def _pairwise_sum(parts: np.ndarray) -> np.ndarray:
     return total
 
 
+def _folded_endpoints(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoints x in [0, 1/2] and weights w of the sine sum
+    sum over endpoints of w_x sin(2pi k x), for every integer k, of sorted arcs.
+
+    An arc start weighs -1 and an end +1.  An endpoint x > 1/2 is folded to
+    1 - x, exact (Sterbenz), with its weight negated, since
+    sin(2pi k (1 - x)) = -sin(2pi k x).  Bitwise equal endpoints are merged
+    by summing their weights, which are small integers and so exact, and
+    zero weights are dropped: a set symmetric under x -> 1 - x bit for bit
+    keeps half its endpoints.  The arcs' endpoints ascend, so the folded ones
+    do in reverse, and a stable sort of the two runs is one merge.
+    """
+    x = arcs.ravel()
+    w = np.tile([-1.0, 1.0], arcs.shape[0])
+    m = np.searchsorted(x, 0.5, side="right")
+    x = np.concatenate([x[:m], 1.0 - x[m:][::-1]])
+    w = np.concatenate([w[:m], -w[m:][::-1]])
+    order = np.argsort(x, kind="stable")
+    x, w = x[order], w[order]
+    first = np.ones(x.size, dtype=bool)  # each run of equal endpoints
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    x, w = x[first], np.add.reduceat(w, first)
+    keep = w != 0.0
+    return x[keep], w[keep]
+
+
 def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     """Re c_hat(d*step) for d = 1..count, from a split-phase sine sum.
 
     Re c_hat(k) = sum over endpoints x of w_x sin(2pi k x) / (2pi k), with
-    w = -1 at arc starts and +1 at arc ends.  Writing d = q*B + r with
-    B = isqrt(count) + 1 splits the phase: sin(2pi d step x) =
+    w = -1 at arc starts and +1 at arc ends.  The sum runs over the folded
+    endpoints of _folded_endpoints, all in [0, 1/2]: each x > 1/2 becomes
+    1 - x with -w_x, which is exact for integer k, and equal endpoints merge.
+    A set symmetric under x -> 1 - x bit for bit, as
+    constructions.build_adversarial_set stores S_epsilon, keeps half its
+    endpoints, of weight +-2; any other set keeps as many as it has, less any
+    exact mirror pairs.
+
+    Writing d = q*B + r with B = isqrt(count) + 1 splits the phase:
+    sin(2pi d step x) =
     cos(2pi qB step x) sin(2pi r step x) + sin(2pi qB step x) cos(2pi r step x).
     One table row per q and one per r, about 2*sqrt(count) rows per endpoint
     instead of count complex exponentials.  Each table is built by
     _angle_table from two short tables of about sqrt(rows) rows, and the four
     short tables of a run come from one _angle_sums call on their four base
-    phases, 2pi frac(u x) for u = R_q B step, B step, R_r step and step
-    (R = _split of each table's length).  So np.sin and np.cos run four times
-    per endpoint, and every other entry is an angle sum: row k of a short
-    table carries about k times the rounding of its float64 base phase t, and
-    stays within 2k units of 2^-53 of e^{ikt}.
+    phases, 2pi (u x - round(u x)) in [-pi, pi] for u = R_q B step, B step,
+    R_r step and step (R = _split of each table's length).  So np.sin and
+    np.cos run four times per endpoint, and every other entry is an angle
+    sum: row k of a short table carries about k times the rounding of its
+    float64 base phase t, and stays within 2k units of 2^-53 of e^{ikt}.
 
     The products are summed by BLAS, SPLIT_CHUNK endpoints at a time: for each
     chunk, the (q rows) x (2 SPLIT_CHUNK) factor of [w cos(hi), w sin(hi)]
@@ -526,39 +570,43 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
 
     A block's chunks are split into one contiguous run per CPU the process may
     run on (at most one per chunk, and none of fewer than SPLIT_RUN_MIN
-    partial entries).  Each run builds its own tables and GEMMs
-    on one BLAS thread, the first on the calling thread and the others on a
-    pool of threads made on first use; numpy releases the interpreter lock in
-    all of them.  A chunk's partial does not depend on the run that computes
-    it, and the partials are summed in the same order, block after block,
-    whatever the runs, so every value is bitwise the same on any number of CPUs.
+    partial entries).  Each run builds its own tables and GEMMs on one BLAS
+    thread, the first on the calling thread and the others on a pool of
+    threads made on first use; numpy releases the interpreter lock in all of
+    them.  The call holds the BLAS thread count at 1 from before the first run
+    starts until the last one ends, and restores it then.  A chunk's partial
+    does not depend on the run that computes it, and the partials are summed
+    in the same order, block after block, whatever the runs, so every value is
+    bitwise the same on any number of CPUs.
     """
     step, count = _at_least(step, 1, "step"), _index(count)
     if count < 1:
         return np.empty(0, dtype=np.float64)
     g = SPLIT_CHUNK
-    starts, ends = s.arcs.T
-    pad = -(starts.size + ends.size) % g
-    xs = np.concatenate([starts, ends, np.zeros(pad)])
-    ws = np.concatenate([-np.ones_like(starts), np.ones_like(ends), np.zeros(pad)])
+    xs, ws = _folded_endpoints(s.arcs)
+    pad = -xs.size % g
+    xs, ws = np.concatenate([xs, np.zeros(pad)]), np.concatenate([ws, np.zeros(pad)])
     b = math.isqrt(count) + 1
     rows = count // b + 1
     acc = np.zeros((rows, b), dtype=np.float64)
     width = g * max(1, SPLIT_BLOCK // (b * g))
     cpus = _cpu_count()
-    for j in range(0, xs.size, width):
-        x = xs[j : j + width].reshape(-1, g)
-        w = ws[j : j + width].reshape(-1, g)
-        chunks = x.shape[0]
-        parts = max(1, min(cpus, chunks, chunks * rows * b // SPLIT_RUN_MIN))
-        cuts = [chunks * i // parts for i in range(parts + 1)]
-        stacked = np.empty((chunks, rows, b))
-        runs = [(x[lo:hi], w[lo:hi], step, stacked[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-        others = [_kernel_pool().submit(_chunk_partials, *run) for run in runs[1:]]
-        _chunk_partials(*runs[0])
-        for future in others:
-            future.result()
-        acc += _pairwise_sum(stacked)
+    # numpy's OpenBLAS may keep one count for the whole process, which each
+    # run's own guard would then restore while another run is still going
+    with _one_blas_thread():
+        for j in range(0, xs.size, width):
+            x = xs[j : j + width].reshape(-1, g)
+            w = ws[j : j + width].reshape(-1, g)
+            chunks = x.shape[0]
+            parts = max(1, min(cpus, chunks, chunks * rows * b // SPLIT_RUN_MIN))
+            cuts = [chunks * i // parts for i in range(parts + 1)]
+            stacked = np.empty((chunks, rows, b))
+            runs = [(x[lo:hi], w[lo:hi], step, stacked[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+            others = [_kernel_pool().submit(_chunk_partials, *run) for run in runs[1:]]
+            _chunk_partials(*runs[0])
+            for future in others:
+                future.result()
+            acc += _pairwise_sum(stacked)
     k = np.arange(1, count + 1, dtype=np.float64) * float(step)
     return acc.ravel()[1 : count + 1] / ((2 * np.pi) * k)
 

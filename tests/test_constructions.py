@@ -102,6 +102,15 @@ def test_adversarial_monotone_in_lmax():
     assert all(b < a for a, b in zip(measures, measures[1:]))
 
 
+@pytest.mark.parametrize("epsilon", [0.1, 0.25])
+def test_adversarial_set_is_mirror_symmetric_bit_for_bit(epsilon):
+    # S_epsilon removes the arc around (ell - k)/ell with the one around k/ell,
+    # and is stored so that x -> 1 - x maps its endpoints onto themselves exactly
+    for l_max in (1, 2, 5, 48, 96, 256):
+        x = con.build_adversarial_set(epsilon, l_max).arcs.ravel()
+        assert x.tobytes() == (1.0 - x[::-1]).tobytes(), l_max
+
+
 def test_adversarial_omits_periodized_arcs():
     sched = con.DeltaSchedule(0.25)
     s = con.build_adversarial_set(0.25, 8)

@@ -1,5 +1,7 @@
 import ctypes.util
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -262,6 +264,22 @@ def test_rayleigh_uniform_matches_toeplitz_shortcut():
     assert abs(direct - spectral.uniform_rayleigh_ap_many(outside, 1, [n])[0]) < 1e-12
 
 
+def _longdouble_uniform_rayleigh(s, step, n):
+    """Toeplitz energy of {step, ..., n*step} on s, term by term in extended
+    precision, from every endpoint of s as stored: none is folded."""
+    starts, ends = s.arcs.T
+    x = np.concatenate([starts, ends]).astype(np.longdouble)
+    w = np.concatenate([-np.ones_like(starts), np.ones_like(ends)]).astype(np.longdouble)
+    two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
+    total = np.longdouble(0)
+    for lo in range(1, n, 256):
+        d = np.arange(lo, min(n, lo + 256), dtype=np.longdouble)
+        phase = np.mod(d[:, None] * step * x[None, :], np.longdouble(1))
+        re = (w * np.sin(two_pi * phase)).sum(axis=1) / (two_pi * d * step)
+        total += ((n - d) * re).sum()
+    return np.longdouble(s.measure) + 2 * total / n
+
+
 def test_uniform_rayleigh_ap_longdouble_oracle():
     # Toeplitz energy of {1..N} on the adversarial set, recomputed term by term in
     # extended precision; the float64 pairwise sums must stay within rel 1e-10
@@ -270,19 +288,21 @@ def test_uniform_rayleigh_ap_longdouble_oracle():
     from rieszseq import constructions
 
     s = constructions.build_adversarial_set(0.25, 64)
-    n = 4096
-    starts, ends = s.arcs.T
-    x = np.concatenate([starts, ends]).astype(np.longdouble)
-    w = np.concatenate([-np.ones_like(starts), np.ones_like(ends)]).astype(np.longdouble)
-    two_pi = 2 * np.longdouble("3.14159265358979323846264338327950288")
-    total = np.longdouble(0)
-    for lo in range(1, n, 256):
-        d = np.arange(lo, min(n, lo + 256), dtype=np.longdouble)
-        phase = np.mod(d[:, None] * x[None, :], np.longdouble(1))
-        re = (w * np.sin(two_pi * phase)).sum(axis=1) / (two_pi * d)
-        total += ((n - d) * re).sum()
-    want = np.longdouble(s.measure) + 2 * total / n
-    got = spectral.uniform_rayleigh_ap_many(s, 1, [n])[0]
+    want = _longdouble_uniform_rayleigh(s, 1, 4096)
+    got = spectral.uniform_rayleigh_ap_many(s, 1, [4096])[0]
+    assert float(abs(got - want) / want) <= 1e-10
+
+
+def test_uniform_rayleigh_ap_longdouble_oracle_on_folded_endpoints():
+    # on S_epsilon at l_max 96 every endpoint pair x, 1 - x is folded into one
+    # of weight +-2 by the kernel; the oracle sums all 4,696 endpoints apart
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("np.longdouble is not wider than float64 here")
+    from rieszseq import constructions
+
+    s = constructions.build_adversarial_set(0.25, 96)
+    want = _longdouble_uniform_rayleigh(s, 3, 2048)
+    got = spectral.uniform_rayleigh_ap_many(s, 3, [2048])[0]
     assert float(abs(got - want) / want) <= 1e-10
 
 
@@ -449,6 +469,43 @@ def test_one_blas_thread_is_restored_after_errors(two_blas_threads):
             assert blas_threads() == 1
             raise RuntimeError
     assert blas_threads() == 2
+
+
+@needs_setter
+def test_kernel_runs_restore_the_blas_thread_count(two_blas_threads, monkeypatch):
+    # numpy's OpenBLAS keeps one count for the process.  Here the second run
+    # enters its one-thread guard while the first is inside its own, and leaves
+    # it last, so it restores the 1 it found unless the call's own guard, around
+    # both runs, restores the count after them
+    monkeypatch.setattr(torus, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(torus, "SPLIT_RUN_MIN", 1)  # every block splits into two runs
+    first_inside, second_inside = threading.Event(), threading.Event()
+    runs, angle_sums = torus._chunk_partials, torus._angle_sums
+
+    def run(*args):
+        if threading.current_thread() is not threading.main_thread():
+            assert first_inside.wait(10)
+        runs(*args)
+
+    def sums(phase, n):
+        if threading.current_thread() is threading.main_thread():
+            first_inside.set()
+            assert second_inside.wait(10)
+        else:
+            second_inside.set()
+            time.sleep(0.05)
+        return angle_sums(phase, n)
+
+    monkeypatch.setattr(torus, "_chunk_partials", run)
+    monkeypatch.setattr(torus, "_angle_sums", sums)
+    pts = np.sort(np.random.RandomState(19).uniform(0.0, 1.0, 80))
+    s = torus.normalize(list(zip(pts[0::2], pts[1::2])))  # 80 endpoints, 3 chunks, one block
+    for count in (1023, 4095):
+        first_inside.clear()
+        second_inside.clear()
+        torus.fourier_coeff_real_ap(s, 1, count)
+        assert second_inside.is_set()
+        assert blas_threads() == 2, count
 
 
 def test_one_blas_thread_is_a_no_op_without_the_library(monkeypatch):

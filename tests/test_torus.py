@@ -179,7 +179,13 @@ def test_adversarial_set_matches_loop_reference(epsilon):
         for ell in range(1, l_max + 1):
             half = sched.delta(ell) / ell
             raw.extend((k / ell - half, k / ell + half) for k in range(ell))
-        want = _loop_complement(_loop_normalize(raw))
+        # the arcs ending above 1/2, each with its mirror [1 - b, 1 - a); one
+        # running across 1/2 (l_max = 1) becomes [1 - b, b)
+        upper = [(a, b) for a, b in _loop_complement(_loop_normalize(raw)).arcs.tolist() if b > 0.5]
+        lower = [(1.0 - b, 1.0 - a) for a, b in reversed(upper)]
+        if upper[0][0] < 0.5:
+            lower[-1] = (lower[-1][0], upper.pop(0)[1])
+        want = _loop_set(lower + upper)
         assert _bits(constructions.build_adversarial_set(epsilon, l_max)) == _bits(want)
 
 
@@ -349,6 +355,25 @@ def test_fourier_coeff_real_ap_longdouble_oracle(lmax, step, count, bound):
     assert float(np.max(np.abs(want[::31] - direct))) <= 1e-17
     got = torus.fourier_coeff_real_ap(s, step, count)
     assert float(np.max(np.abs(got - want))) <= bound
+
+
+def test_folded_endpoints_halve_only_mirrored_sets(rng=np.random.RandomState(12)):
+    # S_epsilon is mirror-symmetric bit for bit, so each endpoint pair x, 1 - x
+    # folds into one of weight +-2; a set without exact mirror pairs keeps every
+    # endpoint, each folded into [0, 1/2] with weight +-1
+    for epsilon, lmax in ((0.2, 96), (0.25, 64), (0.1, 5), (0.25, 1)):
+        s = constructions.build_adversarial_set(epsilon, lmax)
+        x, w = torus._folded_endpoints(s.arcs)
+        assert x.size == len(s.arcs) and set(np.abs(w).tolist()) == {2.0}
+    assert x.tolist() == [1.0 - s.arcs[0, 1]]
+    for _ in range(200):
+        pts = np.sort(rng.uniform(0.0, 1.0, 2 * rng.randint(1, 6)))
+        s = torus.normalize(list(zip(pts[0::2], pts[1::2])))
+        x, w = torus._folded_endpoints(s.arcs)
+        assert x.size == s.arcs.size and set(np.abs(w).tolist()) == {1.0}
+        assert np.all(np.diff(x) > 0) and 0.0 <= x[0] and x[-1] <= 0.5
+        folded = np.where(s.arcs.ravel() > 0.5, 1.0 - s.arcs.ravel(), s.arcs.ravel())
+        assert np.array_equal(x, np.sort(folded))
 
 
 def test_fourier_coeff_real_ap_edges():
@@ -605,10 +630,13 @@ GOLDEN_SETS = {
     "wrap": (lambda: torus.normalize([(0.9, 1.1), (0.4, 0.5)]), 3, "69321c8d4dffd4e9",
              "8f2f0ada433b732fdef6655df1481af51575bfdf83eea6f6433448ecaa7f0ae8",
              "0x1.3333333333334p-2"),
+    # S_0.25 is stored mirror-symmetric bit for bit, which moved its lower
+    # half by up to 2^-53 per endpoint: it was fbb30d5daed48ffb, 44e641b4...
+    # and 0x1.9b45a46aff79ap-1
     "adversarial": (lambda: constructions.build_adversarial_set(0.25, 48), 608,
-                    "fbb30d5daed48ffb",
-                    "44e641b489bac9bed609d5e7cb1927cf3bc9591238348dae4e1818e2a19dbbc6",
-                    "0x1.9b45a46aff79ap-1"),
+                    "60a3105ab0c65b7c",
+                    "729f35b9a4d7b208bce2fff975b2fa1b8925260f5d9a5a8cfbafff2c83f43e01",
+                    "0x1.9b45a46aff7b2p-1"),
 }
 
 
