@@ -24,7 +24,6 @@ so its decisions and certificates do not depend on OPENBLAS_NUM_THREADS.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -78,17 +77,23 @@ GROWTH_DECADES = 5
 WIDTH_TERMS = 10 ** 5
 
 
-@functools.cache
 def _weight_sum_bound() -> float:
-    """Certified upper bound for sum_{ell>=1} 1/(ell * log^2(ell+1)).
+    """Certified upper bound C0 for sum_{ell>=1} 1/(ell * log^2(ell+1)), as a literal.
 
-    Partial sum plus the integral tail bound 1/log(L), padded by 1e-3 so the
-    summability check below stays strictly inside the budget.
+    C0 is the partial sum over ell = 1.._SCHEDULE_PARTIAL_TERMS, plus the
+    integral tail bound 1/log(L) with L = _SCHEDULE_PARTIAL_TERMS, padded by
+    1e-3 so the summability check below stays strictly inside the budget:
+
+        ell = np.arange(1, L + 1, dtype=np.float64)
+        float(np.sum(1.0 / (ell * np.log(ell + 1.0) ** 2))) + 1.0 / math.log(L) + 1e-3
+
+    That expression gives 3.388735535200845 (0x1.b1c216053d872p+1) on numpy
+    2.4.6, and a math.fsum of the partial sum agrees to 1e-12 relative; the
+    tests pin both.  It is kept as a literal because its 10^6-term arrays
+    took 24 MB and 17 ms in every process that built a schedule, the largest
+    allocation a thm1 process made.
     """
-    ell = np.arange(1, _SCHEDULE_PARTIAL_TERMS + 1, dtype=np.float64)
-    partial = float(np.sum(1.0 / (ell * np.log(ell + 1.0) ** 2)))
-    tail = 1.0 / math.log(_SCHEDULE_PARTIAL_TERMS)
-    return partial + tail + 1e-3
+    return 3.388735535200845
 
 
 @dataclass(frozen=True)

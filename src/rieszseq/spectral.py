@@ -27,8 +27,9 @@ GRAM_SIZE_LIMIT = 2 ** 13
 
 # uniform_rayleigh_ap_many takes lengths up to this: its kernel work grows as
 # arc endpoints times length (0.28-0.37 s per step at this length, l_max 256,
-# 33,000 endpoints, steps 2 and 8, with the kernel's runs on 2 cores)
-RAYLEIGH_LENGTH_LIMIT = 2 ** 16
+# 33,000 endpoints, steps 2 and 8, with the kernel's runs on 2 cores).  A
+# length N needs N - 1 coefficients, the most the kernel gives in one call
+RAYLEIGH_LENGTH_LIMIT = torus.REAL_AP_COUNT_LIMIT + 1
 
 
 def _check_size(count: int) -> None:

@@ -26,6 +26,18 @@ them loses.  The chunks of each block of endpoints are split into contiguous
 runs, one per CPU the process may run on, each computed on its own thread
 with one BLAS thread; the partials are summed in one fixed order, so no value
 depends on the number of CPUs.
+
+The kernel's large temporaries (base phases, short tables, weights and
+weighted coarse rows, the two tables, the GEMM's r operand, a block's chunk
+partials and their sum) live in per-thread buffers (_buffer) that persist
+across calls, so a call allocates little more than its result, which never
+shares memory with them, and page-faults no table in.  A buffer grows to the
+largest shape asked of it and is kept for the life of its thread.  With
+count capped at REAL_AP_COUNT_LIMIT, a thread keeps at most 15,378,432
+bytes (14.7 MiB) of them; the bound is reached at counts 1, 2, 6 and 65,280
+on a set of at least 32,768 folded endpoints, with all of a block's chunks
+in one run.  The last set folded is kept too (_fold), so the steps of one
+set fold it once.
 """
 
 from __future__ import annotations
@@ -40,6 +52,8 @@ import json
 import math
 import operator
 import os
+import threading
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,6 +92,11 @@ SPLIT_CHUNK = 32
 # count 1023 at l_max 48, one block of 38 chunks, 0.75 against 0.96 ms; and at
 # l_max 64, a block of 64 chunks, 1.91 against 1.71 ms
 SPLIT_RUN_MIN = 1 << 15
+
+# fourier_coeff_real_ap's largest count.  The kernel's work and the buffers a
+# thread keeps both grow with it (see the module docstring); it is the most
+# spectral.RAYLEIGH_LENGTH_LIMIT asks for
+REAL_AP_COUNT_LIMIT = 2 ** 16 - 1
 
 # where numpy's wheels bundle OpenBLAS (Linux, Windows, macOS), and the names
 # its openblas_set_num_threads_local has had, plain or with a 64-bit-integer suffix
@@ -172,6 +191,26 @@ def _kernel_pool() -> concurrent.futures.ThreadPoolExecutor:
 
 if hasattr(os, "register_at_fork"):  # every platform with fork has it
     os.register_at_fork(after_in_child=_kernel_pool.cache_clear)
+
+# fourier_coeff_real_ap's temporaries, one set per thread, by name (see _buffer)
+_buffers = threading.local()
+
+
+def _buffer(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An uninitialized array of `shape` on this thread's buffer `name`.
+
+    The buffer is made on first use, grown, never shrunk, when a larger shape
+    asks for it, and kept for the life of the thread, so a call that fits it
+    allocates nothing and touches no new page.  Each name has one dtype.  Two
+    arrays from one name share memory: a name holds one temporary at a time,
+    and no result of the kernel is ever taken from it.
+    """
+    size = math.prod(shape)
+    held = _buffers.__dict__
+    buf = held.get(name)
+    if buf is None or buf.size < size:
+        buf = held[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,11 +444,14 @@ def _angle_sums(phase: np.ndarray, n: int) -> np.ndarray:
     rows are angle sums, complex products, filled level by level: at level
     h = 2, 4, 8, ..., row h is row h/2 times row h/2, then rows h+1..2h-1 are
     rows 1..h-1 times row h, in one call.  Row k goes through at most
-    2 log2(k) products, each a few roundings.
+    2 log2(k) products, each a few roundings.  The rows are this thread's
+    "short" buffer, valid until the next call on the thread.
     """
-    rows = np.empty((max(n, 2),) + phase.shape, dtype=np.complex128)
+    rows = _buffer("short", (max(n, 2),) + phase.shape, np.complex128)
     rows[0] = 1.0
-    rows[1].real, rows[1].imag = np.cos(phase), np.sin(phase)
+    trig = _buffer("trig", phase.shape)
+    rows[1].real = np.cos(phase, out=trig)
+    rows[1].imag = np.sin(phase, out=trig)
     h = 2
     while h < n:
         np.multiply(rows[h // 2], rows[h // 2], out=rows[h])
@@ -431,15 +473,24 @@ def _angle_table(coarse: np.ndarray, fine: np.ndarray, n: int, w=None) -> np.nda
     R = _split(n), and w = 1 if w is None.  Row i = i1*R + i0 is coarse row
     i1, weighted by w, times fine row i0: one complex product, 4 multiplies
     and 2 adds, over all the endpoints at once.  Row 0 is exactly w + (w 0.0)i,
-    the sign of each zero included.
+    the sign of each zero included.  The kernel weights its q table and not its
+    r table, so a weighted table is this thread's "q table" buffer and an
+    unweighted one its "r table" buffer, each valid until the next such call.
     """
     r = _split(n)
     n1 = -(-n // r)
     coarse = coarse[:n1]
     if w is not None:
-        # weighted part by part, each w times a real, so that each zero keeps its sign
-        coarse = (coarse.view(np.float64) * np.repeat(w, 2)).view(np.complex128)
-    table = np.empty((n, coarse.shape[-1]), dtype=np.complex128)
+        # weighted part by part, each w times a real, so that each zero keeps its
+        # sign; w is repeated into one weight per part first, since broadcasting
+        # it over the pairs makes numpy's inner loop two elements long
+        pairs = _buffer("weights", (w.size, 2))
+        pairs[:, 0] = w
+        pairs[:, 1] = w
+        weighted = _buffer("coarse", coarse.shape, np.complex128)
+        np.multiply(coarse.view(np.float64), pairs.reshape(-1), out=weighted.view(np.float64))
+        coarse = weighted
+    table = _buffer("r table" if w is None else "q table", (n, coarse.shape[-1]), np.complex128)
     full = n // r
     np.multiply(coarse[:full, None], fine[None, :r], out=table[: full * r].reshape(full, r, -1))
     if full < n1:
@@ -458,8 +509,8 @@ def _chunk_partials(x: np.ndarray, w: np.ndarray, step: int, out: np.ndarray) ->
         # the four base phases of both tables' short tables, in one array,
         # reduced to [-1/2, 1/2] turns as p - round(p), exact as _frac is
         units = np.array([rq * b * step, b * step, rr * step, step], dtype=np.float64)
-        phase = units[:, None] * x.reshape(1, -1)
-        phase -= np.rint(phase)
+        phase = np.multiply(units[:, None], x.reshape(1, -1), out=_buffer("phase", (4, x.size)))
+        phase -= np.rint(phase, out=_buffer("trig", phase.shape))
         phase *= 2 * np.pi
         short = _angle_sums(phase, max(-(-rows // rq), rq, -(-b // rr), rr))
         left = _angle_table(short[:, 0], short[:, 1], rows, w.reshape(-1))
@@ -471,11 +522,13 @@ def _chunk_partials(x: np.ndarray, w: np.ndarray, step: int, out: np.ndarray) ->
         # faster than the copy
         left = left.view(np.float64).reshape(rows, chunks, 2 * g).transpose(1, 0, 2)
         right = right.view(np.float64).reshape(b, chunks, g, 2)[..., ::-1].transpose(1, 2, 3, 0)
-        np.matmul(left, np.ascontiguousarray(right).reshape(chunks, 2 * g, b), out=out)
+        operand = _buffer("r operand", right.shape)
+        np.copyto(operand, right)
+        np.matmul(left, operand.reshape(chunks, 2 * g, b), out=out)
 
 
 def _pairwise_sum(parts: np.ndarray) -> np.ndarray:
-    """The sum of parts over axis 0 in numpy's pairwise order, from whole-row passes; overwrites parts.
+    """The sum of parts over axis 0 in numpy's pairwise order, from whole-row passes.
 
     numpy sums an axis of k <= 128 terms in 8 running sums, each over every
     8th term, combined pairwise, and splits a longer axis into halves of a
@@ -484,24 +537,30 @@ def _pairwise_sum(parts: np.ndarray) -> np.ndarray:
     bitwise np.sum over a contiguous chunk axis, but for the sign of a zero,
     at a third of its cost: on a block at count 65535 (8 chunks of 256 x 256),
     the one-output-at-a-time sum over a contiguous chunk axis took 1.5 ms, and
-    these passes 0.5 ms.
+    these passes 0.5 ms.  Every pass runs in place, so the sum is a row of
+    parts, and parts is overwritten.
     """
     k = parts.shape[0]
     if k > 128:
         half = k // 2 - k // 2 % 8
-        return _pairwise_sum(parts[:half]) + _pairwise_sum(parts[half:])
+        total = _pairwise_sum(parts[:half])
+        total += _pairwise_sum(parts[half:])
+        return total
     if k < 8:
         for i in range(1, k):
             parts[0] += parts[i]
         return parts[0]
-    sums, top = parts[:8], k - k % 8
+    top = k - k % 8
     for i in range(8, top, 8):
-        sums += parts[i : i + 8]
-    sums = sums[0::2] + sums[1::2]
-    total = (sums[0] + sums[1]) + (sums[2] + sums[3])
+        parts[:8] += parts[i : i + 8]
+    for i in range(0, 8, 2):  # row by row: interleaved rows would be copied first
+        parts[i] += parts[i + 1]
+    parts[0] += parts[2]
+    parts[4] += parts[6]
+    parts[0] += parts[4]
     for i in range(top, k):
-        total += parts[i]
-    return total
+        parts[0] += parts[i]
+    return parts[0]
 
 
 def _folded_endpoints(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -531,14 +590,40 @@ def _folded_endpoints(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[keep], w[keep]
 
 
+# (a weak reference to the set last folded, its endpoints, its weights); see _fold
+_last_fold = (lambda: None, None, None)
+
+
+def _fold(s: IntervalSet) -> tuple[np.ndarray, np.ndarray]:
+    """_folded_endpoints of s, padded with weight-0 endpoints at 0 to whole
+    chunks of SPLIT_CHUNK, as read-only arrays.
+
+    An IntervalSet never changes, so the last set's arrays are kept and
+    found by identity: the steps of one thm1 grid fold S_epsilon once.  Only
+    one set is held, by a weak reference, so the cache keeps no set alive
+    and a new object never matches a dead one's entry.  The entry is one
+    tuple, replaced whole, so threads that fold other sets at once each get
+    their own set's arrays.
+    """
+    global _last_fold
+    held = _last_fold
+    if held[0]() is not s:
+        xs, ws = _folded_endpoints(s.arcs)
+        pad = -xs.size % SPLIT_CHUNK
+        xs, ws = np.concatenate([xs, np.zeros(pad)]), np.concatenate([ws, np.zeros(pad)])
+        xs.flags.writeable = ws.flags.writeable = False
+        held = _last_fold = (weakref.ref(s), xs, ws)
+    return held[1], held[2]
+
+
 def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     """Re c_hat(d*step) for d = 1..count, from a split-phase sine sum.
 
     Re c_hat(k) = sum over endpoints x of w_x sin(2pi k x) / (2pi k), with
     w = -1 at arc starts and +1 at arc ends.  The sum runs over the folded
-    endpoints of _folded_endpoints, all in [0, 1/2]: each x > 1/2 becomes
-    1 - x with -w_x, which is exact for integer k, and equal endpoints merge.
-    A set symmetric under x -> 1 - x bit for bit, as
+    endpoints of _folded_endpoints (through _fold), all in [0, 1/2]: each
+    x > 1/2 becomes 1 - x with -w_x, which is exact for integer k, and equal
+    endpoints merge.  A set symmetric under x -> 1 - x bit for bit, as
     constructions.build_adversarial_set stores S_epsilon, keeps half its
     endpoints, of weight +-2; any other set keeps as many as it has, less any
     exact mirror pairs.
@@ -578,17 +663,25 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     does not depend on the run that computes it, and the partials are summed
     in the same order, block after block, whatever the runs, so every value is
     bitwise the same on any number of CPUs.
+
+    Every temporary above the size of a few rows comes from the running
+    thread's buffers (_buffer; the module docstring bounds them), so a call
+    that fits them allocates its result and little else, and the set's folded
+    endpoints come from _fold.  count must be at most REAL_AP_COUNT_LIMIT
+    (ValueError otherwise, before any work); a count below 1 gives an empty
+    array.
     """
     step, count = _at_least(step, 1, "step"), _index(count)
     if count < 1:
         return np.empty(0, dtype=np.float64)
+    if count > REAL_AP_COUNT_LIMIT:
+        raise ValueError(f"count must be at most {REAL_AP_COUNT_LIMIT}, got {count}")
     g = SPLIT_CHUNK
-    xs, ws = _folded_endpoints(s.arcs)
-    pad = -xs.size % g
-    xs, ws = np.concatenate([xs, np.zeros(pad)]), np.concatenate([ws, np.zeros(pad)])
+    xs, ws = _fold(s)
     b = math.isqrt(count) + 1
     rows = count // b + 1
-    acc = np.zeros((rows, b), dtype=np.float64)
+    acc = _buffer("sum", (rows, b))
+    acc.fill(0.0)
     width = g * max(1, SPLIT_BLOCK // (b * g))
     cpus = _cpu_count()
     # numpy's OpenBLAS may keep one count for the whole process, which each
@@ -600,15 +693,18 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
             chunks = x.shape[0]
             parts = max(1, min(cpus, chunks, chunks * rows * b // SPLIT_RUN_MIN))
             cuts = [chunks * i // parts for i in range(parts + 1)]
-            stacked = np.empty((chunks, rows, b))
+            stacked = _buffer("partials", (chunks, rows, b))
             runs = [(x[lo:hi], w[lo:hi], step, stacked[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
             others = [_kernel_pool().submit(_chunk_partials, *run) for run in runs[1:]]
             _chunk_partials(*runs[0])
             for future in others:
                 future.result()
             acc += _pairwise_sum(stacked)
-    k = np.arange(1, count + 1, dtype=np.float64) * float(step)
-    return acc.ravel()[1 : count + 1] / ((2 * np.pi) * k)
+    # the result is this array, the one the call allocates, never a buffer
+    k = np.arange(1, count + 1, dtype=np.float64)
+    k *= float(step)
+    k *= 2 * np.pi
+    return np.divide(acc.ravel()[1 : count + 1], k, out=k)
 
 
 def quadrature_coeff(s: IntervalSet, k: int, points_per_unit: int) -> complex:

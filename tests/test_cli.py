@@ -416,6 +416,22 @@ def test_thm1_runs_one_kernel_pass_per_step(tmp_path, monkeypatch):
     ]
 
 
+def test_thm1_folds_its_set_once(tmp_path, monkeypatch):
+    # every step runs the kernel on the same S_epsilon, whose folded endpoints
+    # are kept from the first step
+    folds = []
+    fold = torus._folded_endpoints
+
+    def spy(arcs):
+        folds.append(len(arcs))
+        return fold(arcs)
+
+    monkeypatch.setattr(torus, "_folded_endpoints", spy)
+    assert run(["thm1", "--lmax", 16, "--ells", "2,4,8", "--enns", "64,1024",
+                "--out", tmp_path / "t1.csv"]) == 0
+    assert folds == [len(constructions.build_adversarial_set(0.25, 16).arcs)]
+
+
 @pytest.mark.parametrize("ells,enns,message", [
     (",", "64", "--ells and --enns must each name at least one value"),
     ("2", ",", "--ells and --enns must each name at least one value"),

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 from itertools import islice
@@ -45,6 +46,19 @@ def test_schedule_values_frozen():
     assert sched.delta(2) == pytest.approx(0.015281058397072538, rel=1e-12)
     assert sched.delta(4) == pytest.approx(0.0035601138766767583, rel=1e-12)
     assert sched.delta(8) == pytest.approx(0.0009550661498170336, rel=1e-12)
+
+
+def test_weight_sum_bound_literal_is_the_certified_sum():
+    # C0 is kept as a literal; it is the numpy partial sum it replaced, and a
+    # correctly rounded partial sum, each plus the tail 1/log(L) and 1e-3
+    terms = con._SCHEDULE_PARTIAL_TERMS
+    c0 = con._weight_sum_bound()
+    ell = np.arange(1, terms + 1, dtype=np.float64)
+    expression = float(np.sum(1.0 / (ell * np.log(ell + 1.0) ** 2))) + 1.0 / math.log(terms) + 1e-3
+    exact = math.fsum(1.0 / (k * math.log(k + 1.0) ** 2) for k in range(1, terms + 1))
+    assert c0 == 3.388735535200845
+    assert c0 == pytest.approx(expression, rel=1e-12)
+    assert c0 == pytest.approx(exact + 1.0 / math.log(terms) + 1e-3, rel=1e-12)
 
 
 def test_schedule_condition_a_strict():
@@ -982,6 +996,22 @@ def test_bounds_refuse_values_outside_the_domain(call, message):
     # nan, an empty scan, and a ZeroDivisionError; the two regression cases were
     # already refused.  good_n_search raises at the call, before any next()
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: torus.fourier_coeff_real_ap(ARC03, 1, torus.REAL_AP_COUNT_LIMIT + 1),
+     "count must be at most 65535, got 65536"),
+    (lambda: torus.fourier_coeff_real_ap(ARC03, 3, 10 ** 9), "count must be at most 65535, got 1000000000"),
+    (lambda: spectral.uniform_rayleigh_ap_many(ARC03, 1, [4, spectral.RAYLEIGH_LENGTH_LIMIT + 1]),
+     "length must be at most 65536, got 65537"),
+], ids=["real-ap-count", "real-ap-count-1e9", "rayleigh-length"])
+def test_sizes_past_their_limit_are_refused(call, message):
+    # the kernel's partials grow with count (two 33 MB arrays per block at
+    # 2^22, 8 GB at 10^9), and its buffers would keep them for the thread's
+    # life; both limits come from one constant, refused before any work
+    assert spectral.RAYLEIGH_LENGTH_LIMIT == torus.REAL_AP_COUNT_LIMIT + 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -513,6 +514,90 @@ def test_one_kernel_pool_whatever_the_number_of_runs():
     split, threads = json.loads(proc.stdout)
     assert split == [2, 3, 4]
     assert 1 <= threads <= 3
+
+
+# times kernel calls that build no schedule, after a warm-up, and prints the
+# minor page faults per call; run with glibc's malloc thresholds fixed, so no
+# free can raise them and hide a call that maps its temporaries afresh
+_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from rieszseq import torus
+pts = np.sort(np.random.RandomState(5).uniform(0.0, 1.0, 2400))
+s = torus.normalize(list(zip(pts[0::2], pts[1::2])))  # 1,200 arcs
+for _ in range(5):
+    torus.fourier_coeff_real_ap(s, 3, 1023)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(40):
+    torus.fourier_coeff_real_ap(s, 3, 1023)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc settings and Linux fault counts")
+def test_kernel_call_adds_few_page_faults_under_fixed_malloc_thresholds():
+    # the kernel's tables come from per-thread buffers kept across calls; with
+    # per-call tables each call faulted about 1,300 pages in here, and only a
+    # large earlier free (glibc raising its thresholds) hid that
+    src = str(Path(torus.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "131072"}
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 100
+
+
+def test_kernel_results_never_alias_its_buffers(rng=np.random.RandomState(20)):
+    # each thread keeps the results of a large call and then a small one on
+    # another set; a result that shared a buffer would be overwritten by the
+    # next call on its thread, or on the other thread
+    def arcs(n):
+        pts = np.sort(rng.uniform(0.0, 1.0, 2 * n))
+        return torus.normalize(list(zip(pts[0::2], pts[1::2])))
+
+    plans = [
+        [(constructions.build_adversarial_set(0.25, 96), 2, 16383), (arcs(300), 5, 255)],
+        [(arcs(2000), 3, 4095), (constructions.build_adversarial_set(0.2, 48), 7, 99)],
+    ]
+    want = [[torus.fourier_coeff_real_ap(*call).tobytes() for call in plan] for plan in plans]
+    kept = [[], []]
+    start = threading.Barrier(2, timeout=30)
+
+    def work(plan, out):
+        start.wait()
+        out.extend(torus.fourier_coeff_real_ap(*call) for call in plan)
+
+    threads = [threading.Thread(target=work, args=pair) for pair in zip(plans, kept)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    assert not any(t.is_alive() for t in threads)
+    assert [[r.tobytes() for r in results] for results in kept] == want
+
+
+def test_kernel_buffers_stay_within_their_bound(monkeypatch, rng=np.random.RandomState(21)):
+    # the module docstring's bound on the buffers a thread keeps: counts 1, 2, 6
+    # and 65,280 each reach the largest size of some buffer when a block holds
+    # 32,768 endpoints and all its chunks run on the calling thread
+    bound = 15_378_432
+    monkeypatch.setattr(torus, "_cpu_count", lambda: 1)
+    pts = np.sort(rng.uniform(0.0, 1.0, 2 * 16_500))
+    s = torus.normalize(list(zip(pts[0::2], pts[1::2])))
+    held = []
+
+    def work():
+        for count in (1, 2, 6, 65_280, 3, 1023, 4095, torus.REAL_AP_COUNT_LIMIT):
+            torus.fourier_coeff_real_ap(s, 1, count)
+            held.append(sum(buf.nbytes for buf in torus._buffers.__dict__.values()))
+
+    thread = threading.Thread(target=work)  # a fresh thread starts with no buffers
+    thread.start()
+    thread.join(120)
+    assert not thread.is_alive() and len(held) == 8
+    assert held[3] == bound  # the bound is reached
+    assert max(held) == bound
 
 
 def test_quadrature_basics():
