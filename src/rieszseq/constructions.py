@@ -77,23 +77,20 @@ GROWTH_DECADES = 5
 WIDTH_TERMS = 10 ** 5
 
 
-def _weight_sum_bound() -> float:
-    """Certified upper bound C0 for sum_{ell>=1} 1/(ell * log^2(ell+1)), as a literal.
-
-    C0 is the partial sum over ell = 1.._SCHEDULE_PARTIAL_TERMS, plus the
-    integral tail bound 1/log(L) with L = _SCHEDULE_PARTIAL_TERMS, padded by
-    1e-3 so the summability check below stays strictly inside the budget:
-
-        ell = np.arange(1, L + 1, dtype=np.float64)
-        float(np.sum(1.0 / (ell * np.log(ell + 1.0) ** 2))) + 1.0 / math.log(L) + 1e-3
-
-    That expression gives 3.388735535200845 (0x1.b1c216053d872p+1) on numpy
-    2.4.6, and a math.fsum of the partial sum agrees to 1e-12 relative; the
-    tests pin both.  It is kept as a literal because its 10^6-term arrays
-    took 24 MB and 17 ms in every process that built a schedule, the largest
-    allocation a thm1 process made.
-    """
-    return 3.388735535200845
+# C0, a certified upper bound for sum_{ell>=1} 1/(ell * log^2(ell+1)): the
+# partial sum over ell = 1.._SCHEDULE_PARTIAL_TERMS, plus the integral tail
+# bound 1/log(L) with L = _SCHEDULE_PARTIAL_TERMS, padded by 1e-3 so the
+# summability check below stays strictly inside the budget:
+#
+#     ell = np.arange(1, L + 1, dtype=np.float64)
+#     float(np.sum(1.0 / (ell * np.log(ell + 1.0) ** 2))) + 1.0 / math.log(L) + 1e-3
+#
+# That expression gives 3.388735535200845 (0x1.b1c216053d872p+1) on numpy
+# 2.4.6, and a math.fsum of the partial sum agrees to 1e-12 relative; the
+# tests pin both.  It is kept as a literal because its 10^6-term arrays took
+# 24 MB and 17 ms in every process that built a schedule, the largest
+# allocation a thm1 process made
+C0 = 3.388735535200845
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,7 @@ class DeltaSchedule:
 
     Summable with total < epsilon/2, yet decaying only a log factor faster
     than 1/ell, so delta(ell) * ell^(1/alpha) still grows without bound for
-    every alpha in (0, 1).  C0 is _weight_sum_bound(), which makes the sum
+    every alpha in (0, 1).  C0 is the module constant, which makes the sum
     of delta(ell) less than epsilon/2.  epsilon must lie in (0, 1), and is
     stored as a float.
     """
@@ -114,7 +111,7 @@ class DeltaSchedule:
 
     @property
     def normalizer(self) -> float:
-        return _weight_sum_bound()
+        return C0
 
     def delta(self, ell: int) -> float:
         ell = _at_least(ell, 1, "ell")

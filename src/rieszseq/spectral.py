@@ -134,7 +134,12 @@ def offdiag_energy(g: GramMatrix) -> float:
 
 
 def rayleigh(g: GramMatrix, c) -> float:
-    """Rayleigh quotient (c* G c) / (c* c); the energy of the combination sum c_l e_l."""
+    """Rayleigh quotient (c* G c) / (c* c); the energy of the combination sum c_l e_l.
+
+    No construction calls it: it stays as the dense oracle that
+    test_rayleigh_uniform_matches_toeplitz_shortcut checks the Toeplitz
+    shortcuts (uniform_rayleigh_ap_many, dirichlet_tail_many) against.
+    """
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim != 1 or c.shape[0] != g.size:
         raise InputError(f"vector length {c.shape} does not match size {g.size}")

@@ -27,17 +27,20 @@ runs, one per CPU the process may run on, each computed on its own thread
 with one BLAS thread; the partials are summed in one fixed order, so no value
 depends on the number of CPUs.
 
-The kernel's large temporaries (base phases, short tables, weights and
-weighted coarse rows, the two tables, the GEMM's r operand, a block's chunk
-partials and their sum) live in per-thread buffers (_buffer) that persist
-across calls, so a call allocates little more than its result, which never
-shares memory with them, and page-faults no table in.  A buffer grows to the
-largest shape asked of it and is kept for the life of its thread.  With
-count capped at REAL_AP_COUNT_LIMIT, a thread keeps at most 15,378,432
-bytes (14.7 MiB) of them; the bound is reached at counts 1, 2, 6 and 65,280
-on a set of at least 32,768 folded endpoints, with all of a block's chunks
-in one run.  The last set folded is kept too (_fold), so the steps of one
-set fold it once.
+The kernel's large temporaries (base phases, short tables, the two tables,
+the GEMM's r operand, a block's chunk partials and their sum) live in
+per-thread buffers (_buffer) that persist across calls, so a call allocates
+little more than its result, which never shares memory with them, and
+page-faults no table in.  A buffer grows to the largest shape asked of it and
+is kept for the life of its thread.  With count capped at REAL_AP_COUNT_LIMIT,
+a thread keeps at most 14,155,776 bytes (13.5 MiB) of them, on a set of at
+least 32,768 folded endpoints with all of a block's chunks in one run: count 2
+sets the largest tables, short tables and base phases, and count 65,280 the
+largest partials and sum.  The short tables take 4 MiB of it, four times
+either table, at counts 1-3, where a block is 32,768 endpoints wide.  A set
+keeps its own folded endpoints (IntervalSet._sine_endpoints), made on its
+first kernel call, so the steps of one set fold it once; the module keeps no
+set.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ import math
 import operator
 import os
 import threading
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -223,6 +225,8 @@ class IntervalSet:
     May be empty (measure 0); constructors that reject degenerate input do so
     explicitly, the type itself allows it so complements are closed.
     Equality is exact: the same endpoints, bit for bit, and the same measure.
+    The kernel's folded endpoints (_sine_endpoints) are kept in the instance
+    once made, outside its fields, so they change no comparison, repr or file.
     """
 
     arcs: np.ndarray
@@ -232,6 +236,20 @@ class IntervalSet:
         if not isinstance(other, IntervalSet):
             return NotImplemented
         return self.measure == other.measure and np.array_equal(self.arcs, other.arcs)
+
+    @functools.cached_property
+    def _sine_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """The folded endpoints x and weights w of _folded_endpoints, padded with
+        weight-0 endpoints at 0 to whole chunks of SPLIT_CHUNK, as read-only
+        arrays: x of shape (n,), and w of shape (n, 2), each weight repeated for
+        the real and the imaginary part of a complex entry.  Computed on first
+        use and kept in the instance, which never changes."""
+        x, w = _folded_endpoints(self.arcs)
+        pad = -x.size % SPLIT_CHUNK
+        x, w = np.concatenate([x, np.zeros(pad)]), np.concatenate([w, np.zeros(pad)])
+        w = np.column_stack((w, w))
+        x.flags.writeable = w.flags.writeable = False
+        return x, w
 
 
 def _index(v) -> int:
@@ -470,26 +488,23 @@ def _angle_table(coarse: np.ndarray, fine: np.ndarray, n: int, w=None) -> np.nda
     """Rows i = 0..n-1 of w e^{i i t x} for endpoints x, as a complex array of shape (n, endpoints).
 
     coarse and fine are _angle_sums rows at the phases R t x and t x,
-    R = _split(n), and w = 1 if w is None.  Row i = i1*R + i0 is coarse row
-    i1, weighted by w, times fine row i0: one complex product, 4 multiplies
-    and 2 adds, over all the endpoints at once.  Row 0 is exactly w + (w 0.0)i,
-    the sign of each zero included.  The kernel weights its q table and not its
-    r table, so a weighted table is this thread's "q table" buffer and an
+    R = _split(n), and w = 1 if w is None; a given w is an (endpoints, 2)
+    array, each weight repeated for the real and the imaginary part.  Row
+    i = i1*R + i0 is coarse row i1, weighted by w, times fine row i0: one
+    complex product, 4 multiplies and 2 adds, over all the endpoints at once.
+    Row 0 is exactly w + (w 0.0)i, the sign of each zero included.  The
+    coarse rows are weighted in place, part by part, each w times a real, so
+    that each zero keeps its sign: they are overwritten, so coarse must not
+    share memory with fine.  The kernel weights its q table and not its r
+    table, so a weighted table is this thread's "q table" buffer and an
     unweighted one its "r table" buffer, each valid until the next such call.
     """
     r = _split(n)
     n1 = -(-n // r)
     coarse = coarse[:n1]
     if w is not None:
-        # weighted part by part, each w times a real, so that each zero keeps its
-        # sign; w is repeated into one weight per part first, since broadcasting
-        # it over the pairs makes numpy's inner loop two elements long
-        pairs = _buffer("weights", (w.size, 2))
-        pairs[:, 0] = w
-        pairs[:, 1] = w
-        weighted = _buffer("coarse", coarse.shape, np.complex128)
-        np.multiply(coarse.view(np.float64), pairs.reshape(-1), out=weighted.view(np.float64))
-        coarse = weighted
+        parts = coarse.view(np.float64)
+        np.multiply(parts, w.reshape(-1), out=parts)
     table = _buffer("r table" if w is None else "q table", (n, coarse.shape[-1]), np.complex128)
     full = n // r
     np.multiply(coarse[:full, None], fine[None, :r], out=table[: full * r].reshape(full, r, -1))
@@ -500,8 +515,9 @@ def _angle_table(coarse: np.ndarray, fine: np.ndarray, n: int, w=None) -> np.nda
 
 def _chunk_partials(x: np.ndarray, w: np.ndarray, step: int, out: np.ndarray) -> None:
     """One run of fourier_coeff_real_ap: write the partials of the chunks of
-    endpoints x, weights w, both of shape (chunks, g), into out, of shape
-    (chunks, q rows, B), on one BLAS thread."""
+    endpoints x, of shape (chunks, g), and their weights w, of shape
+    (chunks, g, 2), each weight repeated as IntervalSet._sine_endpoints keeps
+    it, into out, of shape (chunks, q rows, B), on one BLAS thread."""
     chunks, rows, b = out.shape
     g = x.shape[1]
     rq, rr = _split(rows), _split(b)
@@ -513,7 +529,7 @@ def _chunk_partials(x: np.ndarray, w: np.ndarray, step: int, out: np.ndarray) ->
         phase -= np.rint(phase, out=_buffer("trig", phase.shape))
         phase *= 2 * np.pi
         short = _angle_sums(phase, max(-(-rows // rq), rq, -(-b // rr), rr))
-        left = _angle_table(short[:, 0], short[:, 1], rows, w.reshape(-1))
+        left = _angle_table(short[:, 0], short[:, 1], rows, w.reshape(-1, 2))
         right = _angle_table(short[:, 2], short[:, 3], b)
         # each chunk's GEMM pairs [w cos(hi), w sin(hi)] with [sin(lo), cos(lo)]
         # per endpoint.  The q table goes to it as a strided view per chunk; the
@@ -590,43 +606,17 @@ def _folded_endpoints(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[keep], w[keep]
 
 
-# (a weak reference to the set last folded, its endpoints, its weights); see _fold
-_last_fold = (lambda: None, None, None)
-
-
-def _fold(s: IntervalSet) -> tuple[np.ndarray, np.ndarray]:
-    """_folded_endpoints of s, padded with weight-0 endpoints at 0 to whole
-    chunks of SPLIT_CHUNK, as read-only arrays.
-
-    An IntervalSet never changes, so the last set's arrays are kept and
-    found by identity: the steps of one thm1 grid fold S_epsilon once.  Only
-    one set is held, by a weak reference, so the cache keeps no set alive
-    and a new object never matches a dead one's entry.  The entry is one
-    tuple, replaced whole, so threads that fold other sets at once each get
-    their own set's arrays.
-    """
-    global _last_fold
-    held = _last_fold
-    if held[0]() is not s:
-        xs, ws = _folded_endpoints(s.arcs)
-        pad = -xs.size % SPLIT_CHUNK
-        xs, ws = np.concatenate([xs, np.zeros(pad)]), np.concatenate([ws, np.zeros(pad)])
-        xs.flags.writeable = ws.flags.writeable = False
-        held = _last_fold = (weakref.ref(s), xs, ws)
-    return held[1], held[2]
-
-
 def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     """Re c_hat(d*step) for d = 1..count, from a split-phase sine sum.
 
     Re c_hat(k) = sum over endpoints x of w_x sin(2pi k x) / (2pi k), with
     w = -1 at arc starts and +1 at arc ends.  The sum runs over the folded
-    endpoints of _folded_endpoints (through _fold), all in [0, 1/2]: each
-    x > 1/2 becomes 1 - x with -w_x, which is exact for integer k, and equal
-    endpoints merge.  A set symmetric under x -> 1 - x bit for bit, as
-    constructions.build_adversarial_set stores S_epsilon, keeps half its
-    endpoints, of weight +-2; any other set keeps as many as it has, less any
-    exact mirror pairs.
+    endpoints of _folded_endpoints, all in [0, 1/2], which the set keeps
+    (IntervalSet._sine_endpoints): each x > 1/2 becomes 1 - x with -w_x,
+    which is exact for integer k, and equal endpoints merge.  A set symmetric
+    under x -> 1 - x bit for bit, as constructions.build_adversarial_set
+    stores S_epsilon, keeps half its endpoints, of weight +-2; any other set
+    keeps as many as it has, less any exact mirror pairs.
 
     Writing d = q*B + r with B = isqrt(count) + 1 splits the phase:
     sin(2pi d step x) =
@@ -666,8 +656,8 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
 
     Every temporary above the size of a few rows comes from the running
     thread's buffers (_buffer; the module docstring bounds them), so a call
-    that fits them allocates its result and little else, and the set's folded
-    endpoints come from _fold.  count must be at most REAL_AP_COUNT_LIMIT
+    that fits them allocates its result and little else, and a set is folded
+    on its first call only.  count must be at most REAL_AP_COUNT_LIMIT
     (ValueError otherwise, before any work); a count below 1 gives an empty
     array.
     """
@@ -677,7 +667,7 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     if count > REAL_AP_COUNT_LIMIT:
         raise ValueError(f"count must be at most {REAL_AP_COUNT_LIMIT}, got {count}")
     g = SPLIT_CHUNK
-    xs, ws = _fold(s)
+    xs, ws = s._sine_endpoints
     b = math.isqrt(count) + 1
     rows = count // b + 1
     acc = _buffer("sum", (rows, b))
@@ -689,7 +679,7 @@ def fourier_coeff_real_ap(s: IntervalSet, step: int, count: int) -> np.ndarray:
     with _one_blas_thread():
         for j in range(0, xs.size, width):
             x = xs[j : j + width].reshape(-1, g)
-            w = ws[j : j + width].reshape(-1, g)
+            w = ws[j : j + width].reshape(-1, g, 2)
             chunks = x.shape[0]
             parts = max(1, min(cpus, chunks, chunks * rows * b // SPLIT_RUN_MIN))
             cuts = [chunks * i // parts for i in range(parts + 1)]

@@ -52,7 +52,7 @@ def test_weight_sum_bound_literal_is_the_certified_sum():
     # C0 is kept as a literal; it is the numpy partial sum it replaced, and a
     # correctly rounded partial sum, each plus the tail 1/log(L) and 1e-3
     terms = con._SCHEDULE_PARTIAL_TERMS
-    c0 = con._weight_sum_bound()
+    c0 = con.C0
     ell = np.arange(1, terms + 1, dtype=np.float64)
     expression = float(np.sum(1.0 / (ell * np.log(ell + 1.0) ** 2))) + 1.0 / math.log(terms) + 1e-3
     exact = math.fsum(1.0 / (k * math.log(k + 1.0) ** 2) for k in range(1, terms + 1))
